@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
+import math
 import sys
 from dataclasses import replace
 from multiprocessing import get_context
@@ -36,7 +38,7 @@ from .solver import (
 from .verify import run_suite
 
 ARTIFACT_VERSION = "fswl-0.1.0"
-TRAJECTORY_SCHEMA = 1
+TRAJECTORY_SCHEMA = 2
 
 
 class ConfigError(ValueError):
@@ -47,10 +49,19 @@ class ConfigError(ValueError):
 # Config handling
 # ---------------------------------------------------------------------------
 
+def _finite(raw, name: str) -> float:
+    """A config number as a float; NaN and infinities are rejected."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {raw!r}")
+    return value
+
+
 _G_REGISTRY = {
     "zero": lambda spec: g_zero(),
-    "linear": lambda spec: g_linear(float(spec.get("c", 1.0))),
-    "tanh_blend": lambda spec: g_tanh_blend(float(spec.get("m", 0.2)), float(spec.get("M", 1.0))),
+    "linear": lambda spec: g_linear(_finite(spec.get("c", 1.0), "g.c")),
+    "tanh_blend": lambda spec: g_tanh_blend(_finite(spec.get("m", 0.2), "g.m"),
+                                            _finite(spec.get("M", 1.0), "g.M")),
 }
 
 
@@ -67,12 +78,14 @@ def config_hash(config: dict) -> str:
 
 def _initial_field(grid, spec: dict, flavor: str) -> Field:
     kind = spec.get("kind", "gaussian")
-    amp = float(spec.get("amplitude", 0.0))
+    amp = _finite(spec.get("amplitude", 0.0), "amplitude")
     if kind == "zero" or amp == 0.0:
         return Field.zero(grid, flavor=flavor)
-    center = float(spec.get("center", 0.0))
+    center = _finite(spec.get("center", 0.0), "center")
     if kind == "gaussian":
-        width = float(spec.get("width", 1.0))
+        width = _finite(spec.get("width", 1.0), "width")
+        if width == 0.0:
+            raise ValueError("width must be nonzero")
         mode = int(spec.get("mode", 0))
         kappa = np.pi * mode / grid.half_length
         if flavor == "real":
@@ -93,10 +106,10 @@ def parse_config(config: dict):
     """Validate a config dict; returns (grid, params, run, u0, v0, extras)."""
     try:
         gspec = config["grid"]
-        grid = make_grid(float(gspec["L"]), int(gspec["N"]))
+        grid = make_grid(_finite(gspec["L"], "L"), int(gspec["N"]))
     except GridError as exc:
         raise ConfigError(f"grid: {exc}") from exc
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"grid section invalid: {exc}") from exc
 
     try:
@@ -109,15 +122,15 @@ def parse_config(config: dict):
             )
         g = _G_REGISTRY[kind](g_spec)
         params = SystemParams(
-            alpha=float(sy["alpha"]),
-            beta=float(sy["beta"]),
-            s=float(sy["s"]),
+            alpha=_finite(sy["alpha"], "alpha"),
+            beta=_finite(sy["beta"], "beta"),
+            s=_finite(sy["s"], "s"),
             g=g,
-            gamma=float(sy.get("gamma", 1.0)),
+            gamma=_finite(sy.get("gamma", 1.0), "gamma"),
         )
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"system section invalid: {exc}") from exc
 
     try:
@@ -125,29 +138,38 @@ def parse_config(config: dict):
         tm = config["time"]
         dg = config.get("diagnostics", {})
         run = PerturbedRun(
-            eps=float(pe.get("eps", 0.1)),
+            eps=_finite(pe.get("eps", 0.1), "eps"),
             a=int(pe.get("a", 4)),
             b=int(pe.get("b", 7)),
-            T=float(tm["T"]),
-            dt=float(tm["dt"]),
-            picard_tol=float(tm.get("picard_tol", 1e-10)),
+            T=_finite(tm["T"], "T"),
+            dt=_finite(tm["dt"], "dt"),
+            picard_tol=_finite(tm.get("picard_tol", 1e-10), "picard_tol"),
             picard_max_iter=int(tm.get("picard_max_iter", 50)),
             store_every=int(dg.get("store_every", 1)),
-            blowup_factor=float(dg.get("blowup_factor", 1e6)),
+            blowup_factor=_finite(dg.get("blowup_factor", 1e6), "blowup_factor"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"time/perturbation section invalid: {exc}") from exc
 
-    init = config.get("initial", {})
-    u0 = _initial_field(grid, init.get("u0", {"kind": "zero"}), "complex")
-    v0 = _initial_field(grid, init.get("v0", {"kind": "zero"}), "real")
-    extras = {
-        "mass_rtol": float(dg.get("mass_rtol", 1e-8)),
-        "sup_tol": float(dg.get("sup_tol", 1e-8)),
-        "seed": int(config.get("seed", 1234)),
-        "eps_ladder": config.get("sweep", {}).get("eps_ladder"),
-        "alpha_grid": config.get("sweep", {}).get("alpha_grid"),
-    }
+    try:
+        init = config.get("initial", {})
+        u0 = _initial_field(grid, init.get("u0", {"kind": "zero"}), "complex")
+        v0 = _initial_field(grid, init.get("v0", {"kind": "zero"}), "real")
+        sweep = config.get("sweep", {})
+        for key in ("eps_ladder", "alpha_grid"):
+            for value in sweep.get(key) or ():
+                _finite(value, f"sweep.{key} entry")
+        extras = {
+            "mass_rtol": _finite(dg.get("mass_rtol", 1e-8), "mass_rtol"),
+            "sup_tol": _finite(dg.get("sup_tol", 1e-8), "sup_tol"),
+            "seed": int(config.get("seed", 1234)),
+            "eps_ladder": sweep.get("eps_ladder"),
+            "alpha_grid": sweep.get("alpha_grid"),
+        }
+    except ConfigError:
+        raise
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"initial/diagnostics/sweep section invalid: {exc}") from exc
     return grid, params, run, u0, v0, extras
 
 
@@ -159,47 +181,74 @@ def _dump_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n")
 
 
-def _complex_rows(arr: np.ndarray) -> list:
-    return [[float(z.real), float(z.imag)] for z in arr]
-
-
 def write_trajectory(path: Path, traj: Trajectory, chash: str) -> None:
-    """JSON-lines: a self-describing header row, then one row per sample."""
-    with path.open("w") as fh:
-        header = {
-            "artifact_version": ARTIFACT_VERSION,
-            "config_hash": chash,
-            "schema": TRAJECTORY_SCHEMA,
-            "kind": "trajectory_header",
-            "grid": {"L": traj.grid.half_length, "N": traj.grid.n_points},
-            "eps": traj.run.eps,
-            "n_samples": len(traj),
-            "spectra_layout": "fft_order_complex_pairs",
-        }
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for i in range(len(traj)):
-            row = {
-                "kind": "sample",
-                "t": float(traj.times[i]),
-                "u_spec": _complex_rows(traj.u_specs[i]),
-                "v_spec": _complex_rows(traj.v_specs[i]),
-            }
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+    """A one-line JSON header at ``path`` and the spectra in a binary
+    sidecar next to it (``path`` with suffix ``.npy``): one complex128
+    array of shape [n_samples, 2, N], u then v, in FFT order, whose file
+    bytes the header pins by sha256."""
+    path = Path(path)
+    sidecar = path.with_suffix(".npy")
+    # row by row, so no stacked copy of the spectra is held in memory
+    shape = (len(traj), 2, traj.grid.n_points)
+    with sidecar.open("wb") as fh:
+        np.lib.format.write_array_header_1_0(
+            fh, {"descr": "<c16", "fortran_order": False, "shape": shape})
+        for u_spec, v_spec in zip(traj.u_specs, traj.v_specs):
+            fh.write(np.asarray(u_spec, dtype="<c16").tobytes())
+            fh.write(np.asarray(v_spec, dtype="<c16").tobytes())
+    digest = hashlib.sha256()
+    with sidecar.open("rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    header = {
+        "artifact_version": ARTIFACT_VERSION,
+        "config_hash": chash,
+        "schema": TRAJECTORY_SCHEMA,
+        "kind": "trajectory_header",
+        "grid": {"L": traj.grid.half_length, "N": traj.grid.n_points},
+        "eps": traj.run.eps,
+        "n_samples": len(traj),
+        "times": traj.times.tolist(),
+        "spectra_file": sidecar.name,
+        "spectra_sha256": digest.hexdigest(),
+        "spectra_layout": "complex128 [n_samples, 2 (u, v), N], fft_order",
+    }
+    path.write_text(json.dumps(header, sort_keys=True) + "\n")
 
 
 def read_trajectory(path: Path, params: SystemParams, run: PerturbedRun) -> Trajectory:
+    """Load what ``write_trajectory`` wrote.  Raises ValueError when the
+    header is not schema 2 or the sidecar's hash, dtype or shape does not
+    match the header."""
+    path = Path(path)
     with path.open() as fh:
         header = json.loads(fh.readline())
+    schema = header.get("schema") if isinstance(header, dict) else None
+    if schema != TRAJECTORY_SCHEMA:
+        raise ValueError(f"{path}: trajectory schema {schema!r}, expected {TRAJECTORY_SCHEMA}")
+    try:
         grid = make_grid(header["grid"]["L"], header["grid"]["N"])
-        times, us, vs = [], [], []
-        for line in fh:
-            row = json.loads(line)
-            times.append(row["t"])
-            us.append([complex(a, b) for a, b in row["u_spec"]])
-            vs.append([complex(a, b) for a, b in row["v_spec"]])
+        n = int(header["n_samples"])
+        times = np.array(header["times"], dtype=np.float64)
+        name = header["spectra_file"]
+        digest = header["spectra_sha256"]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: malformed trajectory header: {exc!r}") from exc
+    if Path(name).name != name:
+        raise ValueError(f"{path}: spectra_file must be a file name, got {name!r}")
+    blob = (path.parent / name).read_bytes()
+    if hashlib.sha256(blob).hexdigest() != digest:
+        raise ValueError(f"{path.parent / name}: sha256 does not match the header")
+    spectra = np.load(io.BytesIO(blob), allow_pickle=False)
+    shape = (n, 2, grid.n_points)
+    if spectra.dtype != np.complex128 or spectra.shape != shape or times.shape != (n,):
+        raise ValueError(
+            f"{path}: spectra {spectra.dtype} {spectra.shape} and {times.shape[0]} times, "
+            f"expected complex128 {shape} and {n} times"
+        )
     return Trajectory(
         grid=grid, params=params, run=run,
-        times=np.array(times), u_specs=np.array(us), v_specs=np.array(vs),
+        times=times, u_specs=spectra[:, 0], v_specs=spectra[:, 1],
     )
 
 
@@ -236,8 +285,8 @@ def do_run(config: dict, out_dir: Path) -> int:
         print(f"{status}: {exc}", file=sys.stderr)
         return 3
 
-    recs = diagnose_trajectory(traj)
     env = theta_envelope(traj, params, run)
+    recs = diagnose_trajectory(traj, env)
     small = smallness_condition(params, u0, v0, run.T, run.eps, a=run.a, b=run.b)
 
     mass0 = recs[0].mass

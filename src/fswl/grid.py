@@ -15,6 +15,7 @@ are written against them exactly once, here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -59,8 +60,10 @@ class GridSpec:
     n_points: int
 
     def __post_init__(self):
-        if self.half_length <= 0:
-            raise GridError(f"half_length must be positive, got {self.half_length}")
+        if not (math.isfinite(self.half_length) and self.half_length > 0):
+            raise GridError(
+                f"half_length must be positive and finite, got {self.half_length}"
+            )
         if not _is_power_of_two(self.n_points) or self.n_points < 8:
             raise GridError(
                 f"n_points must be a power of two >= 8, got {self.n_points}"
@@ -105,6 +108,21 @@ class GridSpec:
     def from_spectrum(self, coeffs: np.ndarray) -> np.ndarray:
         """Collocation samples from Fourier coefficients c_k."""
         return np.fft.ifft(coeffs * self.n_points)
+
+    def sup_norm(self, coeffs: np.ndarray, pad: int = 8) -> np.ndarray:
+        """Sup norm of the band-limited function(s) with coefficients
+        ``coeffs`` (last axis), on a ``pad``-times zero-padded refinement.
+
+        Collocation alone can undersample the true maximum of the underlying
+        band-limited function; padding recovers it to high accuracy.
+        """
+        N = self.n_points
+        M = pad * N
+        half = N // 2
+        fine = np.zeros(coeffs.shape[:-1] + (M,), dtype=np.complex128)
+        fine[..., :half] = coeffs[..., :half] * M
+        fine[..., -half:] = coeffs[..., -half:] * M
+        return np.max(np.abs(np.fft.ifft(fine)), axis=-1)
 
     def dealias_mask(self) -> np.ndarray:
         """Boolean 2/3-rule mask: keep |j| <= N/3, drop the rest.
@@ -266,22 +284,11 @@ class Field:
         )
 
     def norm_sup(self, pad: int = 8) -> float:
-        """Sup norm evaluated on a ``pad``-times zero-padded refinement.
-
-        Collocation alone can undersample the true maximum of the underlying
-        band-limited function; padding recovers it to high accuracy.
-        """
+        """Sup norm on a ``pad``-times zero-padded refinement (see
+        ``GridSpec.sup_norm``); ``pad <= 1`` takes the collocation maximum."""
         if pad <= 1:
             return float(np.max(np.abs(self.values)))
-        N = self.grid.n_points
-        M = pad * N
-        fine = np.zeros(M, dtype=np.complex128)
-        spec = self.spectrum
-        half = N // 2
-        fine[:half] = spec[:half]
-        fine[-half:] = spec[-half:]
-        vals = np.fft.ifft(fine * M)
-        return float(np.max(np.abs(vals)))
+        return float(self.grid.sup_norm(self.spectrum, pad))
 
     # -- algebra -----------------------------------------------------------
 

@@ -49,6 +49,12 @@ __all__ = [
 ]
 
 
+# Base steps one run may request: a thousand times the canonical run.  It
+# keeps a mistyped dt (say 1e-300) from asking for a practically endless
+# march.
+MAX_STEPS = 10**6
+
+
 class SolverError(RuntimeError):
     pass
 
@@ -225,11 +231,17 @@ class PerturbedRun:
             raise ValueError("T and dt must be positive")
         if self.store_every < 1:
             raise ValueError("store_every must be >= 1")
+        if not (self.picard_tol > 0 and self.picard_max_iter >= 1 and self.blowup_factor > 0):
+            raise ValueError(
+                "picard_tol and blowup_factor must be positive and picard_max_iter >= 1"
+            )
         n = round(self.T / self.dt)
         if n < 1 or abs(n * self.dt - self.T) > 1e-9 * max(self.T, 1.0):
             raise ValueError(
                 f"T = {self.T} is not an integer multiple of dt = {self.dt}"
             )
+        if n > MAX_STEPS:
+            raise ValueError(f"T/dt = {n} steps exceeds the limit of {MAX_STEPS}")
 
     @property
     def g_regularization(self) -> float:
@@ -404,6 +416,8 @@ class _Stepper:
 
             dist = self._h1(u_next - u_new) + self._h1(v_next - v_new)
             self.last_distances.append(dist)
+            if not np.isfinite(dist):
+                raise BlowupError(f"non-finite Picard distance at dt={dt:.3e}")
             u_new, v_new = u_next, v_next
             if dist < run.picard_tol:
                 return u_new, v_new, sweep
@@ -488,6 +502,11 @@ def solve_perturbed(
     n_sub = 1
     while run.dt / n_sub > cap:
         n_sub *= 2
+        if n_sub > 2**run.max_halvings:
+            raise SolverError(
+                f"a-priori contraction cap {cap:.3e} (R = {R:.3e}) is below "
+                f"dt/2^{run.max_halvings} = {run.dt / 2**run.max_halvings:.3e}"
+            )
 
     stored_t = [0.0]
     stored_u = [u_spec.copy()]
@@ -513,8 +532,6 @@ def solve_perturbed(
             u_spec, v_spec = u_try, v_try
             done += 1
             successes += 1
-            if np.isnan(u_spec).any() or np.isnan(v_spec).any():
-                raise BlowupError(f"non-finite state at t={t_target:.4g}")
             if stepper._h1(u_spec) > ceiling or stepper._h1(v_spec) > ceiling:
                 raise BlowupError(
                     f"norm ceiling {ceiling:.3e} exceeded at t={t_target:.4g}"

@@ -5,8 +5,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# Property tests draw the same examples on every run and machine, with a
+# bounded count and a per-example wall-time limit, so the suite stays
+# reproducible.  A test's own @settings overrides single fields.
+settings.register_profile(
+    "fswl", derandomize=True, database=None, max_examples=40, deadline=10_000
+)
+settings.load_profile("fswl")
 
 from fswl.grid import Field, make_grid
 

@@ -3,7 +3,9 @@
 Nothing here reuses the code paths under test: the split-step integrator is
 a different scheme, the normalization constant comes from special-function
 closed forms and an independent high-order quadrature, and the growth bound
-oracle integrates the equality-case ODE with an adaptive Runge-Kutta.
+oracle integrates the equality-case ODE with an adaptive Runge-Kutta, and
+the trajectory diagnostics are evaluated one sample at a time from Field
+objects instead of by the batched pass.
 """
 
 from __future__ import annotations
@@ -79,3 +81,157 @@ def heat_exact(v0_spec, grid, eps, b, t):
 def fit_slope(dts, residuals) -> float:
     """Least-squares order of convergence from (dt, residual) pairs."""
     return float(np.polyfit(np.log(np.asarray(dts)), np.log(np.asarray(residuals)), 1)[0])
+
+
+# ---------------------------------------------------------------------------
+# Trajectory diagnostics, one stored sample at a time.  These are the
+# per-sample formulas the batched pass in fswl.diagnostics replaces; they
+# work on Field objects (values and cached spectra) and loop in Python.
+# ---------------------------------------------------------------------------
+
+def _weighted_sq(grid, spec, weights) -> float:
+    return float(grid.measure * np.sum(weights * np.abs(spec) ** 2))
+
+
+def _integral(grid, values) -> float:
+    return float(grid.dx * np.real(np.sum(values)))
+
+
+def _frac_half(grid, spec, s):
+    return grid.from_spectrum(grid.frac_symbol(0.5 * s) * spec)
+
+
+def _padded_sup(field, pad: int = 8) -> float:
+    N = field.grid.n_points
+    fine = np.zeros(pad * N, dtype=np.complex128)
+    fine[: N // 2] = field.spectrum[: N // 2]
+    fine[-(N // 2):] = field.spectrum[-(N // 2):]
+    return float(np.max(np.abs(np.fft.ifft(fine * pad * N))))
+
+
+def record_fields(u, v, params, run) -> dict:
+    """Pointwise-in-time diagnostics of one (u, v) state."""
+    grid = u.grid
+    s = params.s
+    frac_u = _weighted_sq(grid, u.spectrum, grid.frac_symbol(s))
+    grad_u = _weighted_sq(grid, u.spectrum, grid.k**2)
+    u4 = u.norm_l4_4()
+    coupling = _integral(grid, v.values * np.abs(u.values) ** 2)
+    return {
+        "mass": u.norm_l2() ** 2,
+        "energy": frac_u + run.eps**run.a * grad_u + 0.5 * u4 + params.alpha * coupling,
+        "frac_grad_u_sq": frac_u,
+        "grad_u_sq": grad_u,
+        "u_l4_4": u4,
+        "v_l2": v.norm_l2(),
+        "v_sup": _padded_sup(v),
+        "grad_v_sq": _weighted_sq(grid, v.spectrum, grid.k**2),
+    }
+
+
+def _frac_dens_and_gv(traj, i):
+    params, run, grid = traj.params, traj.run, traj.grid
+    u, v = traj.u_at(i), traj.v_at(i)
+    dens = np.abs(u.values) ** 2
+    dens_spec = grid.to_spectrum(dens)
+    frac_dens = _frac_half(grid, dens_spec, params.s).real
+    g_eff = params.g.regularized(run.g_regularization)
+    frac_gv = _frac_half(grid, grid.to_spectrum(g_eff.fn(v.values)), params.s).real
+    return u, v, dens, dens_spec, frac_dens, frac_gv
+
+
+def energy_rhs(traj, i) -> float:
+    """alpha beta int (-D)^{s/2}(|u|^2) |u|^2 - alpha int |u|^2 (-D)^{s/2} g_eps(v)
+    - alpha eps^b int d_x|u|^2 d_x v at sample i."""
+    params, run, grid = traj.params, traj.run, traj.grid
+    u, v, dens, dens_spec, frac_dens, frac_gv = _frac_dens_and_gv(traj, i)
+    d = grid.deriv_symbol()
+    ddens = grid.from_spectrum(d * dens_spec).real
+    dv = grid.from_spectrum(d * v.spectrum).real
+    return (
+        params.alpha * params.beta * _integral(grid, frac_dens * dens)
+        - params.alpha * _integral(grid, dens * frac_gv)
+        - params.alpha * run.eps**run.b * _integral(grid, ddens * dv)
+    )
+
+
+def v_balance_terms(traj, i) -> float:
+    """int (-D)^{s/2} g_eps(v) v + eps^b ||d_x v||^2 - beta int (-D)^{s/2}(|u|^2) v."""
+    params, run, grid = traj.params, traj.run, traj.grid
+    u, v, dens, dens_spec, frac_dens, frac_gv = _frac_dens_and_gv(traj, i)
+    return (
+        _integral(grid, frac_gv * v.values)
+        + run.eps**run.b * _weighted_sq(grid, v.spectrum, grid.k**2)
+        - params.beta * _integral(grid, frac_dens * v.values)
+    )
+
+
+def dt_negative_norm(traj, i) -> tuple[float, float]:
+    """H^{-1} norms of the backward difference quotients at sample i."""
+    grid = traj.grid
+    dt = traj.times[i] - traj.times[i - 1]
+    w = 1.0 / (1.0 + grid.k**2)
+    du = (traj.u_specs[i] - traj.u_specs[i - 1]) / dt
+    dv = (traj.v_specs[i] - traj.v_specs[i - 1]) / dt
+    return np.sqrt(_weighted_sq(grid, du, w)), np.sqrt(_weighted_sq(grid, dv, w))
+
+
+def _cumtrapz(y, t):
+    out = np.zeros_like(y)
+    out[1:] = np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(t))
+    return out
+
+
+def theta_envelope(traj, params, run) -> dict:
+    """theta(t) majorant, its tracked left side and the H(t) bound."""
+    s = params.s
+    recs = [record_fields(traj.u_at(i), traj.v_at(i), params, run) for i in range(len(traj))]
+    col = lambda key: np.array([r[key] for r in recs])
+    times = traj.times
+    frac, grad, u4, v_l2 = col("frac_grad_u_sq"), col("grad_u_sq"), col("u_l4_4"), col("v_l2")
+    grad_v, grad_u, frac_n = np.sqrt(col("grad_v_sq")), np.sqrt(grad), np.sqrt(frac)
+    eps_a, eps_b = run.eps**run.a, run.eps**run.b
+    aa, T = abs(params.alpha), run.T
+    gprime_sup = params.g.regularized(run.g_regularization).M
+    u0, v0 = traj.u_at(0), traj.v_at(0)
+    u0_l2, v0_l2 = u0.norm_l2(), v0.norm_l2()
+    theta0 = (1.0 + frac[0] + eps_a * grad[0] + 0.5 * u4[0]
+              + _padded_sup(u0) * v0_l2 * u0_l2 + aa**2 * np.exp(T) * v0_l2**2)
+    pi2s = np.pi * (2.0 * s - 1.0)
+    c1 = 4.0 * aa / np.sqrt(pi2s) * gprime_sup * u0_l2 ** (1.0 - 0.5 / s)
+    c2 = 8.0 * aa * abs(params.beta) / pi2s * u0_l2 ** (3.0 - 1.0 / s)
+    c3 = 4.0 / np.sqrt(np.pi) * aa * eps_b * u0_l2**0.5
+    c4 = 16.0 * aa**2 * params.beta**2 * np.exp(T) / pi2s * u0_l2 ** (2.0 - 1.0 / s)
+    theta = (theta0
+             + c1 * _cumtrapz(v_l2 * frac_n ** (1.0 + 0.5 / s), times)
+             + c2 * _cumtrapz(frac_n ** (1.0 + 1.0 / s), times)
+             + c3 * _cumtrapz(grad_v * grad_u**1.5, times)
+             + c4 * _cumtrapz(frac_n ** (2.0 + 1.0 / s), times))
+    lhs = 1.0 + frac + eps_a * grad + 0.25 * u4
+    cH = 16.0 * params.beta**2 * np.exp(T) / pi2s * u0_l2 ** (2.0 - 1.0 / s)
+    H = np.exp(T) * v0_l2**2 + cH * _cumtrapz((lhs - 1.0) ** (1.0 + 0.5 / s), times)
+    return {"theta": theta, "lhs_theta": lhs, "H_bound": H, "v_l2_sq": v_l2**2}
+
+
+def diagnose(traj) -> list[dict]:
+    """Record fields of every sample, with central-difference balance
+    residuals at interior samples, backward difference quotients from
+    sample 1 on and the envelope columns."""
+    params, run, times = traj.params, traj.run, traj.times
+    recs = [record_fields(traj.u_at(i), traj.v_at(i), params, run) for i in range(len(traj))]
+    nan = float("nan")
+    for i, r in enumerate(recs):
+        r.update(t=float(times[i]), energy_balance_residual=nan, v_balance_residual=nan,
+                 dtu_hminus1=nan, dtv_hminus1=nan)
+        if 0 < i < len(traj) - 1:
+            dt = times[i + 1] - times[i]
+            dE = (recs[i + 1]["energy"] - recs[i - 1]["energy"]) / (2.0 * dt)
+            r["energy_balance_residual"] = abs(dE - energy_rhs(traj, i))
+            dv2 = recs[i + 1]["v_l2"] ** 2 - recs[i - 1]["v_l2"] ** 2
+            r["v_balance_residual"] = abs(0.5 * dv2 / (2.0 * dt) + v_balance_terms(traj, i))
+        if i > 0:
+            r["dtu_hminus1"], r["dtv_hminus1"] = dt_negative_norm(traj, i)
+    env = theta_envelope(traj, params, run)
+    for i, r in enumerate(recs):
+        r.update(theta=env["theta"][i], H_bound=env["H_bound"][i])
+    return recs

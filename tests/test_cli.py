@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import json
+import math
+import tempfile
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fswl.cli import (
     ConfigError,
@@ -16,6 +21,7 @@ from fswl.cli import (
     parse_config,
     read_trajectory,
 )
+from fswl.solver import solve_perturbed
 
 
 def tiny_config(**overrides) -> dict:
@@ -92,16 +98,41 @@ class TestRunVerb:
         cfg = tiny_config()
         do_run(cfg, tmp_path / "out")
         grid, params, run, u0, v0, extras = parse_config(cfg)
+        solved = solve_perturbed(u0, v0, params, run)
         traj = read_trajectory(tmp_path / "out" / "trajectory.jsonl", params, run)
         assert len(traj) >= 2
-        assert traj.grid.n_points == 64
-        assert np.isfinite(traj.u_at(-1).norm_l2())
+        assert traj.grid == grid
+        assert np.array_equal(traj.times, solved.times)
+        assert np.array_equal(traj.u_specs, solved.u_specs)
+        assert np.array_equal(traj.v_specs, solved.v_specs)
+
+    def test_read_trajectory_rejects_flipped_byte(self, tmp_path):
+        cfg = tiny_config()
+        do_run(cfg, tmp_path / "out")
+        _, params, run, *_ = parse_config(cfg)
+        sidecar = tmp_path / "out" / "trajectory.npy"
+        blob = bytearray(sidecar.read_bytes())
+        blob[-9] ^= 0x01
+        sidecar.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match="sha256"):
+            read_trajectory(tmp_path / "out" / "trajectory.jsonl", params, run)
+
+    def test_read_trajectory_rejects_other_schema(self, tmp_path):
+        cfg = tiny_config()
+        do_run(cfg, tmp_path / "out")
+        _, params, run, *_ = parse_config(cfg)
+        path = tmp_path / "out" / "trajectory.jsonl"
+        header = json.loads(path.read_text())
+        header["schema"] = 1
+        path.write_text(json.dumps(header) + "\n")
+        with pytest.raises(ValueError, match="schema 1"):
+            read_trajectory(path, params, run)
 
     def test_determinism_byte_identical(self, tmp_path):
         do_run(tiny_config(), tmp_path / "a")
         do_run(tiny_config(), tmp_path / "b")
-        for name in ("trajectory.jsonl", "diagnostics.jsonl", "summary.json",
-                     "timeseries.csv"):
+        for name in ("trajectory.jsonl", "trajectory.npy", "diagnostics.jsonl",
+                     "summary.json", "timeseries.csv"):
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
 
@@ -226,3 +257,83 @@ def _dump(tmp_path, cfg):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg))
     return p
+
+
+def test_unreachable_contraction_cap_fails_fast(tmp_path):
+    # large data shrink the a-priori contraction cap below dt/2^max_halvings;
+    # the run must stop at once instead of taking ~10^5 sub-steps per dt
+    cfg = canonical_config()
+    cfg["initial"]["u0"]["amplitude"] = 1e3
+    cfg["time"]["T"] = 0.2
+    start = time.perf_counter()
+    assert do_run(cfg, tmp_path / "out") == 3
+    assert time.perf_counter() - start < 30.0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["status"] == "solver_failure"
+    assert "contraction cap" in summary["detail"]
+
+
+@pytest.mark.parametrize("path, value", [
+    (("grid", "L"), math.nan),
+    (("grid", "N"), math.inf),
+    (("system", "alpha"), math.inf),
+    (("system", "g", "M"), math.nan),
+    (("perturbation", "eps"), math.nan),
+    (("time", "T"), math.inf),
+    (("time", "picard_tol"), math.nan),
+    (("initial", "u0", "amplitude"), math.nan),
+    (("initial", "v0", "width"), 0.0),
+    (("diagnostics", "blowup_factor"), -math.inf),
+    (("diagnostics", "mass_rtol"), math.nan),
+    (("sweep", "eps_ladder"), [0.2, math.nan]),
+    (("time", "picard_tol"), -1.0),
+    (("time", "picard_max_iter"), 0),
+    (("time", "dt"), 1e-300),
+])
+def test_invalid_number_is_config_error(tmp_path, path, value):
+    cfg = tiny_config()
+    _set(cfg, path, value)
+    with pytest.raises(ConfigError):
+        parse_config(cfg)
+    assert main(["run", "--config", str(_dump(tmp_path, cfg)),
+                 "--out", str(tmp_path / "o")]) == 2
+
+
+def _set(cfg: dict, path: tuple, value) -> None:
+    node = cfg
+    for key in path[:-1]:
+        node = node.setdefault(key, {})
+    node[path[-1]] = value
+
+
+# Numeric leaves of the canonical config and the hostile values written
+# into them: non-finite, signed, zero and out-of-type replacements.
+_LEAVES = [
+    ("grid", "L"), ("grid", "N"),
+    ("system", "alpha"), ("system", "beta"), ("system", "s"), ("system", "gamma"),
+    ("system", "g", "m"), ("system", "g", "M"),
+    ("perturbation", "eps"), ("perturbation", "a"), ("perturbation", "b"),
+    ("time", "T"), ("time", "dt"), ("time", "picard_tol"), ("time", "picard_max_iter"),
+    ("initial", "u0", "amplitude"), ("initial", "u0", "width"),
+    ("initial", "u0", "center"), ("initial", "u0", "mode"),
+    ("initial", "v0", "amplitude"), ("initial", "v0", "width"),
+    ("diagnostics", "store_every"), ("diagnostics", "blowup_factor"),
+    ("diagnostics", "mass_rtol"), ("diagnostics", "sup_tol"),
+]
+_HOSTILE = [math.nan, math.inf, -math.inf, -1.0, 0.0, 0.5, 2.0, 1e-300, "x", None]
+
+
+@given(st.lists(st.tuples(st.sampled_from(_LEAVES), st.sampled_from(_HOSTILE)),
+                min_size=1, max_size=3))
+@settings(max_examples=100)
+def test_mutated_config_ends_in_documented_exit_code(mutations):
+    cfg = canonical_config()
+    cfg["grid"]["N"] = 32
+    cfg["time"]["T"] = 0.02
+    for path, value in mutations:
+        _set(cfg, path, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        config = tmp / "cfg.json"
+        config.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(config), "--out", str(tmp / "o")]) in {0, 1, 2, 3}

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fswl.diagnostics import (
+    BLOCK_SAMPLES,
     bilinear_form,
     coercivity_report,
     diagnose_trajectory,
@@ -28,6 +29,7 @@ from fswl.solver import (
     solve_perturbed,
 )
 
+import oracles
 from oracles import fit_slope, heat_exact
 
 
@@ -308,3 +310,35 @@ def test_dt_negative_norm_requires_pair(grid16, gauss_pair):
     traj = solve_perturbed(u0, v0, coupled_params(), run)
     with pytest.raises(ValueError):
         dt_negative_norm(traj, 0)
+
+
+def test_block_pass_matches_per_sample_oracle(grid16, gauss_pair):
+    # 37 samples: two full blocks and a partial one, so central and backward
+    # differences straddle block edges
+    u0, v0 = gauss_pair
+    params = coupled_params()
+    run = PerturbedRun(eps=0.1, T=0.18, dt=5e-3)
+    traj = solve_perturbed(u0, v0, params, run)
+    assert len(traj) == 37 and len(traj) % BLOCK_SAMPLES != 0
+    recs = diagnose_trajectory(traj)
+    ref = oracles.diagnose(traj)
+    residuals = {"energy_balance_residual", "v_balance_residual"}
+    assert {f for f in recs[0].__dataclass_fields__} == set(ref[0])
+    for key in ref[0]:
+        got = np.array([getattr(r, key) for r in recs])
+        want = np.array([r[key] for r in ref])
+        if key in residuals:
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, equal_nan=True, err_msg=key)
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, equal_nan=True, err_msg=key)
+
+    for i in (BLOCK_SAMPLES - 1, BLOCK_SAMPLES, BLOCK_SAMPLES + 1):
+        assert energy_balance_residual(traj, i) == pytest.approx(
+            ref[i]["energy_balance_residual"], rel=0, abs=1e-12)
+        assert v_balance_residual(traj, i) == pytest.approx(
+            ref[i]["v_balance_residual"], rel=0, abs=1e-12)
+        assert dt_negative_norm(traj, i) == pytest.approx(
+            oracles.dt_negative_norm(traj, i), rel=1e-12, abs=0)
+    single = record_diagnostics((traj.u_at(20), traj.v_at(20)), traj.times[20], params, run)
+    for key, value in oracles.record_fields(traj.u_at(20), traj.v_at(20), params, run).items():
+        assert getattr(single, key) == pytest.approx(value, rel=1e-12, abs=0)

@@ -32,6 +32,12 @@ def test_nonpositive_length_rejected():
         make_grid(0.0, 16)
 
 
+@pytest.mark.parametrize("bad_L", [np.nan, np.inf, -np.inf])
+def test_nonfinite_length_rejected(bad_L):
+    with pytest.raises(GridError, match="finite"):
+        make_grid(bad_L, 16)
+
+
 @given(
     log_n=st.integers(min_value=3, max_value=10),
     L=st.floats(min_value=0.1, max_value=100.0, allow_nan=False),

@@ -277,6 +277,19 @@ def test_picard_max_iter_exceeded(grid16, gauss_pair):
         )
 
 
+def test_nonfinite_picard_distance_is_blowup(grid16, gauss_pair):
+    # a NaN distance compares false against the previous one; it must stop
+    # the sweep at once instead of resetting the divergence counter
+    u0, v0 = gauss_pair
+    run = PerturbedRun(eps=0.1, T=0.1, dt=0.01)
+    stepper = _Stepper(grid16, coupled_params(), run)
+    u_spec = (u0.spectrum * grid16.dealias_mask()).astype(complex)
+    u_spec[1] = np.nan
+    with pytest.raises(BlowupError, match="non-finite"):
+        stepper.step(u_spec, (v0.spectrum * grid16.dealias_mask()).astype(complex), 0.01)
+    assert len(stepper.last_distances) == 1
+
+
 def test_picard_divergence_signals_halving(grid16):
     # a step far beyond the contraction bound must fail loudly, not loop
     big_u = Field.from_function(grid16, lambda x: 3.0 * np.exp(-(x**2)))
