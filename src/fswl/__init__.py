@@ -47,11 +47,9 @@ from .solver import (
     SystemParams,
     Trajectory,
     contraction_time_bound,
-    g_eps_apply,
     g_linear,
     g_tanh_blend,
     g_zero,
-    picard_step,
     solve_perturbed,
     vanishing_viscosity_sweep,
 )

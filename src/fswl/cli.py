@@ -25,6 +25,7 @@ from .diagnostics import diagnose_trajectory, smallness_condition, theta_envelop
 from .grid import Field, GridError, make_grid
 from .solver import (
     BlowupError,
+    ConvergenceTable,
     PerturbedRun,
     SolverError,
     SystemParams,
@@ -32,7 +33,6 @@ from .solver import (
     g_linear,
     g_tanh_blend,
     g_zero,
-    l2_spacetime_diff,
     solve_perturbed,
 )
 from .verify import run_suite
@@ -159,6 +159,8 @@ def parse_config(config: dict):
         for key in ("eps_ladder", "alpha_grid"):
             for value in sweep.get(key) or ():
                 _finite(value, f"sweep.{key} entry")
+        if sweep.get("eps_ladder"):
+            ConvergenceTable.check_ladder(sweep["eps_ladder"])
         extras = {
             "mass_rtol": _finite(dg.get("mass_rtol", 1e-8), "mass_rtol"),
             "sup_tol": _finite(dg.get("sup_tol", 1e-8), "sup_tol"),
@@ -332,94 +334,52 @@ def do_run(config: dict, out_dir: Path) -> int:
     return 0 if summary["passed"] else 1
 
 
-def _sweep_worker(args):
-    """Run one rung; ships back plain arrays so results pickle cleanly."""
-    config, key = args
-    grid, params, run, u0, v0, extras = parse_config(config)
+def _sweep_worker(job):
+    """Solve one sweep job ``(u0, v0, params, run)``; returns its status and
+    its trajectory, None when the solve failed."""
     try:
-        traj = solve_perturbed(u0, v0, params, run)
-        return key, "completed", (traj.times, traj.u_specs, traj.v_specs)
+        return "completed", solve_perturbed(*job)
     except BlowupError as exc:
-        return key, f"blowup: {exc}", None
+        return f"blowup: {exc}", None
     except SolverError as exc:
-        return key, f"failed: {exc}", None
+        return f"failed: {exc}", None
 
 
 def do_sweep(config: dict, out_dir: Path, workers: int = 1) -> int:
     grid, params, run, u0, v0, extras = parse_config(config)
     chash = config_hash(config)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ladder = extras["eps_ladder"]
-    alpha_grid = extras["alpha_grid"]
+    ladder = extras["eps_ladder"] or []
+    alpha_grid = extras["alpha_grid"] or []
     if not ladder and not alpha_grid:
         raise ConfigError("sweep needs sweep.eps_ladder or sweep.alpha_grid")
 
-    jobs = []
-    if ladder:
-        if any(b >= a for a, b in zip(ladder, ladder[1:])):
-            raise ConfigError("sweep.eps_ladder must be strictly decreasing")
-        for eps in ladder:
-            cfg = json.loads(json.dumps(config))
-            cfg.setdefault("perturbation", {})["eps"] = eps
-            cfg.pop("sweep", None)
-            jobs.append((cfg, ("eps", eps)))
-    if alpha_grid:
-        for alpha in alpha_grid:
-            cfg = json.loads(json.dumps(config))
-            cfg["system"]["alpha"] = alpha
-            cfg.pop("sweep", None)
-            jobs.append((cfg, ("alpha", alpha)))
-
+    keys = [("eps", eps) for eps in ladder] + [("alpha", alpha) for alpha in alpha_grid]
+    alpha_params = [replace(params, alpha=float(alpha)) for alpha in alpha_grid]
+    jobs = [(u0, v0, params, replace(run, eps=float(eps))) for eps in ladder]
+    jobs += [(u0, v0, sp, run) for sp in alpha_params]
+    workers = min(workers, len(jobs))
     if workers > 1:
         with get_context("fork").Pool(workers) as pool:
             results = pool.map(_sweep_worker, jobs)
     else:
-        results = [_sweep_worker(j) for j in jobs]
-
-    def _rebuild(key, payload):
-        if payload is None:
-            return None
-        times, us, vs = payload
-        kind, value = key
-        rn = replace(run, eps=float(value)) if kind == "eps" else run
-        pm = replace(params, alpha=float(value)) if kind == "alpha" else params
-        return Trajectory(grid=grid, params=pm, run=rn,
-                          times=times, u_specs=us, v_specs=vs)
-
-    by_key = {key: (status, _rebuild(key, payload)) for key, status, payload in results}
+        results = [_sweep_worker(job) for job in jobs]
+    eps_results, alpha_results = results[:len(ladder)], results[len(ladder):]
 
     report = {"artifact_version": ARTIFACT_VERSION, "config_hash": chash}
-    failures = 0
-
     if ladder:
-        rows = []
-        for (e1, e2) in zip(ladder, ladder[1:]):
-            s1, t1 = by_key[("eps", e1)]
-            s2, t2 = by_key[("eps", e2)]
-            if t1 is None or t2 is None:
-                rows.append({"eps_coarse": e1, "eps_fine": e2,
-                             "status": f"{s1} / {s2}"})
-                failures += 1
-                continue
-            du, dv = l2_spacetime_diff(t1, t2)
-            rows.append({"eps_coarse": e1, "eps_fine": e2,
-                         "u_l2_diff": du, "v_l2_diff": dv, "status": "ok"})
-        report["viscosity_table"] = rows
-        u_seq = [r["u_l2_diff"] for r in rows if "u_l2_diff" in r]
-        v_seq = [r["v_l2_diff"] for r in rows if "v_l2_diff" in r]
-        report["u_diffs_decreasing"] = all(b < a for a, b in zip(u_seq, u_seq[1:]))
-        report["v_diffs_decreasing"] = all(b < a for a, b in zip(v_seq, v_seq[1:]))
+        table = ConvergenceTable(ladder, eps_results)
+        report["viscosity_table"] = table.rows()
+        report["u_diffs_decreasing"], report["v_diffs_decreasing"] = table.strictly_decreasing()
 
     if alpha_grid:
         cells = []
-        for alpha in alpha_grid:
-            status, traj = by_key[("alpha", alpha)]
-            sp = replace(params, alpha=float(alpha))
+        for alpha, sp, (status, _) in zip(alpha_grid, alpha_params, alpha_results):
             small = smallness_condition(sp, u0, v0, run.T, run.eps, a=run.a, b=run.b)
             cells.append({
                 "alpha": alpha,
-                "status": status if traj is None else "completed",
-                "blowup": traj is None and status.startswith("blowup"),
+                "status": status,
+                "blowup": status.startswith("blowup"),
                 "smallness_satisfied": small.satisfied,
                 "smallness_lhs": small.lhs,
             })
@@ -429,9 +389,9 @@ def do_sweep(config: dict, out_dir: Path, workers: int = 1) -> int:
         )
 
     _dump_json(out_dir / "sweep_report.json", report)
-    for key, status, _ in sorted(results, key=lambda r: repr(r[0])):
+    for key, (status, _) in sorted(zip(keys, results), key=lambda r: repr(r[0])):
         print(f"{key}: {status}")
-    return 0 if failures == 0 else 1
+    return 1 if any(traj is None for _, traj in eps_results) else 0
 
 
 def do_verify(suite: str, seed: int, out_dir: Path | None) -> int:

@@ -523,10 +523,12 @@ def smallness_condition(
     c1s = cns_constant(s)
     pi2s = np.pi * (2.0 * s - 1.0)
     expo = 1.0 - 0.5 / s
+    # single powers: eps**b * eps**(-1.5 a) is 0 * inf = NaN for a tiny eps
     try:
-        eps_neg_a = eps ** (-1.5 * a)
+        eps_c = eps ** (b - 1.5 * a)
+        eps_c3 = eps ** (b - 1 - 1.5 * a)
     except OverflowError:  # a tiny eps: the condition then fails, not the run
-        eps_neg_a = math.inf
+        eps_c = eps_c3 = math.inf
 
     block = (
         1.0
@@ -540,7 +542,7 @@ def smallness_condition(
         2.0**6 * block**expo
         + (2.0**5 * aa**2 * (2.0 * s - 1.0) / (s**2 * np.pi))
         * gprime**2 * u0_l2 ** (2.0 - 1.0 / s) * v0_l2**2 * np.exp(3.0 * T)
-        + (2.0**4 * aa**2 * eps**b * eps_neg_a * (2.0 * s - 1.0) ** 2 / (np.pi * s**2))
+        + (2.0**4 * aa**2 * eps_c * (2.0 * s - 1.0) ** 2 / (np.pi * s**2))
         * u0_l2 * v0_l2**2 * np.exp(2.0 * T)
     )
     C1 = 2.0**6 * T
@@ -548,7 +550,7 @@ def smallness_condition(
     C3 = (
         (2.0**9 * aa**2 * bb**2 / (s**2 * np.pi**2))
         * gprime**2 * u0_l2 ** (4.0 - 2.0 / s) * np.exp(3.0 * T)
-        + (2.0**8 * c1s * aa**2 * bb**2 * eps ** (b - 1) * eps_neg_a * (2.0 * s - 1.0) / (np.pi**2 * s**2))
+        + (2.0**8 * c1s * aa**2 * bb**2 * eps_c3 * (2.0 * s - 1.0) / (np.pi**2 * s**2))
         * u0_l2 ** (3.0 - 1.0 / s) * np.exp(2.0 * T)
         + (2.0**10 * aa**4 * bb**4 * np.exp(2.0 * T) / (np.pi**2 * s**2))
         * u0_l2 ** (4.0 - 2.0 / s) * T

@@ -156,33 +156,27 @@ def _gl_panels(edges: np.ndarray, fn, n: int = 24) -> float:
     return total
 
 
-def reconstruct_entropy(eta, v: float) -> float:
+def reconstruct_entropy(eta: EntropySpec, v: float) -> float:
     """eta(v) = 1/2 integral eta''(xi) |v - xi| dxi over the density support
     (defined modulo an additive constant by the superposition itself)."""
-    if isinstance(eta, EntropySpec):
-        if eta.dirac_at is not None:
-            return float(abs(v - eta.dirac_at))
-        pp, (lo, hi), lin = eta.eta_pp, eta.pp_support, eta.linear_coeff
-    else:
-        pp, (lo, hi), lin = eta[0], eta[1], 0.0
+    if eta.dirac_at is not None:
+        return float(abs(v - eta.dirac_at))
+    lo, hi = eta.pp_support
     edges = _split_points(lo, hi, [v])
-    val = 0.5 * _gl_panels(edges, lambda xi: pp(xi) * np.abs(v - xi))
-    return float(val + lin * v)
+    val = 0.5 * _gl_panels(edges, lambda xi: eta.eta_pp(xi) * np.abs(v - xi))
+    return float(val + eta.linear_coeff * v)
 
 
-def entropy_flux(eta, g: NonlinearityG, v: float) -> float:
+def entropy_flux(eta: EntropySpec, g: NonlinearityG, v: float) -> float:
     """Pair flux q(v) = 1/2 integral eta''(xi) |g(v) - g(xi)| dxi (plus the
     linear part's g(v)); for the kink entropy this is |g(v) - g(k)| exactly."""
-    if isinstance(eta, EntropySpec):
-        if eta.dirac_at is not None:
-            return float(abs(g.fn(np.array([v]))[0] - g.fn(np.array([eta.dirac_at]))[0]))
-        pp, (lo, hi), lin = eta.eta_pp, eta.pp_support, eta.linear_coeff
-    else:
-        pp, (lo, hi), lin = eta[0], eta[1], 0.0
+    if eta.dirac_at is not None:
+        return float(abs(g.fn(np.array([v]))[0] - g.fn(np.array([eta.dirac_at]))[0]))
+    lo, hi = eta.pp_support
     gv = float(g.fn(np.array([v]))[0])
     edges = _split_points(lo, hi, [v])
-    val = 0.5 * _gl_panels(edges, lambda xi: pp(xi) * np.abs(gv - g.fn(xi)))
-    return float(val + lin * gv)
+    val = 0.5 * _gl_panels(edges, lambda xi: eta.eta_pp(xi) * np.abs(gv - g.fn(xi)))
+    return float(val + eta.linear_coeff * gv)
 
 
 def _flux_on_values(eta: EntropySpec, g: NonlinearityG, values: np.ndarray) -> np.ndarray:
@@ -302,15 +296,6 @@ def special_jacobi(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
     return t, w * 2.0 ** (-beta - 1.0)
 
 
-def _both_sided_kernel(d: np.ndarray, s: float, L: float) -> np.ndarray:
-    """sum over all periodic images of |d + 2mL|^(-1-2s) for d in (0, 2L)."""
-    period = 2.0 * L
-    q = d / period
-    from scipy.special import zeta
-
-    return period ** (-1.0 - 2.0 * s) * (zeta(1.0 + 2.0 * s, q) + zeta(1.0 + 2.0 * s, 1.0 - q))
-
-
 def remainder_Rk(
     v: Field,
     g: NonlinearityG,
@@ -344,7 +329,7 @@ def remainder_Rk(
         gv = g.fn(spl(y))
         mag = (gv - gk) if opposite_above else (gk - gv)
         d = np.mod(x - y, period)
-        return mag * _both_sided_kernel(d, s, L)
+        return mag * (periodic_tail_weight(d, s, L) + periodic_tail_weight(period - d, s, L))
 
     # Arcs between consecutive crossings, classified by a midpoint sample.
     cs = sorted(cross)
@@ -661,32 +646,6 @@ def _remainder_superposition(
     return c_half * dx * np.einsum("ij,ij->i", kernel, phi)
 
 
-def weak_residual_rows(
-    traj: Trajectory,
-    params: SystemParams,
-    run: PerturbedRun,
-    tfs: list[TestFunction],
-    perturbed: bool = True,
-    refinement_level: int = 0,
-) -> list[dict]:
-    """Residual table rows (test id, flavor, eps, residual, level) for the
-    appropriate equation of each test function."""
-    rows = []
-    for i, tf in enumerate(tfs):
-        if tf.flavor == "complex":
-            res = abs(weak_residual_u(traj, params, run, tf, perturbed=perturbed))
-        else:
-            res = abs(weak_residual_v(traj, params, run, tf, perturbed=perturbed))
-        rows.append({
-            "test_id": i,
-            "flavor": tf.flavor,
-            "eps": run.eps,
-            "residual": float(res),
-            "refinement_level": refinement_level,
-        })
-    return rows
-
-
 def entropy_balance_residual(
     traj: Trajectory,
     eta: EntropySpec,
@@ -728,7 +687,8 @@ def entropy_balance_residual(
     d = np.mod(x[:, None] - x[None, :], 2.0 * L)
     kernel = np.zeros_like(d)
     off = d > 0.0
-    kernel[off] = _both_sided_kernel(d[off], 0.5 * s, L)
+    kernel[off] = (periodic_tail_weight(d[off], 0.5 * s, L)
+                   + periodic_tail_weight(2.0 * L - d[off], 0.5 * s, L))
     c_half = cns_constant(0.5 * s)
 
     deriv = grid.deriv_symbol()

@@ -40,9 +40,7 @@ __all__ = [
     "g_zero",
     "g_linear",
     "g_tanh_blend",
-    "g_eps_apply",
     "contraction_time_bound",
-    "picard_step",
     "solve_perturbed",
     "vanishing_viscosity_sweep",
     "l2_spacetime_diff",
@@ -172,11 +170,6 @@ def g_tanh_blend(m: float = 0.2, M: float = 1.0) -> NonlinearityG:
     )
 
 
-def g_eps_apply(v: Field, eps: float, g: NonlinearityG) -> Field:
-    """Pointwise g(v) + eps v."""
-    return Field(v.grid, g.fn(v.values) + eps * v.values, flavor=v.flavor)
-
-
 # ---------------------------------------------------------------------------
 # System and run descriptions
 # ---------------------------------------------------------------------------
@@ -278,27 +271,52 @@ class Trajectory:
         return Field(self.grid, vals.real, flavor="real")
 
 
-@dataclass
 class ConvergenceTable:
-    """Consecutive-run differences along a decreasing-eps ladder."""
+    """Consecutive-rung differences along a decreasing-eps ladder.
 
-    eps_ladder: list[float]
-    u_diffs: list[float]
-    v_diffs: list[float]
+    Built from one ``(status, trajectory)`` per rung, the trajectory None
+    when the rung failed.  A pair of completed rungs gets its space-time
+    L2 differences and status "ok"; a pair with a failed rung gets only the
+    two rung statuses, "<coarse> / <fine>".
+    """
+
+    def __init__(self, eps_ladder: list, rungs: list[tuple[str, Trajectory | None]]):
+        self._rows = []
+        pairs = list(zip(eps_ladder, rungs, strict=True))
+        for (e1, (s1, t1)), (e2, (s2, t2)) in zip(pairs, pairs[1:]):
+            row = {"eps_coarse": e1, "eps_fine": e2}
+            if t1 is None or t2 is None:
+                row["status"] = f"{s1} / {s2}"
+            else:
+                du, dv = l2_spacetime_diff(t1, t2)
+                row.update(u_l2_diff=du, v_l2_diff=dv, status="ok")
+            self._rows.append(row)
+
+    @staticmethod
+    def check_ladder(eps_ladder: list) -> None:
+        """Raise ValueError unless every rung lies in (0, 1) and the rungs
+        decrease strictly; entries are compared as floats."""
+        eps = [float(e) for e in eps_ladder]
+        if not all(0.0 < e < 1.0 for e in eps):
+            raise ValueError(f"eps ladder entries must lie in (0, 1), got {eps_ladder!r}")
+        if any(b >= a for a, b in zip(eps, eps[1:])):
+            raise ValueError(f"eps ladder must be strictly decreasing, got {eps_ladder!r}")
 
     def rows(self) -> list[dict]:
-        return [
-            {
-                "eps_coarse": self.eps_ladder[i],
-                "eps_fine": self.eps_ladder[i + 1],
-                "u_l2_diff": self.u_diffs[i],
-                "v_l2_diff": self.v_diffs[i],
-            }
-            for i in range(len(self.u_diffs))
-        ]
+        return [dict(row) for row in self._rows]
+
+    @property
+    def u_diffs(self) -> list[float]:
+        """u differences of the completed pairs, coarse to fine."""
+        return [r["u_l2_diff"] for r in self._rows if r["status"] == "ok"]
+
+    @property
+    def v_diffs(self) -> list[float]:
+        return [r["v_l2_diff"] for r in self._rows if r["status"] == "ok"]
 
     def strictly_decreasing(self) -> tuple[bool, bool]:
-        dec = lambda xs: all(xs[i + 1] < xs[i] for i in range(len(xs) - 1))
+        """Whether the completed pairs' differences decrease strictly."""
+        dec = lambda xs: all(b < a for a, b in zip(xs, xs[1:]))
         return dec(self.u_diffs), dec(self.v_diffs)
 
 
@@ -442,25 +460,6 @@ def _prepare_initial(f: Field, grid: GridSpec) -> np.ndarray:
     return spec.astype(np.complex128)
 
 
-def picard_step(
-    state: tuple[Field, Field],
-    dt: float,
-    run: PerturbedRun,
-    params: SystemParams,
-) -> tuple[Field, Field]:
-    """Advance one step of size dt from the given (u, v) state."""
-    u, v = state
-    grid = u.grid
-    stepper = _Stepper(grid, params, run)
-    u_spec = _prepare_initial(u, grid)
-    v_spec = _prepare_initial(v, grid)
-    un, vn, _ = stepper.step(u_spec, v_spec, dt)
-    return (
-        Field.from_spectrum(grid, un, flavor="complex"),
-        Field(grid, grid.from_spectrum(vn).real, flavor="real"),
-    )
-
-
 def solve_perturbed(
     u0: Field,
     v0: Field,
@@ -587,16 +586,10 @@ def vanishing_viscosity_sweep(
 ) -> ConvergenceTable:
     """Run the same data at each rung of a strictly decreasing eps ladder and
     record consecutive differences (empirical Cauchy behavior; observed, not
-    asserted as a theorem)."""
-    if any(b >= a for a, b in zip(eps_ladder, eps_ladder[1:])):
-        raise ValueError("eps ladder must be strictly decreasing")
-    runs = []
-    for eps in eps_ladder:
-        run = replace(run_template, eps=eps, eps_g=None)
-        runs.append(solve_perturbed(u0, v0, params, run))
-    u_diffs, v_diffs = [], []
-    for a, b in zip(runs, runs[1:]):
-        du, dv = l2_spacetime_diff(a, b)
-        u_diffs.append(du)
-        v_diffs.append(dv)
-    return ConvergenceTable(eps_ladder=list(eps_ladder), u_diffs=u_diffs, v_diffs=v_diffs)
+    asserted as a theorem).  A failing rung raises its SolverError."""
+    ConvergenceTable.check_ladder(eps_ladder)
+    rungs = [
+        ("completed", solve_perturbed(u0, v0, params, replace(run_template, eps=eps, eps_g=None)))
+        for eps in eps_ladder
+    ]
+    return ConvergenceTable(eps_ladder, rungs)

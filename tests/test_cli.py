@@ -6,10 +6,13 @@ import tempfile
 import time
 from pathlib import Path
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fswl.cli as cli
 from fswl.cli import (
     ConfigError,
     canonical_config,
@@ -21,7 +24,7 @@ from fswl.cli import (
     parse_config,
     read_trajectory,
 )
-from fswl.solver import solve_perturbed
+from fswl.solver import SolverError, solve_perturbed
 
 
 def tiny_config(**overrides) -> dict:
@@ -182,11 +185,51 @@ class TestSweepVerb:
 
     def test_worker_pool_matches_serial(self, tmp_path):
         cfg = tiny_config()
+        # a numeric string is a valid rung and is reported as given
+        cfg["sweep"] = {"eps_ladder": ["0.2", 0.1], "alpha_grid": [0.0, 0.1]}
+        assert do_sweep(cfg, tmp_path / "serial", workers=1) == 0
+        assert do_sweep(cfg, tmp_path / "pool", workers=2) == 0
+        serial = (tmp_path / "serial" / "sweep_report.json").read_bytes()
+        assert serial == (tmp_path / "pool" / "sweep_report.json").read_bytes()
+        assert json.loads(serial)["viscosity_table"][0]["eps_coarse"] == "0.2"
+
+    def test_pool_capped_at_job_count(self, tmp_path, monkeypatch):
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return [fn(job) for job in jobs]
+
+        monkeypatch.setattr(cli, "get_context", lambda method: SimpleNamespace(Pool=SerialPool))
+        cfg = tiny_config()
         cfg["sweep"] = {"eps_ladder": [0.2, 0.1]}
-        do_sweep(cfg, tmp_path / "serial", workers=1)
-        do_sweep(cfg, tmp_path / "pool", workers=2)
-        assert (tmp_path / "serial" / "sweep_report.json").read_bytes() == \
-            (tmp_path / "pool" / "sweep_report.json").read_bytes()
+        assert do_sweep(cfg, tmp_path / "out", workers=8) == 0
+        assert sizes == [2]
+
+    def test_failed_rung_exits_1(self, tmp_path, monkeypatch):
+        def solve(u0, v0, params, run):
+            if run.eps == 0.1:
+                raise SolverError("injected")
+            return solve_perturbed(u0, v0, params, run)
+
+        monkeypatch.setattr(cli, "solve_perturbed", solve)
+        cfg = tiny_config()
+        cfg["sweep"] = {"eps_ladder": [0.2, 0.1, 0.05, 0.025]}
+        assert do_sweep(cfg, tmp_path / "out", workers=1) == 1
+        rows = json.loads((tmp_path / "out" / "sweep_report.json").read_text())["viscosity_table"]
+        assert [r["status"] for r in rows] == [
+            "completed / failed: injected", "failed: injected / completed", "ok"]
+        assert all("u_l2_diff" not in r and "v_l2_diff" not in r for r in rows[:2])
+        assert rows[2]["u_l2_diff"] > 0 and rows[2]["v_l2_diff"] > 0
 
 
 class TestVerifyVerb:
@@ -289,6 +332,8 @@ def test_unreachable_contraction_cap_fails_fast(tmp_path):
     (("time", "picard_tol"), -1.0),
     (("time", "picard_max_iter"), 0),
     (("time", "dt"), 1e-300),
+    (("sweep", "eps_ladder"), ["0.1", 0.2]),
+    (("sweep", "eps_ladder"), [1.5, 0.1]),
 ])
 def test_invalid_number_is_config_error(tmp_path, path, value):
     cfg = tiny_config()

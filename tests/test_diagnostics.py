@@ -230,6 +230,12 @@ class TestSmallness:
         assert rhs == sorted(rhs)
         assert rhs[-1] == pytest.approx(1.0, abs=1e-3)
 
+    def test_tiny_eps_stays_finite(self, grid16, gauss_pair):
+        # eps**b underflows and eps**(-1.5 a) overflows; their product must not
+        u0, v0 = gauss_pair
+        rep = smallness_condition(coupled_params(), u0, v0, 1.0, 1e-300)
+        assert np.isfinite(rep.C) and np.isfinite(rep.lhs)
+
     def test_report_serializes(self, grid16, gauss_pair):
         u0, v0 = gauss_pair
         rep = smallness_condition(coupled_params(), u0, v0, 1.0, 0.1)

@@ -204,20 +204,6 @@ class TestEntropyBalance:
         assert residuals[2] < residuals[1] < residuals[0]
 
 
-def test_weak_residual_rows_schema(grid128, data):
-    from fswl.entropy import default_test_functions, weak_residual_rows
-
-    u0, v0 = data
-    run = PerturbedRun(eps=0.1, T=0.5, dt=5e-3)
-    traj = solve_perturbed(u0, v0, coupled_params(), run)
-    tfs = default_test_functions(grid128, 0.5, seed=2)[:4]
-    rows = weak_residual_rows(traj, coupled_params(), run, tfs)
-    assert len(rows) == 4
-    for row in rows:
-        assert {"test_id", "flavor", "eps", "residual", "refinement_level"} <= set(row)
-        assert row["residual"] >= 0.0
-
-
 def test_support_leak_rejected(grid128, data):
     u0, v0 = data
     run = PerturbedRun(eps=0.1, T=0.5, dt=5e-3)
