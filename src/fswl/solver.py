@@ -52,6 +52,12 @@ __all__ = [
 # march.
 MAX_STEPS = 10**6
 
+# The algebra constant C of the contraction-time estimate, and the most
+# halvings of dt a run may take: a step below dt/2**MAX_HALVINGS is a
+# collapse (exit 3), not a reason to keep sub-stepping.
+ALGEBRA_CONST = 1.0
+MAX_HALVINGS = 12
+
 
 class SolverError(RuntimeError):
     pass
@@ -212,8 +218,6 @@ class PerturbedRun:
     picard_max_iter: int = 50
     blowup_factor: float = 1e6
     store_every: int = 1
-    algebra_const: float = 1.0
-    max_halvings: int = 12
 
     def __post_init__(self):
         if not 0.0 < self.eps < 1.0:
@@ -329,20 +333,17 @@ def contraction_time_bound(
     params: SystemParams,
     m_s: float,
     eps: float,
-    algebra_const: float | None = None,
 ) -> float:
     """Step-size bound from the fixed-point argument on the ball of radius R.
 
     Minimum of the short-wave bound 1/(4 max(|alpha|, R) C R) and the
     long-wave bounds m_s/(8 max(|beta| R, M)) and
-    m_s^2/(64 C^2 max(|beta| R, M)^2), with C the configured algebra
-    constant and M the derivative cap of the regularized nonlinearity.
+    m_s^2/(64 C^2 max(|beta| R, M)^2), with C = ALGEBRA_CONST and M the
+    derivative cap of the regularized nonlinearity.
     """
     if R <= 0 or m_s <= 0:
         raise ValueError("R and m_s must be positive")
-    C = 1.0 if algebra_const is None else algebra_const
-    if C <= 0:
-        raise ValueError("algebra constant must be positive")
+    C = ALGEBRA_CONST
     M = params.g.M + eps
     short = 1.0 / (4.0 * max(abs(params.alpha), R) * C * R)
     denom = max(abs(params.beta) * R, M)
@@ -493,18 +494,16 @@ def solve_perturbed(
     R = 2.5 * max(h1_u0, h1_v0)
     cap = np.inf
     if R > 0:
-        cap = contraction_time_bound(
-            R, params, m_s, run.eps, algebra_const=run.algebra_const
-        )
+        cap = contraction_time_bound(R, params, m_s, run.eps)
 
     n_steps = run.n_steps
     n_sub = 1
     while run.dt / n_sub > cap:
         n_sub *= 2
-        if n_sub > 2**run.max_halvings:
+        if n_sub > 2**MAX_HALVINGS:
             raise SolverError(
                 f"a-priori contraction cap {cap:.3e} (R = {R:.3e}) is below "
-                f"dt/2^{run.max_halvings} = {run.dt / 2**run.max_halvings:.3e}"
+                f"dt/2^{MAX_HALVINGS} = {run.dt / 2**MAX_HALVINGS:.3e}"
             )
 
     stored_t = [0.0]
@@ -519,9 +518,9 @@ def solve_perturbed(
             try:
                 u_try, v_try, _ = stepper.step(u_spec, v_spec, run.dt / n_sub)
             except PicardDivergenceError:
-                if n_sub >= 2**run.max_halvings:
+                if n_sub >= 2**MAX_HALVINGS:
                     raise SolverError(
-                        f"step collapsed below dt/2^{run.max_halvings} near t="
+                        f"step collapsed below dt/2^{MAX_HALVINGS} near t="
                         f"{step_idx * run.dt + done * run.dt / n_sub:.4g}"
                     )
                 done *= 2

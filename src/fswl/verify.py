@@ -2,8 +2,9 @@
 
 Each suite runs a deterministic batch of checks (fixed seed, fixed sizes)
 and returns plain dicts so the CLI can print one line per check and emit a
-byte-stable JSON report.  These are the operational property ensembles; the
-pytest suite drives the same machinery with finer oracles.
+byte-stable JSON report.  Each check and its threshold lives only here:
+``tests/test_verify.py`` asserts every row, and the other tests cover the
+same machinery on other inputs or with finer oracles.
 """
 
 from __future__ import annotations

@@ -145,6 +145,15 @@ class TestRunVerb:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["passed"]
 
+    def test_envelopes_asserted_inside_frontier(self, tmp_path):
+        # alpha = 0 satisfies the smallness condition for any data, so the
+        # theta/H envelope bounds join the asserted checks
+        cfg = tiny_config()
+        cfg["system"]["alpha"] = 0.0
+        assert do_run(cfg, tmp_path / "out") == 0
+        checks = json.loads((tmp_path / "out" / "summary.json").read_text())["checks"]
+        assert checks["theta_envelope"] is True and checks["H_envelope"] is True
+
     def test_blowup_exit_code(self, tmp_path):
         # focusing self-interaction with a tight ceiling trips the blow-up
         # guard long before the grid runs out of resolution
@@ -240,6 +249,9 @@ class TestVerifyVerb:
 
     def test_unknown_suite_exit_code(self, capsys):
         assert do_verify("nonsense", seed=1, out_dir=None) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "nonsense"])
+        assert exc.value.code == 2
 
     def test_seeded_report_byte_identical(self, tmp_path):
         do_verify("gronwall", seed=7, out_dir=tmp_path / "a")
@@ -265,10 +277,9 @@ def test_canonical_regression_run(tmp_path):
     assert summary["H_margin_min"] > 0
 
 
-def test_invariant_failure_exit_code(tmp_path):
-    cfg = tiny_config()
-    cfg["diagnostics"] = {"store_every": 2, "sup_tol": -1.0}
-    assert do_run(cfg, tmp_path / "out") == 1
+def test_invariant_failure_exit_code(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "SUP_TOL", -1.0)
+    assert do_run(tiny_config(), tmp_path / "out") == 1
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert not summary["passed"]
 
@@ -303,7 +314,7 @@ def _dump(tmp_path, cfg):
 
 
 def test_unreachable_contraction_cap_fails_fast(tmp_path):
-    # large data shrink the a-priori contraction cap below dt/2^max_halvings;
+    # large data shrink the a-priori contraction cap below dt/2^MAX_HALVINGS;
     # the run must stop at once instead of taking ~10^5 sub-steps per dt
     cfg = canonical_config()
     cfg["initial"]["u0"]["amplitude"] = 1e3
@@ -327,7 +338,7 @@ def test_unreachable_contraction_cap_fails_fast(tmp_path):
     (("initial", "u0", "amplitude"), math.nan),
     (("initial", "v0", "width"), 0.0),
     (("diagnostics", "blowup_factor"), -math.inf),
-    (("diagnostics", "mass_rtol"), math.nan),
+    (("system", "gamma"), math.nan),
     (("sweep", "eps_ladder"), [0.2, math.nan]),
     (("time", "picard_tol"), -1.0),
     (("time", "picard_max_iter"), 0),
@@ -363,7 +374,6 @@ _LEAVES = [
     ("initial", "u0", "center"), ("initial", "u0", "mode"),
     ("initial", "v0", "amplitude"), ("initial", "v0", "width"),
     ("diagnostics", "store_every"), ("diagnostics", "blowup_factor"),
-    ("diagnostics", "mass_rtol"), ("diagnostics", "sup_tol"),
 ]
 _HOSTILE = [math.nan, math.inf, -math.inf, -1.0, 0.0, 0.5, 2.0, 1e-300, "x", None]
 

@@ -11,7 +11,6 @@ from fswl.entropy import (
     _kink_radii,
     entropy_flux,
     frac_power_pointwise,
-    kruzkov_entropy,
     quadratic_capped_entropy,
     reconstruct_entropy,
     remainder_Rk,
@@ -52,13 +51,6 @@ class TestReconstruction:
 
 
 class TestFlux:
-    def test_kruzkov_closed_form(self):
-        g = g_tanh_blend(0.2, 1.0)
-        kz = kruzkov_entropy(0.3)
-        got = entropy_flux(kz, g, 0.8)
-        want = abs(float(g.fn(np.array([0.8]))[0]) - float(g.fn(np.array([0.3]))[0]))
-        assert got == pytest.approx(want, abs=1e-14)
-
     def test_identity_map_recovers_entropy(self):
         eta = smooth_capped_entropy(1.0)
         g = g_linear(1.0)
@@ -106,7 +98,7 @@ class TestRemainder:
         with pytest.raises(UndefinedSignError):
             remainder_Rk(v, g, 0.25, 0.75, cross[0])
 
-    @pytest.mark.parametrize("s,k", [(0.75, 0.25), (0.6, -0.2), (0.35, 0.1)])
+    @pytest.mark.parametrize("s,k", [(0.6, -0.2), (0.35, 0.1)])
     def test_pointwise_identity(self, crossing_setup, s, k):
         grid, v, g = crossing_setup
         spl = PeriodicInterpolant(grid, v.values)

@@ -20,12 +20,6 @@ def test_sigma0_linear_case():
     assert gronwall_bound(spec, 1.0) == pytest.approx(1.4 * np.exp(np.sin(1.0)), rel=1e-8)
 
 
-def test_sigma2_matches_blowup_ode():
-    spec = GronwallSpec(C=0.5, sigma=2.0, a=0.0, b=1.0, t0=0.0, horizon=0.95)
-    for t in np.linspace(0.0, 0.9, 10):
-        assert abs(gronwall_bound(spec, float(t)) - 1.0 / (2.0 - t)) < 1e-6
-
-
 def test_inadmissible_horizon_rejected():
     spec = GronwallSpec(C=0.5, sigma=2.0, a=0.0, b=1.0, t0=0.0, horizon=3.0)
     with pytest.raises(GronwallInadmissibleError, match="horizon admissibility"):

@@ -57,16 +57,6 @@ class TestDispersiveGroup:
         assert after.hs_fourier == pytest.approx(before.hs_fourier, rel=1e-12)
         assert after.frac_grad_l2 == pytest.approx(before.frac_grad_l2, rel=1e-12)
 
-    def test_symmetric_in_bilinear_hs_pairing(self, setup):
-        grid, p, rng = setup
-        u = random_band_limited(grid, rng)
-        w = random_band_limited(grid, rng)
-        bessel = (1 + grid.k**2) ** 0.75
-        lhs = np.sum(bessel * schrodinger_group_apply(u, 0.4, p).spectrum * w.spectrum)
-        rhs = np.sum(bessel * u.spectrum * schrodinger_group_apply(w, 0.4, p).spectrum)
-        assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
-
-
 class TestHeatSemigroup:
     def test_t_zero_identity(self, setup):
         grid, p, rng = setup

@@ -22,10 +22,6 @@ from fswl.solver import (
 )
 
 
-def linear_params():
-    return SystemParams(alpha=0.0, beta=0.0, s=0.75, g=g_zero(), gamma=0.0)
-
-
 def coupled_params():
     return SystemParams(alpha=0.1, beta=0.1, s=0.75, g=g_tanh_blend(0.2, 1.0))
 
@@ -88,25 +84,6 @@ class TestTestFunctions:
 
 
 class TestWeakResiduals:
-    def test_exact_linear_solution_small_residuals(self, grid128, data):
-        u0, v0 = data
-        run = PerturbedRun(eps=0.1, T=1.0, dt=1e-3, eps_g=0.0)
-        traj = solve_perturbed(u0, v0, linear_params(), run)
-        tfc = TestFunction(grid=grid128, t_lo=-0.2, t_hi=0.75, x_center=1.0,
-                           x_width=6.0, amplitude=0.8 + 0.5j)
-        tfr = TestFunction(grid=grid128, t_lo=-0.1, t_hi=0.8, x_center=-1.0,
-                           x_width=6.0, amplitude=1.1 + 0j, flavor="real")
-        assert abs(weak_residual_u(traj, linear_params(), run, tfc)) <= 1e-8
-        assert abs(weak_residual_v(traj, linear_params(), run, tfr)) <= 1e-8
-
-    def test_support_after_horizon_zero(self, grid128, data):
-        u0, v0 = data
-        run = PerturbedRun(eps=0.1, T=2.0, dt=2e-3, eps_g=0.0)
-        traj = solve_perturbed(u0, v0, linear_params(), run)
-        tf = TestFunction(grid=grid128, t_lo=1.3, t_hi=1.7, x_center=0.0, x_width=4.0,
-                          amplitude=1 + 0j)
-        assert abs(weak_residual_u(traj, linear_params(), run, tf)) <= 1e-10
-
     def test_limit_form_residual_decreases_along_ladder(self, grid128, data):
         # the eps-free weak form is approached as the regularization vanishes
         u0, v0 = data
