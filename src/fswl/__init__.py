@@ -12,7 +12,6 @@ formulations of both the regularized and the limit systems.
 
 from .grid import Field, FracOrder, GridSpec, make_grid, as_order
 from .fractional import (
-    QuadratureSpec,
     cns_constant,
     frac_laplacian_singular,
     frac_laplacian_spectral,

@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .fractional import QuadratureSpec, cns_constant, pair_correlation_integral
+from .fractional import cns_constant, pair_correlation_integral
 from .grid import Field, GridSpec, as_order
 from .sobolev import InequalityReport
 from .solver import NonlinearityG, PerturbedRun, SystemParams, Trajectory
@@ -295,10 +295,10 @@ def dt_negative_norm_series(traj: Trajectory) -> NegativeNormSeries:
 # Bilinear form and coercivity
 # ---------------------------------------------------------------------------
 
-def bilinear_form(v: Field, w: Field, s, quad: QuadratureSpec | None = None) -> float:
+def bilinear_form(v: Field, w: Field, s, rel_tol: float = 1e-8) -> float:
     """B_s(v, w) = C_{1,s} double-integral of paired differences."""
     s = as_order(s).s
-    return cns_constant(s) * pair_correlation_integral(v, w, s, quad=quad)
+    return cns_constant(s) * pair_correlation_integral(v, w, s, rel_tol)
 
 
 def coercivity_report(v: Field, G: NonlinearityG, s) -> InequalityReport:
@@ -494,11 +494,12 @@ def smallness_condition(
         eps_c3 = eps ** (b - 1 - 1.5 * a)
     except OverflowError:  # a tiny eps: the condition then fails, not the run
         eps_c = eps_c3 = math.inf
-    # the eps-weighted terms carry alpha^2 (and beta^2): with zero coupling
-    # they vanish, also where the eps power overflowed (0 * inf is NaN)
-    if aa == 0.0:
+    # the eps-weighted terms carry alpha^2 (and beta^2) and norms of the
+    # data: where that factor is zero they vanish, also where the eps power
+    # overflowed (0 * inf is NaN)
+    if aa * u0_l2 * v0_l2 == 0.0:
         eps_c = 0.0
-    if aa * bb == 0.0:
+    if aa * bb * u0_l2 == 0.0:
         eps_c3 = 0.0
 
     block = (

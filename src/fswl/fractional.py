@@ -22,7 +22,6 @@ the Gagliardo seminorm and the nonlocal bilinear form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate, interpolate, special
@@ -30,9 +29,7 @@ from scipy import integrate, interpolate, special
 from .grid import Field, GridSpec, ZeroModeError, as_order
 
 __all__ = [
-    "QuadratureSpec",
     "QuadratureError",
-    "SingularReport",
     "cns_constant",
     "frac_laplacian_spectral",
     "frac_laplacian_singular",
@@ -45,34 +42,6 @@ __all__ = [
 
 class QuadratureError(RuntimeError):
     """Quadrature refinement stalled above the requested tolerance."""
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Controls for the real-space singular quadratures.
-
-    rel_tol:      refinement stops once successive levels agree to this
-                  relative accuracy (default 1e-8).
-    panel_nodes:  Gauss-Legendre nodes per panel at the coarsest level.
-    max_refine:   number of node-doubling refinement levels to attempt.
-    inner_cells:  half-width of the Taylor-handled inner region, in grid
-                  cells; the integrand is expanded there to cancel the
-                  |h|^(-1-2s) singularity analytically.
-    """
-
-    rel_tol: float = 1e-8
-    panel_nodes: int = 10
-    max_refine: int = 4
-    inner_cells: float = 4.0
-
-
-@dataclass
-class SingularReport:
-    """Accuracy bookkeeping for a singular-integral evaluation."""
-
-    levels_used: int
-    last_refinement_delta: float
-    window_truncation_estimate: float
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +181,15 @@ def _gauss_nodes(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return mid + half * x, half * w
 
 
+# Pairing quadrature controls: Gauss-Legendre nodes per outer panel at the
+# coarsest level, node-doubling refinement levels, half-width of the
+# Taylor-handled inner region in grid cells, and the tolerance of the
+# pointwise route.
+PANEL_NODES = 10
+MAX_REFINE = 4
+INNER_CELLS = 4.0
+SINGULAR_REL_TOL = 1e-8
+
 # Coefficients of the even Taylor expansion of 2f(x) - f(x+h) - f(x-h):
 # term m contributes -2 f^(2m)(x) h^(2m) / (2m)!.
 _TAYLOR_ORDERS = (1, 2, 3, 4)
@@ -243,69 +221,57 @@ def _spectral_radius(grid: GridSpec, *specs: np.ndarray) -> float:
     return worst
 
 
-def _inner_cut(grid: GridSpec, quad: QuadratureSpec, *specs: np.ndarray) -> float:
-    h1 = quad.inner_cells * grid.dx
+def _inner_cut(grid: GridSpec, *specs: np.ndarray) -> float:
+    h1 = INNER_CELLS * grid.dx
     k_eff = _spectral_radius(grid, *specs)
     if k_eff > 0.0:
         h1 = min(h1, 0.75 / k_eff)
     return h1
 
 
-def _singular_level(
-    f: Field,
-    s: float,
-    spl: PeriodicInterpolant,
-    evens: dict[int, np.ndarray],
-    h1: float,
-    nodes: int,
-) -> np.ndarray:
-    """One refinement level of the pairing quadrature (all x at once)."""
-    grid = f.grid
-    L = grid.half_length
-    x = grid.x
-    fx = f.values
+def _inner_moments(h1: float, s: float, L: float) -> dict[int, float]:
+    """Integrals of h^(2m) against the image-folded kernel over [0, h1].
 
-    # Inner region [0, h1]: analytic integration of the Taylor expansion
-    # against the singular part h^(-1-2s), plus the smooth image correction
-    # c(h) = weight(h) - h^(-1-2s) integrated by Gauss-Legendre.
-    total = np.zeros(grid.n_points, dtype=np.complex128)
+    The singular part h^(-1-2s) integrates analytically; the smooth image
+    correction weight(h) - h^(-1-2s) by Gauss-Legendre.
+    """
     hc, wc = _gauss_nodes(0.0, h1, 8)
     corr = periodic_tail_weight(hc, s, L) - hc ** (-1.0 - 2.0 * s)
-    for m in _TAYLOR_ORDERS:
-        moment = h1 ** (2 * m - 2.0 * s) / (2 * m - 2.0 * s)
-        moment += float(np.sum(wc * hc ** (2 * m) * corr))
-        total += _TAYLOR_COEFS[m] * evens[m] * moment
+    return {
+        m: h1 ** (2 * m - 2.0 * s) / (2 * m - 2.0 * s)
+        + float(np.sum(wc * hc ** (2 * m) * corr))
+        for m in _TAYLOR_ORDERS
+    }
 
-    # Outer region [h1, 2L]: Gauss-Legendre on geometric panels against the
-    # full image-folded weight.
-    for a, b in zip(*(lambda e: (e[:-1], e[1:]))(_panel_edges(h1, 2.0 * L))):
+
+def _outer_nodes(h1: float, s: float, L: float, nodes: int):
+    """(h, weight) over [h1, 2L]: Gauss-Legendre on geometric panels against
+    the full image-folded kernel."""
+    edges = _panel_edges(h1, 2.0 * L)
+    for a, b in zip(edges[:-1], edges[1:]):
         hq, wq = _gauss_nodes(a, b, nodes)
-        wgt = wq * periodic_tail_weight(hq, s, L)
-        for h, w in zip(hq, wgt):
-            total += w * (2.0 * fx - spl(x + h) - spl(x - h))
-    return total
+        yield from zip(hq, wq * periodic_tail_weight(hq, s, L))
 
 
-def _window_truncation_estimate(f: Field, s: float, c: float) -> float:
-    """Bound on the gap between the torus operator and the whole-line one.
+def _refine(level, rel_tol: float, input_scale: float, what: str):
+    """Double the outer panel nodes until ``level(nodes)`` is stable to
+    ``rel_tol`` (relative to the result, floored at ``rel_tol * input_scale``)."""
+    prev = level(PANEL_NODES)
+    for lvl in range(1, MAX_REFINE + 1):
+        cur = level(PANEL_NODES * 2**lvl)
+        delta = float(np.max(np.abs(cur - prev)))
+        scale = max(float(np.max(np.abs(cur))), rel_tol * input_scale)
+        prev = cur
+        if delta <= rel_tol * scale:
+            return cur
+    scale = max(float(np.max(np.abs(prev))), 1e-30)
+    raise QuadratureError(
+        f"{what} quadrature refinement stalled above tolerance: "
+        f"delta={delta:.3e} vs {rel_tol:.1e} of scale {scale:.3e}"
+    )
 
-    The two differ by kernel contributions of the periodic images, at
-    distance >= L from any evaluation point; for data decaying inside the
-    window this is the honest modeling error of the truncation.
-    """
-    grid = f.grid
-    l1 = float(grid.dx * np.sum(np.abs(f.values)))
-    edge = max(abs(f.values[0]), abs(f.values[-1]), abs(f.values[grid.n_points // 2 - 1]))
-    L = grid.half_length
-    return float(2.0 * c * (l1 * L ** (-1.0 - 2.0 * s) + edge * L ** (-2.0 * s) / s))
 
-
-def frac_laplacian_singular(
-    f: Field,
-    s,
-    quad: QuadratureSpec | None = None,
-    return_report: bool = False,
-):
+def frac_laplacian_singular(f: Field, s) -> Field:
     """Principal-value singular-integral evaluation of the operator.
 
     Uses the symmetric pairing 2f(x) - f(x+h) - f(x-h): the integrand is then
@@ -313,96 +279,38 @@ def frac_laplacian_singular(
     against its Taylor expansion (even derivatives are exact spectral
     derivatives of the band-limited representative; they never touch the
     fractional symbol).  Refinement doubles the panel nodes until the result
-    is stable to ``quad.rel_tol``.
+    is stable to ``SINGULAR_REL_TOL``.
     """
     s = as_order(s).s
-    quad = quad or QuadratureSpec()
     grid = f.grid
-    c = cns_constant(s)
-    input_scale = max(float(np.max(np.abs(f.values))), 1e-300)
-    spl = PeriodicInterpolant(grid, f.values)
-    evens = {m: _spectral_derivative(grid, f.spectrum, 2 * m) for m in _TAYLOR_ORDERS}
-    h1 = _inner_cut(grid, quad, f.spectrum)
+    L = grid.half_length
+    x = grid.x
+    fx = f.values
+    spl = PeriodicInterpolant(grid, fx)
+    h1 = _inner_cut(grid, f.spectrum)
 
-    prev = _singular_level(f, s, spl, evens, h1, quad.panel_nodes)
-    delta = np.inf
-    levels = 1
-    converged = False
-    for lvl in range(1, quad.max_refine + 1):
-        cur = _singular_level(f, s, spl, evens, h1, quad.panel_nodes * 2**lvl)
-        new_delta = float(np.max(np.abs(cur - prev)))
-        scale = max(float(np.max(np.abs(cur))), quad.rel_tol * input_scale)
-        prev, levels = cur, lvl + 1
-        if new_delta <= quad.rel_tol * scale:
-            delta = new_delta
-            converged = True
-            break
-        delta = new_delta
-    if not converged:
-        scale = max(float(np.max(np.abs(prev))), 1e-30)
-        raise QuadratureError(
-            "singular quadrature refinement stalled above tolerance: "
-            f"delta={delta:.3e} vs {quad.rel_tol:.1e} of scale {scale:.3e}"
-        )
+    inner = np.zeros(grid.n_points, dtype=np.complex128)
+    for m, moment in _inner_moments(h1, s, L).items():
+        inner += _TAYLOR_COEFS[m] * _spectral_derivative(grid, f.spectrum, 2 * m) * moment
 
-    vals = c * prev
+    def level(nodes: int) -> np.ndarray:
+        total = inner.copy()
+        for h, w in _outer_nodes(h1, s, L, nodes):
+            total += w * (2.0 * fx - spl(x + h) - spl(x - h))
+        return total
+
+    input_scale = max(float(np.max(np.abs(fx))), 1e-300)
+    vals = cns_constant(s) * _refine(level, SINGULAR_REL_TOL, input_scale, "singular")
     if f.flavor == "real":
-        out = Field(grid, vals.real, flavor="real")
-    else:
-        out = Field(grid, vals, flavor="complex")
-    if return_report:
-        report = SingularReport(
-            levels_used=levels,
-            last_refinement_delta=delta if np.isfinite(delta) else 0.0,
-            window_truncation_estimate=_window_truncation_estimate(f, s, c),
-        )
-        return out, report
-    return out
+        return Field(grid, vals.real, flavor="real")
+    return Field(grid, vals, flavor="complex")
 
 
 # ---------------------------------------------------------------------------
 # Pair-difference double integrals (Gagliardo-type)
 # ---------------------------------------------------------------------------
 
-def _pair_level(
-    v: Field,
-    w: Field,
-    s: float,
-    spl_v: PeriodicInterpolant,
-    spl_w: PeriodicInterpolant,
-    inner_moments: dict[int, float],
-    h1: float,
-    nodes: int,
-) -> float:
-    grid = v.grid
-    L = grid.half_length
-    x = grid.x
-    dx = grid.dx
-
-    hc, wc = _gauss_nodes(0.0, h1, 8)
-    corr = periodic_tail_weight(hc, s, L) - hc ** (-1.0 - 2.0 * s)
-    total = 0.0
-    for m, inner in inner_moments.items():
-        moment = h1 ** (2 * m - 2.0 * s) / (2 * m - 2.0 * s)
-        moment += float(np.sum(wc * hc ** (2 * m) * corr))
-        total += inner * moment
-
-    for a, b in zip(*(lambda e: (e[:-1], e[1:]))(_panel_edges(h1, 2.0 * L))):
-        hq, wq = _gauss_nodes(a, b, nodes)
-        wgt = wq * periodic_tail_weight(hq, s, L)
-        for h, wt in zip(hq, wgt):
-            dv = spl_v(x + h) - v.values
-            dw = spl_w(x + h) - w.values
-            total += wt * float(np.real(np.sum(dv * np.conj(dw)))) * dx
-    return 2.0 * total
-
-
-def pair_correlation_integral(
-    v: Field,
-    w: Field,
-    s,
-    quad: QuadratureSpec | None = None,
-) -> float:
+def pair_correlation_integral(v: Field, w: Field, s, rel_tol: float = 1e-8) -> float:
     """Double integral of (v(x)-v(y)) conj(w(x)-w(y)) / |x-y|^(1+2s).
 
     x runs over the torus window and y over the whole line via the periodic
@@ -411,41 +319,35 @@ def pair_correlation_integral(
     pointwise operator, with cross inner products of spectral derivatives.
     """
     s = as_order(s).s
-    quad = quad or QuadratureSpec()
     if v.grid is not w.grid and v.grid != w.grid:
         raise ValueError("fields must share a grid")
     grid = v.grid
+    L = grid.half_length
+    x = grid.x
+    dx = grid.dx
     spl_v = PeriodicInterpolant(grid, v.values)
     spl_w = PeriodicInterpolant(grid, w.values)
+    h1 = _inner_cut(grid, v.spectrum, w.spectrum)
 
     # J(h) = int (v(x+h)-v(x)) conj(w(x+h)-w(x)) dx expands in even powers of
     # h with coefficients (-1)^(m+1) 2/(2m)! Re<v^(m), w^(m)>.
-    inner_moments: dict[int, float] = {}
-    for m in _TAYLOR_ORDERS:
+    inner = 0.0
+    for m, moment in _inner_moments(h1, s, L).items():
         dv = _spectral_derivative(grid, v.spectrum, m)
         dw = _spectral_derivative(grid, w.spectrum, m)
-        ip = float(np.real(np.sum(dv * np.conj(dw)))) * grid.dx
-        inner_moments[m] = (-1.0) ** (m + 1) * 2.0 / math.factorial(2 * m) * ip
+        ip = float(np.real(np.sum(dv * np.conj(dw)))) * dx
+        inner += (-1.0) ** (m + 1) * 2.0 / math.factorial(2 * m) * ip * moment
+
+    def level(nodes: int) -> float:
+        total = inner
+        for h, wt in _outer_nodes(h1, s, L, nodes):
+            dv = spl_v(x + h) - v.values
+            dw = spl_w(x + h) - w.values
+            total += wt * float(np.real(np.sum(dv * np.conj(dw)))) * dx
+        return 2.0 * total
 
     input_scale = max(
         float(np.max(np.abs(v.values))) * float(np.max(np.abs(w.values))) * grid.measure,
         1e-300,
     )
-    h1 = _inner_cut(grid, quad, v.spectrum, w.spectrum)
-    prev = _pair_level(v, w, s, spl_v, spl_w, inner_moments, h1, quad.panel_nodes)
-    delta = np.inf
-    for lvl in range(1, quad.max_refine + 1):
-        cur = _pair_level(
-            v, w, s, spl_v, spl_w, inner_moments, h1, quad.panel_nodes * 2**lvl
-        )
-        new_delta = abs(cur - prev)
-        prev = cur
-        scale = max(abs(cur), quad.rel_tol * input_scale)
-        if new_delta <= quad.rel_tol * scale:
-            return prev
-        delta = new_delta
-    scale = max(abs(prev), 1e-30)
-    raise QuadratureError(
-        "pair quadrature refinement stalled above tolerance: "
-        f"delta={delta:.3e} vs {quad.rel_tol:.1e} of scale {scale:.3e}"
-    )
+    return _refine(level, rel_tol, input_scale, "pair")

@@ -70,14 +70,6 @@ class GridSpec:
             )
 
     @property
-    def L(self) -> float:
-        return self.half_length
-
-    @property
-    def N(self) -> int:
-        return self.n_points
-
-    @property
     def dx(self) -> float:
         return 2.0 * self.half_length / self.n_points
 
@@ -257,9 +249,6 @@ class Field:
         """New field of the same flavor from modified coefficients."""
         vals = self.grid.from_spectrum(coeffs)
         return Field(self.grid, vals, flavor=self.flavor)
-
-    def dealiased(self) -> "Field":
-        return self.with_spectrum(self.spectrum * self.grid.dealias_mask())
 
     def mean(self) -> complex:
         return complex(self.spectrum[0])

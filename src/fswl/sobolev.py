@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fractional import QuadratureSpec, cns_constant, pair_correlation_integral
+from .fractional import cns_constant, pair_correlation_integral
 from .grid import Field, GridSpec, as_order
 
 __all__ = [
@@ -48,7 +48,6 @@ class NormReport:
     l2: float
     hs_fourier: float
     frac_grad_l2: float
-    gagliardo_sq: float | None = None
 
     def split_norm(self) -> float:
         """sqrt(l2^2 + frac_grad^2): the 1+|k|^{2s} weighted norm."""
@@ -106,15 +105,15 @@ def hs_norm(f: Field, s) -> NormReport:
     )
 
 
-def gagliardo_seminorm_sq(f: Field, s, quad: QuadratureSpec | None = None) -> float:
+def gagliardo_seminorm_sq(f: Field, s) -> float:
     """Squared double-integral seminorm |f(x)-f(y)|^2 / |x-y|^{1+2s}."""
-    return pair_correlation_integral(f, f, s, quad=quad)
+    return pair_correlation_integral(f, f, s)
 
 
-def check_equivalence(f: Field, s, quad: QuadratureSpec | None = None) -> InequalityReport:
+def check_equivalence(f: Field, s) -> InequalityReport:
     """Identity: Gagliardo seminorm = 2 C_{1,s}^{-1} ||(-D)^{s/2} f||_2^2."""
     s = as_order(s).s
-    gag = gagliardo_seminorm_sq(f, s, quad=quad)
+    gag = gagliardo_seminorm_sq(f, s)
     frac = _weighted_norm(f, f.grid.frac_symbol(s))
     rhs = 2.0 / cns_constant(s) * frac**2
     return InequalityReport(

@@ -263,10 +263,6 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.times)
 
-    @property
-    def sample_dt(self) -> float:
-        return float(self.times[1] - self.times[0]) if len(self.times) > 1 else self.run.dt
-
     def u_at(self, i: int) -> Field:
         return Field.from_spectrum(self.grid, self.u_specs[i], flavor="complex")
 

@@ -16,7 +16,6 @@ from fswl.diagnostics import (
     theta_envelope,
     v_balance_residual,
 )
-from fswl.fractional import QuadratureSpec
 from fswl.grid import Field, make_grid
 from fswl.sobolev import random_band_limited
 from fswl.solver import (
@@ -128,18 +127,16 @@ class TestBalanceResiduals:
 class TestBilinearAndCoercivity:
     def test_quadratic_positivity(self, grid16):
         rng = np.random.default_rng(21)
-        quad = QuadratureSpec(rel_tol=1e-5)
         for _ in range(5):
             v = random_band_limited(grid16, rng, flavor="real")
-            assert bilinear_form(v, v, 0.6, quad) >= -1e-8
+            assert bilinear_form(v, v, 0.6, rel_tol=1e-5) >= -1e-8
 
     def test_monotone_composition_sign(self, grid16):
         rng = np.random.default_rng(22)
-        quad = QuadratureSpec(rel_tol=1e-5)
         for _ in range(5):
             w = random_band_limited(grid16, rng, flavor="real")
             gw = Field(grid16, np.tanh(w.values), flavor="real")
-            assert bilinear_form(gw, w, 0.6, quad) >= -1e-8
+            assert bilinear_form(gw, w, 0.6, rel_tol=1e-5) >= -1e-8
 
     def test_diagonal_matches_spectral_seminorm(self, grid16):
         # B_s(v, v) = 2 ||(-D)^{s/2} v||^2 ties the quadrature to the symbol
@@ -232,13 +229,20 @@ class TestSmallness:
 
     def test_tiny_eps_stays_finite(self, grid16, gauss_pair):
         # eps**b underflows and eps**(-1.5 a) overflows; their product must
-        # not, and with alpha = 0 the overflowed power must not meet 0 * inf
+        # not, and with alpha = 0 or zero data the overflowed power must not
+        # meet 0 * inf
         u0, v0 = gauss_pair
         rep = smallness_condition(coupled_params(), u0, v0, 1.0, 1e-300)
         assert np.isfinite(rep.C) and np.isfinite(rep.lhs)
         params = SystemParams(alpha=0.0, beta=0.1, s=0.75, g=g_tanh_blend(0.2, 1.0))
         rep = smallness_condition(params, u0, v0, 1.0, 1e-300, a=8, b=7)
         assert np.isfinite(rep.C) and np.isfinite(rep.lhs) and rep.satisfied
+        zero_u = smallness_condition(coupled_params(), Field.zero(grid16), v0,
+                                     1.0, 1e-300, a=8, b=7)
+        assert zero_u.C3 == 0.0 and zero_u.lhs == 0.0 and zero_u.satisfied
+        zero_v = smallness_condition(coupled_params(), u0, Field.zero(grid16, "real"),
+                                     1.0, 1e-300, a=8, b=7)
+        assert np.isfinite(zero_v.C) and zero_v.lhs == np.inf and not zero_v.satisfied
 
     def test_report_serializes(self, grid16, gauss_pair):
         u0, v0 = gauss_pair

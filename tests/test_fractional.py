@@ -3,11 +3,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from fswl import fractional
 from fswl.fractional import (
-    QuadratureSpec,
+    QuadratureError,
     cns_constant,
     frac_laplacian_singular,
     frac_laplacian_spectral,
+    pair_correlation_integral,
     riesz_inverse,
 )
 from fswl.grid import Field, make_grid
@@ -84,9 +86,16 @@ class TestSingularRoute:
         g = make_grid(20.0, 1024)
         f = Field.from_function(g, lambda x: np.exp(-(x**2)), flavor="real")
         a = frac_laplacian_spectral(f, s)
-        b, report = frac_laplacian_singular(f, s, return_report=True)
+        b = frac_laplacian_singular(f, s)
         assert np.max(np.abs(a.values - b.values)) < 1e-7
-        assert report.window_truncation_estimate > 0
+
+    def test_complex_field_matches_spectral(self):
+        # a modulated Gaussian: the pairing must keep the imaginary part
+        g = make_grid(12.0, 512)
+        f = Field.from_function(g, lambda x: np.exp(-(x**2)) * np.exp(2j * x))
+        out = frac_laplacian_singular(f, 0.6)
+        assert out.flavor == "complex"
+        assert np.max(np.abs(out.values - frac_laplacian_spectral(f, 0.6).values)) < 1e-7
 
     def test_preserves_real_flavor(self):
         g = make_grid(12.0, 256)
@@ -101,10 +110,19 @@ class TestSingularRoute:
         assert np.allclose(out.values, 3.0**1.3 * np.cos(3 * g.x), atol=2e-7)
 
 
-def test_refinement_stall_raises_on_impossible_tolerance():
+@pytest.fixture
+def rough():
     g = make_grid(16.0, 128)
     rng = np.random.default_rng(3)
-    rough = Field(g, np.tanh(np.cumsum(rng.standard_normal(128)) / 8.0), flavor="real")
-    quad = QuadratureSpec(rel_tol=1e-15, max_refine=1)
-    with pytest.raises(Exception, match="stalled above tolerance"):
-        frac_laplacian_singular(rough, 0.75, quad=quad)
+    return Field(g, np.tanh(np.cumsum(rng.standard_normal(128)) / 8.0), flavor="real")
+
+
+def test_refinement_stall_raises_on_impossible_tolerance(rough, monkeypatch):
+    monkeypatch.setattr(fractional, "SINGULAR_REL_TOL", 1e-15)
+    with pytest.raises(QuadratureError, match="singular quadrature .* stalled above tolerance"):
+        frac_laplacian_singular(rough, 0.75)
+
+
+def test_pair_refinement_stall_raises_on_impossible_tolerance(rough):
+    with pytest.raises(QuadratureError, match="pair quadrature .* stalled above tolerance"):
+        pair_correlation_integral(rough, rough, 0.75, rel_tol=1e-15)
