@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize
 
 from .fractional import PeriodicInterpolant, cns_constant, periodic_tail_weight
 from .grid import Field, GridSpec, as_order
@@ -204,24 +203,26 @@ def _flux_on_values(eta: EntropySpec, g: NonlinearityG, values: np.ndarray) -> n
 
 def _crossings(v: Field, k: float) -> list[float]:
     """Zero crossings of the band-limited representative of v - k, located by
-    linear bracketing on the grid and root polishing on the spline."""
+    linear bracketing on the grid and bisection on the spline, all brackets
+    at once, until no bracket can shrink further."""
     grid = v.grid
     vals = v.values - k
+    on_grid = vals == 0.0
+    bracketed = ~on_grid & (vals * np.roll(vals, -1) < 0.0)
+    roots = grid.x.copy()
+    lo = roots[bracketed]
+    hi = lo + grid.dx
+    sign_lo = np.sign(vals[bracketed])
     spl = PeriodicInterpolant(grid, v.values)
-    out = []
-    N = grid.n_points
-    x = grid.x
-    for j in range(N):
-        a, b = vals[j], vals[(j + 1) % N]
-        if a == 0.0 or a * b < 0.0:
-            xa = x[j]
-            xb = x[j] + grid.dx
-            if a == 0.0:
-                out.append(float(xa))
-                continue
-            root = optimize.brentq(lambda y: float(spl(np.array([y]))[0]) - k, xa, xb)
-            out.append(float(root))
-    return out
+    while lo.size:
+        mid = 0.5 * (lo + hi)
+        if np.all((mid == lo) | (mid == hi)):
+            break
+        right = np.sign(spl(mid) - k) == sign_lo
+        lo = np.where(right, mid, lo)
+        hi = np.where(right, hi, mid)
+    roots[bracketed] = 0.5 * (lo + hi)
+    return [float(r) for r in roots[on_grid | bracketed]]
 
 
 def _kink_radii(x: float, crossings: list[float], period: float) -> list[float]:
@@ -288,12 +289,22 @@ def frac_power_pointwise(
 
 
 def special_jacobi(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes/weights for integral_0^1 f(t) t^beta dt."""
-    from scipy.special import roots_jacobi
+    """Nodes/weights for integral_0^1 f(t) t^beta dt.
 
-    x, w = roots_jacobi(n, 0.0, beta)
+    Golub-Welsch (Math. Comp. 23 (1969) 221): the Gauss-Jacobi nodes for the
+    weight (1 + x)^beta on [-1, 1] are the eigenvalues of the symmetric
+    Jacobi matrix of the recurrence, and each weight is the integral of the
+    weight function times the squared first eigenvector component.
+    """
+    k = np.arange(1, n)
+    ab = 2.0 * k + beta
+    diag = np.empty(n)
+    diag[0] = beta / (beta + 2.0)
+    diag[1:] = beta**2 / (ab * (ab + 2.0))
+    off = np.sqrt(4.0 * k**2 * (k + beta) ** 2 / (ab**2 * (ab + 1.0) * (ab - 1.0)))
+    x, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     t = 0.5 * (x + 1.0)
-    return t, w * 2.0 ** (-beta - 1.0)
+    return t, vecs[0] ** 2 / (beta + 1.0)
 
 
 def remainder_Rk(
@@ -490,7 +501,32 @@ def default_test_functions(
 # ---------------------------------------------------------------------------
 
 def _simpson(y: np.ndarray, t: np.ndarray):
-    return integrate.simpson(y, x=t)
+    """Composite Simpson rule on samples y at increasing times t.
+
+    Each pair of intervals takes the non-uniform three-point rule; an even
+    sample count closes its last interval with Cartwright's correction
+    (Cartwright 2017, eq. 8), the convention of current reference libraries.
+    """
+    n = len(y)
+    h = np.diff(t)
+    if n == 2:
+        return 0.5 * h[0] * (y[0] + y[1])
+    stop = n - 3 if n % 2 == 0 else n - 2
+    h0, h1 = h[0:stop:2], h[1:stop + 1:2]
+    hsum, ratio = h0 + h1, h0 / h1
+    total = np.sum(hsum / 6.0 * (
+        y[0:stop:2] * (2.0 - 1.0 / ratio)
+        + y[1:stop + 1:2] * (hsum * (hsum / (h0 * h1)))
+        + y[2:stop + 2:2] * (2.0 - ratio)
+    ))
+    if n % 2 == 0:
+        a, b = h[-2], h[-1]
+        total += (
+            (2 * b**2 + 3 * a * b) / (6 * (b + a)) * y[-1]
+            + (b**2 + 3.0 * a * b) / (6 * a) * y[-2]
+            - b**3 / (6 * a * (a + b)) * y[-3]
+        )
+    return total
 
 
 def weak_residual_u(

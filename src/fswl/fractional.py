@@ -9,11 +9,11 @@ Two independent evaluation routes are provided on purpose:
       C_{1,s} P.V. integral  (f(x) - f(y)) / |x - y|^(1+2s) dy
 
   entirely in real space: symmetric pairing 2f(x)-f(x+h)-f(x-h) tames the
-  singularity, off-grid values come from a periodic quintic spline, and the
-  periodic images beyond one period are folded into the kernel weight with a
-  Hurwitz zeta function.  No FFT of the operand enters this route, so
-  agreement of the two is a genuine cross-check of the normalization
-  constant and of the equivalence of the definitions.
+  singularity, off-grid values come from a periodic cardinal quintic
+  B-spline, and the periodic images beyond one period are folded into the
+  kernel weight with a Hurwitz zeta function.  No FFT of the operand enters
+  this route, so agreement of the two is a genuine cross-check of the
+  normalization constant and of the equivalence of the definitions.
 
 The same pairing machinery provides the double-integral quadratures used by
 the Gagliardo seminorm and the nonlocal bilinear form.
@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate, interpolate, special
 
 from .grid import Field, GridSpec, ZeroModeError, as_order
 
@@ -51,39 +50,12 @@ class QuadratureError(RuntimeError):
 def cns_constant(s) -> float:
     """Normalization C_{1,s} = [ integral (1 - cos z)/|z|^(1+2s) dz ]^(-1).
 
-    The defining integral is split at the singularity: on (0, 1] the
-    integrand behaves like z^(1-2s)/2 and is handled directly; on (1, inf)
-    the monotone part integrates in closed form and the oscillatory part
-    uses a dedicated cosine-weighted rule.
+    The integral has the closed form C_{1,s} = s 4^s Gamma(1/2 + s) /
+    (sqrt(pi) Gamma(1 - s)) (Di Nezza, Palatucci & Valdinoci, Bull. Sci.
+    Math. 136 (2012), eq. (3.2)).
     """
     s = as_order(s).s
-    p = 1.0 + 2.0 * s
-
-    inner, inner_err = integrate.quad(
-        lambda z: 2.0 * math.sin(0.5 * z) ** 2 / z**p,
-        0.0,
-        1.0,
-        limit=200,
-        epsabs=1e-13,
-        epsrel=1e-12,
-    )
-    # On (1, inf): integral of z^-p is 1/(2s); the cosine part uses an
-    # oscillatory-weighted rule out to Z = 200*pi plus the two-term
-    # integration-by-parts asymptotic of the remainder (sin Z = 0, cos Z = 1).
-    Z = 200.0 * math.pi
-    osc, osc_err = integrate.quad(
-        lambda z: z**-p, 1.0, Z, weight="cos", wvar=1.0, limit=400, epsabs=1e-13
-    )
-    osc += p * Z ** (-p - 1.0) - p * (p + 1.0) * (p + 2.0) * Z ** (-p - 3.0)
-    total = 2.0 * (inner + 1.0 / (2.0 * s) - osc)
-    err = 2.0 * (inner_err + osc_err)
-    if not np.isfinite(total) or total <= 0.0:
-        raise QuadratureError(f"normalization integral failed for s={s}")
-    if err > 1e-9 * total:
-        raise QuadratureError(
-            f"normalization integral accuracy {err:.2e} too poor for s={s}"
-        )
-    return 1.0 / total
+    return s * 4.0**s * math.gamma(0.5 + s) / (math.sqrt(math.pi) * math.gamma(1.0 - s))
 
 
 # ---------------------------------------------------------------------------
@@ -119,38 +91,103 @@ def riesz_inverse(f: Field, s) -> Field:
 # Real-space route
 # ---------------------------------------------------------------------------
 
-class PeriodicInterpolant:
-    """Quintic spline evaluation of a grid field at arbitrary points.
+# Poles of the quintic B-spline prefilter, the roots of
+# z^4 + 26 z^3 + 66 z^2 + 26 z + 1 inside the unit circle (Unser, IEEE Signal
+# Process. Mag. 16(6), 1999), and its gain.
+_POLES = (-0.43057534709997379185, -0.04309628820326465382)
+_GAIN = 120.0
 
-    The sample array is wrapped with enough padding that evaluation anywhere
-    on the torus sees genuinely periodic data; query points are reduced
-    modulo the period first.
+# _TAPS[p, m]: coefficient of u^p in the weight of coefficient j - 2 + m at
+# x = x_j + u dx, u in [0, 1): the six quintic B-spline pieces.
+_TAPS = np.array([
+    [1, 26, 66, 26, 1, 0],
+    [-5, -50, 0, 50, 5, 0],
+    [10, 20, -60, 20, 10, 0],
+    [-10, 20, 0, -20, 10, 0],
+    [5, -20, 30, -20, 5, 0],
+    [-1, 5, -10, 10, -5, 1],
+]) / 120.0
+
+
+def _tap_weights(u: np.ndarray) -> np.ndarray:
+    """Weights of the six taps at fractional offsets u, shape (6, *u.shape),
+    by Horner's rule."""
+    coefs = _TAPS.reshape(_TAPS.shape + (1,) * np.ndim(u))
+    w = coefs[-1]
+    for c in coefs[-2::-1]:
+        w = w * u + c
+    return w
+
+
+def _bspline_coefficients(values: np.ndarray) -> np.ndarray:
+    """Periodic quintic B-spline coefficients that interpolate ``values``:
+    a causal and an anticausal first-order recursion per pole, started from
+    exact geometric sums over one period."""
+    c = (_GAIN * values).tolist()
+    n = len(c)
+    for z in _POLES:
+        zk = z ** np.arange(n)
+        scale = 1.0 / (1.0 - z**n)
+        c[0] = scale * np.dot(zk, c[:1] + c[:0:-1]).item()
+        for k in range(1, n):
+            c[k] += z * c[k - 1]
+        c[-1] = -z * scale * (c[-1] + np.dot(zk[1:], c[:-1]).item())
+        for k in range(n - 2, -1, -1):
+            c[k] = z * (c[k + 1] - c[k])
+    return np.array(c)
+
+
+class PeriodicInterpolant:
+    """Periodic cardinal quintic B-spline through the samples of a grid field.
+
+    ``__call__`` evaluates it at arbitrary points; ``shifted`` evaluates it
+    at every grid point moved by the same offset.  Both are 6-tap stencils
+    on the coefficient array, laid out three times in a row so that every
+    tap of every point is a plain index or slice.
     """
 
-    _PAD = 8
-
-    def __init__(self, grid: GridSpec, values: np.ndarray, degree: int = 5):
+    def __init__(self, grid: GridSpec, values: np.ndarray):
         self.grid = grid
-        self.period = grid.measure
-        pad = self._PAD
-        x = grid.x
-        xp = np.concatenate([x[-pad:] - self.period, x, x[:pad] + self.period])
-        vals = np.asarray(values)
-        self._complex = np.iscomplexobj(vals)
-        vp = np.concatenate([vals[-pad:], vals, vals[:pad]])
-        if self._complex:
-            self._re = interpolate.make_interp_spline(xp, vp.real, k=degree)
-            self._im = interpolate.make_interp_spline(xp, vp.imag, k=degree)
-        else:
-            self._re = interpolate.make_interp_spline(xp, vp, k=degree)
-            self._im = None
+        self._coefs = np.tile(_bspline_coefficients(np.asarray(values)), 3)
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
-        q = np.mod(pts + self.grid.half_length, self.period) - self.grid.half_length
-        out = self._re(q)
-        if self._im is not None:
-            out = out + 1j * self._im(q)
+        n = self.grid.n_points
+        t = (np.asarray(pts) + self.grid.half_length) / self.grid.dx
+        j = np.floor(t)
+        w = _tap_weights(t - j)
+        base = j.astype(np.intp) % n + (n - 2)
+        return sum(w[m] * self._coefs[base + m] for m in range(6))
+
+    def shifted(self, h: float) -> np.ndarray:
+        """Values at x + h for every grid point x."""
+        n = self.grid.n_points
+        t = h / self.grid.dx
+        j = math.floor(t)
+        w = _tap_weights(t - j)
+        out = 0.0
+        for m in range(6):
+            start = n + (j - 2 + m) % n
+            out = out + w[m] * self._coefs[start:start + n]
         return out
+
+
+# Euler-Maclaurin for the Hurwitz zeta: the first terms summed directly, the
+# rest as the tail integral, the half term and Bernoulli corrections B_2j.
+_ZETA_HEAD = 12
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)
+
+
+def _hurwitz_zeta(a: float, q: np.ndarray) -> np.ndarray:
+    """sum_{m>=0} (q + m)^(-a) for a > 1, q > 0."""
+    q = np.asarray(q, dtype=float)
+    head = sum((q + m) ** -a for m in range(_ZETA_HEAD))
+    x = q + _ZETA_HEAD
+    tail = x ** (1.0 - a) / (a - 1.0) + 0.5 * x**-a
+    term = a * x ** (-a - 1.0)  # a (a+1) ... (a+2j-2) x^(-a-2j+1)
+    for j, b in enumerate(_BERNOULLI, start=1):
+        tail += b / math.factorial(2 * j) * term
+        term = term * (a + 2 * j - 1) * (a + 2 * j) / x**2
+    return head + tail
 
 
 def periodic_tail_weight(h: np.ndarray, s: float, L: float) -> np.ndarray:
@@ -161,7 +198,7 @@ def periodic_tail_weight(h: np.ndarray, s: float, L: float) -> np.ndarray:
     Hurwitz zeta value.
     """
     period = 2.0 * L
-    return period ** (-1.0 - 2.0 * s) * special.zeta(1.0 + 2.0 * s, h / period)
+    return period ** (-1.0 - 2.0 * s) * _hurwitz_zeta(1.0 + 2.0 * s, h / period)
 
 
 def _panel_edges(h1: float, H: float) -> np.ndarray:
@@ -284,7 +321,6 @@ def frac_laplacian_singular(f: Field, s) -> Field:
     s = as_order(s).s
     grid = f.grid
     L = grid.half_length
-    x = grid.x
     fx = f.values
     spl = PeriodicInterpolant(grid, fx)
     h1 = _inner_cut(grid, f.spectrum)
@@ -296,7 +332,7 @@ def frac_laplacian_singular(f: Field, s) -> Field:
     def level(nodes: int) -> np.ndarray:
         total = inner.copy()
         for h, w in _outer_nodes(h1, s, L, nodes):
-            total += w * (2.0 * fx - spl(x + h) - spl(x - h))
+            total += w * (2.0 * fx - spl.shifted(h) - spl.shifted(-h))
         return total
 
     input_scale = max(float(np.max(np.abs(fx))), 1e-300)
@@ -323,7 +359,6 @@ def pair_correlation_integral(v: Field, w: Field, s, rel_tol: float = 1e-8) -> f
         raise ValueError("fields must share a grid")
     grid = v.grid
     L = grid.half_length
-    x = grid.x
     dx = grid.dx
     spl_v = PeriodicInterpolant(grid, v.values)
     spl_w = PeriodicInterpolant(grid, w.values)
@@ -341,8 +376,8 @@ def pair_correlation_integral(v: Field, w: Field, s, rel_tol: float = 1e-8) -> f
     def level(nodes: int) -> float:
         total = inner
         for h, wt in _outer_nodes(h1, s, L, nodes):
-            dv = spl_v(x + h) - v.values
-            dw = spl_w(x + h) - w.values
+            dv = spl_v.shifted(h) - v.values
+            dw = spl_w.shifted(h) - w.values
             total += wt * float(np.real(np.sum(dv * np.conj(dw)))) * dx
         return 2.0 * total
 

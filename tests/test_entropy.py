@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy import integrate, optimize, special
 from scipy.integrate import quad
 
 from fswl.entropy import (
@@ -9,12 +10,14 @@ from fswl.entropy import (
     UndefinedSignError,
     _crossings,
     _kink_radii,
+    _simpson,
     entropy_flux,
     frac_power_pointwise,
     quadratic_capped_entropy,
     reconstruct_entropy,
     remainder_Rk,
     smooth_capped_entropy,
+    special_jacobi,
 )
 from fswl.fractional import PeriodicInterpolant, frac_laplacian_spectral
 from fswl.grid import Field, make_grid
@@ -147,3 +150,36 @@ class TestEntropySpecValidation:
                 eta_pp=lambda v: np.full_like(np.asarray(v, dtype=float), 2.0),
                 pp_support=(-1.0, 1.0),
             )
+
+
+class TestScipyOracles:
+    """The numpy replacements of the scipy quadratures and root finder,
+    checked against scipy itself."""
+
+    @pytest.mark.parametrize("s", [0.35, 0.5, 0.6, 0.75, 0.9])
+    def test_golub_welsch_matches_roots_jacobi(self, s):
+        beta = 1.0 - 2.0 * s
+        x, w = special.roots_jacobi(12, 0.0, beta)
+        t, wt = special_jacobi(12, beta)
+        assert np.max(np.abs(t - 0.5 * (x + 1.0))) <= 1e-14
+        assert np.max(np.abs(wt / (w * 2.0 ** (-beta - 1.0)) - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 11, 200, 201])
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_simpson_matches_scipy(self, n, uniform):
+        rng = np.random.default_rng(n)
+        t = np.linspace(0.0, 1.3, n) if uniform else np.sort(rng.uniform(0.0, 2.0, n))
+        for y in (rng.standard_normal(n), rng.standard_normal(n) + 1j * rng.standard_normal(n)):
+            ref = integrate.simpson(y, x=t)
+            assert abs(_simpson(y, t) - ref) <= 1e-14 * max(abs(ref), 1.0)
+
+    def test_crossings_match_brentq(self, crossing_setup):
+        grid, v, _ = crossing_setup
+        spl = PeriodicInterpolant(grid, v.values)
+        for k in (-0.3, 0.1, 0.25):
+            for c in _crossings(v, k):
+                j = int(np.floor((c + grid.half_length) / grid.dx))
+                xa = grid.x[j]
+                ref = optimize.brentq(lambda y: float(spl(np.array([y]))[0]) - k,
+                                      xa, xa + grid.dx, xtol=1e-15)
+                assert c == pytest.approx(ref, abs=1e-13)

@@ -2,14 +2,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy import interpolate, special
 
 from fswl import fractional
 from fswl.fractional import (
+    PeriodicInterpolant,
     QuadratureError,
     cns_constant,
     frac_laplacian_singular,
     frac_laplacian_spectral,
     pair_correlation_integral,
+    periodic_tail_weight,
     riesz_inverse,
 )
 from fswl.grid import Field, make_grid
@@ -50,6 +53,41 @@ class TestNormalization:
     @pytest.mark.parametrize("s", [0.25, 0.75])
     def test_second_quadrature_cross_check(self, s):
         assert cns_constant(s) == pytest.approx(cns_mpmath(s), rel=5e-9)
+
+
+class TestScipyOracles:
+    """The numpy replacements of the scipy special functions and spline,
+    checked against scipy itself."""
+
+    @pytest.mark.parametrize("s", [0.51, 0.6, 0.75, 0.9, 0.99])
+    def test_hurwitz_zeta(self, s):
+        q = np.logspace(-12.0, 0.0, 241)
+        got = periodic_tail_weight(q, s, 0.5)  # period 1: the bare zeta value
+        assert np.max(np.abs(got / special.zeta(1.0 + 2.0 * s, q) - 1.0)) <= 1e-14
+
+    @pytest.mark.parametrize("n", [128, 512, 2048])
+    @pytest.mark.parametrize("flavor", ["real", "complex"])
+    def test_spline_matches_padded_interp_spline(self, n, flavor):
+        # the padding is wide enough that the reference's not-a-knot ends
+        # no longer reach the window
+        g = make_grid(12.0, n)
+        x, period, pad = g.x, g.measure, 32
+        if flavor == "real":
+            vals = np.tanh(2.0 * np.sin(np.pi * x / 12.0))
+        else:
+            vals = np.exp(-(x**2)) * np.exp(2j * x)
+        ref = interpolate.make_interp_spline(
+            np.concatenate([x[-pad:] - period, x, x[:pad] + period]),
+            np.concatenate([vals[-pad:], vals, vals[:pad]]), k=5)
+
+        def wrapped(pts):
+            return ref(np.mod(pts + 12.0, period) - 12.0)
+
+        spl = PeriodicInterpolant(g, vals)
+        pts = np.random.default_rng(5).uniform(-30.0, 30.0, 500)
+        assert np.max(np.abs(spl(pts) - wrapped(pts))) <= 1e-13
+        for h in (0.3 * g.dx, -2.7 * g.dx, 5.3, -11.9, 23.99):
+            assert np.max(np.abs(spl.shifted(h) - wrapped(x + h))) <= 1e-13
 
 
 class TestRieszInverse:
