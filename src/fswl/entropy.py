@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fractional import PeriodicInterpolant, cns_constant, periodic_tail_weight
+from .fractional import PeriodicInterpolant, _leggauss, cns_constant, periodic_tail_weight
 from .grid import Field, GridSpec, as_order
 from .solver import NonlinearityG, PerturbedRun, SystemParams, Trajectory
 
@@ -145,7 +145,7 @@ def _split_points(lo: float, hi: float, interior: list[float]) -> np.ndarray:
 
 
 def _gl_panels(edges: np.ndarray, fn, n: int = 24) -> float:
-    x_ref, w_ref = np.polynomial.legendre.leggauss(n)
+    x_ref, w_ref = _leggauss(n)
     total = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
         if b <= a:
@@ -646,7 +646,7 @@ def _eta_pp_g_antiderivative(
     """G2(w) = integral_0^w eta''(k) g(k) dk, vectorized over w."""
     lo, hi = eta.pp_support
     upper = np.clip(values, lo, hi)
-    x_ref, w_ref = np.polynomial.legendre.leggauss(nodes)
+    x_ref, w_ref = _leggauss(nodes)
     t = 0.5 * (x_ref + 1.0)  # [0, 1]
     k_mat = upper[:, None] * t[None, :]
     integrand = eta.eta_pp(k_mat) * g.fn(k_mat)

@@ -22,6 +22,7 @@ the Gagliardo seminorm and the nonlocal bilinear form.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -212,8 +213,18 @@ def _panel_edges(h1: float, H: float) -> np.ndarray:
     return np.array(edges)
 
 
-def _gauss_nodes(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+@lru_cache(maxsize=64)
+def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per n and
+    shared read-only by every caller."""
     x, w = np.polynomial.legendre.leggauss(n)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+def _gauss_nodes(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    x, w = _leggauss(n)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return mid + half * x, half * w
 

@@ -3,9 +3,11 @@
 Functions live on the symmetric torus [-L, L) sampled at N equispaced
 collocation points.  Spectra are Fourier-series coefficients c_k of
 f(x) = sum_k c_k exp(i k x) on the discrete wavenumbers k_j = pi*j/L,
-j = -N/2 .. N/2-1 (FFT ordering), obtained as fft(samples)/N.  Spatial
-quadrature is the rectangle rule dx * sum, which is exact for resolved
-band-limited integrands; the induced Parseval identity is
+j = -N/2 .. N/2-1 (FFT ordering), obtained as fft(samples)/N.  A real
+field has c_{-k} = conj(c_k), so its half spectrum j = 0 .. N/2 (rfft
+ordering, same 1/N) carries all of it.  Spatial quadrature is the
+rectangle rule dx * sum, which is exact for resolved band-limited
+integrands; the induced Parseval identity is
 
     dx * sum |f_j|^2  =  2L * sum |c_k|^2.
 
@@ -95,11 +97,23 @@ class GridSpec:
 
     def to_spectrum(self, samples: np.ndarray) -> np.ndarray:
         """Fourier coefficients c_k from collocation samples."""
-        return np.fft.fft(samples) / self.n_points
+        return np.fft.fft(samples, norm="forward")
 
     def from_spectrum(self, coeffs: np.ndarray) -> np.ndarray:
         """Collocation samples from Fourier coefficients c_k."""
-        return np.fft.ifft(coeffs * self.n_points)
+        return np.fft.ifft(coeffs, norm="forward")
+
+    def to_half_spectrum(self, samples: np.ndarray) -> np.ndarray:
+        """Coefficients c_k, j = 0..N/2, of real samples (last axis): the
+        first N/2 + 1 entries of ``to_spectrum``; the rest are their
+        conjugates."""
+        return np.fft.rfft(samples, norm="forward")
+
+    def from_half_spectrum(self, coeffs: np.ndarray) -> np.ndarray:
+        """Real collocation samples from the coefficients c_k, j = 0..N/2,
+        the j < 0 half being their conjugates.  The imaginary parts of the
+        zero and Nyquist modes are ignored."""
+        return np.fft.irfft(coeffs, self.n_points, norm="forward")
 
     def sup_norm(self, coeffs: np.ndarray, pad: int = 8) -> np.ndarray:
         """Sup norm of the band-limited function(s) with coefficients

@@ -14,6 +14,15 @@ is a real pointwise factor times the midpoint state), not merely to the
 integrator's order.  The dealiasing mask keeps the identity intact because
 every state stays inside the retained band.
 
+A sweep takes the real channels v, |u|^2 and g(v) through real-to-complex
+transforms, v living as its half spectrum inside a step, and the two
+products with u, alpha v u + gamma rho u (rho the dealiased |u|^2), through
+one complex transform: two complex and three real transform calls a sweep.
+Each step's iteration starts from the free propagation plus the previous
+step's Duhamel increment when that step had the same dt (after a halving,
+a re-doubling or on a fresh stepper, from the free propagation alone); the
+first iterate does not move the fixed point, so mass stays exact.
+
 Adaptive continuation halves the step on contraction failure and re-doubles
 after sustained success, capped by the contraction-time estimate from the
 fixed-point argument.
@@ -355,33 +364,58 @@ def contraction_time_bound(
 # ---------------------------------------------------------------------------
 
 class _Stepper:
-    """Precomputed multipliers and the Picard fixed-point sweep."""
+    """Precomputed multipliers and the Picard fixed-point sweep.
+
+    Inside a step v lives as its half spectrum (j = 0..N/2), and the real
+    channels v, |u|^2 and g(v) go through real transforms.
+    """
 
     def __init__(self, grid: GridSpec, params: SystemParams, run: PerturbedRun):
         self.grid = grid
         self.params = params
         self.run = run
         s = as_order(params.s).s
+        N, nh = grid.n_points, grid.n_points // 2 + 1
         k2 = grid.k**2
         self.omega = grid.frac_symbol(s) + run.eps**run.a * k2
-        self.heat = run.eps**run.b * k2
-        self.half_symbol = grid.frac_symbol(0.5 * s)
+        self.heat = run.eps**run.b * k2[:nh]
+        self.half_symbol = grid.frac_symbol(0.5 * s)[:nh]
         self.mask = grid.dealias_mask()
         self.h1_weight = 1.0 + k2
+        # Weights of the fused distance over the floats of [u spectrum, v
+        # half spectrum]: an interior v mode also stands for its conjugate.
+        v_weight = 2.0 * self.h1_weight[:nh]
+        v_weight[[0, -1]] *= 0.5
+        weight = np.concatenate((self.h1_weight, v_weight))
+        self._dist_weight = grid.measure * np.repeat(weight, 2)
+        self._dist_split = np.array([0, 2 * N])
+        self._diff = np.empty(N + nh, dtype=np.complex128)
+        self._diff_sq = np.empty(2 * (N + nh))
+        self._real_pair = np.empty((2, N))
         self.g_eff = params.g.regularized(run.g_regularization)
         self._cache: dict[float, tuple] = {}
+        # (dt, u increment, v half-spectrum increment) of the last converged step
+        self._increment: tuple | None = None
         self.last_distances: list[float] = []  # sweep history of the last step
 
     def _multipliers(self, dt: float) -> tuple:
+        """Everything of a step that depends on dt alone: U(dt), U(dt/2)/2,
+        U(-dt/2)/2 and -i dt U(dt/2) mask on the full spectrum; W(dt),
+        W(dt/2)/2, W(-dt/2)/2, dt W(dt/2) |k|^s mask and gamma mask on the
+        half spectrum."""
         got = self._cache.get(dt)
         if got is None:
+            mask_h = self.mask[: len(self.heat)]
             got = (
                 np.exp(-1j * self.omega * dt),
-                np.exp(-1j * self.omega * 0.5 * dt),
-                np.exp(+1j * self.omega * 0.5 * dt),
+                0.5 * np.exp(-1j * self.omega * 0.5 * dt),
+                0.5 * np.exp(+1j * self.omega * 0.5 * dt),
+                -1j * dt * np.exp(-1j * self.omega * 0.5 * dt) * self.mask,
                 np.exp(-self.heat * dt),
-                np.exp(-self.heat * 0.5 * dt),
-                np.exp(+self.heat * 0.5 * dt),
+                0.5 * np.exp(-self.heat * 0.5 * dt),
+                0.5 * np.exp(+self.heat * 0.5 * dt),
+                dt * np.exp(-self.heat * 0.5 * dt) * self.half_symbol * mask_h,
+                self.params.gamma * mask_h,
             )
             self._cache[dt] = got
         return got
@@ -391,51 +425,77 @@ class _Stepper:
             np.sqrt(self.grid.measure * np.sum(self.h1_weight * np.abs(spec) ** 2))
         )
 
+    def _distance(self, u_a, u_b, v_a, v_b) -> float:
+        """``_h1(u_a - u_b) + _h1(v_a - v_b)``, the v arguments being half
+        spectra; both sums of squares are taken in one reduction."""
+        N = self.grid.n_points
+        diff, sq = self._diff, self._diff_sq
+        np.subtract(u_a, u_b, out=diff[:N])
+        np.subtract(v_a, v_b, out=diff[N:])
+        flat = diff.view(np.float64)
+        np.multiply(flat, flat, out=sq)
+        sq *= self._dist_weight
+        root = np.sqrt(np.add.reduceat(sq, self._dist_split))
+        return float(root[0] + root[1])
+
     def step(
         self, u_spec: np.ndarray, v_spec: np.ndarray, dt: float
     ) -> tuple[np.ndarray, np.ndarray, int]:
         """One midpoint-Duhamel step of size dt; returns new spectra and the
-        number of Picard sweeps used."""
+        number of Picard sweeps used.
+
+        The iteration starts from the free propagation plus the previous
+        step's Duhamel increment when that step had the same dt, and from the
+        free propagation otherwise.
+        """
         p = self.params
         run = self.run
-        Uf, Uh, Ub, Wf, Wh, Wb = self._multipliers(dt)
-        mask, grid = self.mask, self.grid
-        fft, ifft = grid.to_spectrum, grid.from_spectrum
+        Uf, Uh2, Ub2, cu, Wf, Wh2, Wb2, cv, gamma_mask = self._multipliers(dt)
+        grid = self.grid
+        v_half = v_spec[: len(Wf)]
 
-        u_fwd_half = Uh * u_spec
-        v_fwd_half = Wh * v_spec
+        u_fwd_half = Uh2 * u_spec
+        v_fwd_half = Wh2 * v_half
         au = Uf * u_spec
-        av = Wf * v_spec
+        av = Wf * v_half
 
-        u_new, v_new = au.copy(), av.copy()
+        if self._increment is not None and self._increment[0] == dt:
+            u_new, v_new = au + self._increment[1], av + self._increment[2]
+        else:
+            u_new, v_new = au, av
+        pair = self._real_pair
         prev_dist = np.inf
         nondecreasing = 0
         self.last_distances = []
         for sweep in range(1, run.picard_max_iter + 1):
-            um_spec = 0.5 * (u_fwd_half + Ub * u_new)
-            vm_spec = 0.5 * (v_fwd_half + Wb * v_new)
-            um = ifft(um_spec)
-            vm = ifft(vm_spec).real
+            um = grid.from_spectrum(u_fwd_half + Ub2 * u_new)
+            vm = grid.from_half_spectrum(v_fwd_half + Wb2 * v_new)
 
-            dens = fft(np.abs(um) ** 2) * mask          # |u|^2, dealiased
-            dens_phys = ifft(dens).real
-            cubic = fft(dens_phys * um) * mask
-            coupling = fft(vm * um) * mask
-            Fu = p.alpha * coupling + p.gamma * cubic
+            np.abs(um, out=pair[0])
+            np.square(pair[0], out=pair[0])
+            pair[1] = self.g_eff.fn(vm)
+            dens, gv = grid.to_half_spectrum(pair)      # |u|^2 and g(v)
+            # alpha fft(v u) + gamma fft(rho u), rho the dealiased |u|^2,
+            # in one transform
+            w = grid.from_half_spectrum(dens * gamma_mask)
+            w += p.alpha * vm
+            Fu = grid.to_spectrum(w * um)
 
-            gv = fft(self.g_eff.fn(vm)) * mask
-            Fv = self.half_symbol * (p.beta * dens - gv)
+            u_next = cu * Fu
+            u_next += au
+            v_next = p.beta * dens
+            v_next -= gv
+            v_next *= cv
+            v_next += av
 
-            u_next = au - 1j * dt * Uh * Fu
-            v_next = av + dt * Wh * Fv
-
-            dist = self._h1(u_next - u_new) + self._h1(v_next - v_new)
+            dist = self._distance(u_next, u_new, v_next, v_new)
             self.last_distances.append(dist)
             if not np.isfinite(dist):
                 raise BlowupError(f"non-finite Picard distance at dt={dt:.3e}")
             u_new, v_new = u_next, v_next
             if dist < run.picard_tol:
-                return u_new, v_new, sweep
+                self._increment = (dt, u_new - au, v_new - av)
+                return u_new, _hermitian_full(v_new, grid.n_points), sweep
             if dist >= prev_dist:
                 nondecreasing += 1
                 if nondecreasing >= 3:
@@ -448,6 +508,16 @@ class _Stepper:
         raise SolverError(
             f"Picard iteration exceeded {run.picard_max_iter} sweeps at dt={dt:.3e}"
         )
+
+
+def _hermitian_full(half: np.ndarray, N: int) -> np.ndarray:
+    """Full FFT-ordered spectrum of a real field from its half spectrum,
+    c_{-k} = conj(c_k) exactly, with the Nyquist mode set to zero."""
+    full = np.empty(N, dtype=np.complex128)
+    full[: N // 2] = half[: N // 2]
+    full[N // 2] = 0.0
+    full[N // 2 + 1 :] = np.conj(half[N // 2 - 1 : 0 : -1])
+    return full
 
 
 def _prepare_initial(f: Field, grid: GridSpec) -> np.ndarray:

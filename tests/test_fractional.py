@@ -164,3 +164,12 @@ def test_refinement_stall_raises_on_impossible_tolerance(rough, monkeypatch):
 def test_pair_refinement_stall_raises_on_impossible_tolerance(rough):
     with pytest.raises(QuadratureError, match="pair quadrature .* stalled above tolerance"):
         pair_correlation_integral(rough, rough, 0.75, rel_tol=1e-15)
+
+
+def test_gauss_legendre_rule_computed_once_and_read_only():
+    x, w = fractional._leggauss(12)
+    ref_x, ref_w = np.polynomial.legendre.leggauss(12)
+    assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+    assert fractional._leggauss(12)[0] is x
+    with pytest.raises(ValueError):
+        w[0] = 0.0

@@ -110,3 +110,25 @@ def test_sup_norm_padding_recovers_offgrid_max():
     assert f.norm_sup(pad=1) < 1.0 - 1e-4
     assert f.norm_sup() == pytest.approx(1.0, abs=6e-3)
     assert f.norm_sup(pad=32) == pytest.approx(1.0, abs=5e-4)
+
+
+@pytest.mark.parametrize("N", [16, 128])
+def test_half_spectrum_round_trip(N):
+    g = make_grid(4.0, N)
+    rng = np.random.default_rng(N)
+    # real band-limited data: a Hermitian spectrum with no Nyquist mode
+    coeffs = np.zeros(N, dtype=complex)
+    coeffs[1 : N // 2] = rng.standard_normal(N // 2 - 1) + 1j * rng.standard_normal(N // 2 - 1)
+    coeffs[N // 2 + 1 :] = np.conj(coeffs[N // 2 - 1 : 0 : -1])
+    coeffs[0] = rng.standard_normal()
+    f = g.from_spectrum(coeffs).real
+    half = g.to_half_spectrum(f)
+    assert half.shape == (N // 2 + 1,)
+    assert np.allclose(half, g.to_spectrum(f)[: N // 2 + 1], rtol=0, atol=1e-14)
+    back = g.from_half_spectrum(half)
+    assert back.dtype == np.float64
+    assert np.allclose(back, f, rtol=0, atol=1e-13)
+    # rows of a batch transform independently
+    pair = g.to_half_spectrum(np.stack((f, 2.0 * f)))
+    assert np.array_equal(pair[0], half)
+    assert np.allclose(pair[1], 2.0 * half, rtol=0, atol=1e-13)

@@ -125,6 +125,73 @@ class TestPicardStep:
         assert all(r < 1.0 for r in ratios)
 
 
+class TestRealChannels:
+    def test_fused_distance_equals_two_h1_norms(self):
+        grid = make_grid(16.0, 128)
+        stepper = _Stepper(grid, coupled_params(), PerturbedRun(eps=0.1, T=0.1, dt=0.01))
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            du = grid.to_spectrum(rng.standard_normal(128) + 1j * rng.standard_normal(128))
+            dv = grid.to_spectrum(rng.standard_normal(128))
+            dv[64] = 0.0
+            dv[65:] = np.conj(dv[63:0:-1])
+            expected = stepper._h1(du) + stepper._h1(dv)
+            zero_u, zero_v = np.zeros_like(du), np.zeros(65, dtype=complex)
+            got = stepper._distance(du, zero_u, dv[:65], zero_v)
+            assert got == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+    def test_returned_v_spectrum_is_exactly_hermitian(self, grid16, gauss_pair):
+        u0, v0 = gauss_pair
+        stepper = _Stepper(grid16, coupled_params(), PerturbedRun(eps=0.1, T=0.1, dt=0.01))
+        mask = grid16.dealias_mask()
+        _, v, _ = stepper.step((u0.spectrum * mask).astype(complex),
+                               (v0.spectrum * mask).astype(complex), 0.01)
+        N = grid16.n_points
+        j = np.arange(1, N // 2)
+        assert np.array_equal(v[N - j], np.conj(v[j]))
+        assert v[N // 2] == 0.0
+
+
+class TestIncrementPredictor:
+    def test_no_increment_crosses_a_dt_change(self, grid16, gauss_pair):
+        u0, v0 = gauss_pair
+        mask = grid16.dealias_mask()
+        u, v = (u0.spectrum * mask).astype(complex), (v0.spectrum * mask).astype(complex)
+        run = PerturbedRun(eps=0.1, T=0.1, dt=0.01)
+        used = _Stepper(grid16, coupled_params(), run)
+        u1, v1, _ = used.step(u, v, 0.01)
+        after = used.step(u1, v1, 0.005)
+        fresh = _Stepper(grid16, coupled_params(), run).step(u1, v1, 0.005)
+        assert np.array_equal(after[0], fresh[0])
+        assert np.array_equal(after[1], fresh[1])
+        assert after[2] == fresh[2]
+
+    def test_predicted_run_converges_in_three_sweeps(self, monkeypatch):
+        grid = make_grid(16.0, 128)
+        u0 = Field.from_function(
+            grid, lambda x: 0.35 * np.exp(-(x**2)) * np.exp(1j * 3 * np.pi / 16 * x))
+        v0 = Field.from_function(grid, lambda x: 0.4 * np.exp(-((x / 1.5) ** 2)), "real")
+        params = coupled_params()
+        sweeps = []
+        step = _Stepper.step
+
+        def counting_step(self, u_spec, v_spec, dt):
+            out = step(self, u_spec, v_spec, dt)
+            sweeps.append(out[2])
+            return out
+
+        monkeypatch.setattr(_Stepper, "step", counting_step)
+        traj = solve_perturbed(u0, v0, params, PerturbedRun(eps=0.1, T=0.2, dt=1e-3))
+        assert len(sweeps) == 200
+        assert np.mean(sweeps) <= 3.1
+        mass = grid.measure * np.sum(np.abs(traj.u_specs) ** 2, axis=1)
+        assert np.max(np.abs(mass - mass[0])) <= 1e-12 * mass[0]
+        tight = solve_perturbed(u0, v0, params,
+                                PerturbedRun(eps=0.1, T=0.2, dt=1e-3, picard_tol=1e-13))
+        for got, ref in ((traj.u_specs, tight.u_specs), (traj.v_specs, tight.v_specs)):
+            assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
 class TestSolvePerturbed:
     def test_zero_data_stays_zero(self, grid16):
         run = PerturbedRun(eps=0.1, T=0.2, dt=0.01)
