@@ -139,6 +139,8 @@ class TestRealChannels:
             zero_u, zero_v = np.zeros_like(du), np.zeros(65, dtype=complex)
             got = stepper._distance(du, zero_u, dv[:65], zero_v)
             assert got == pytest.approx(expected, rel=1e-14, abs=0.0)
+            larger = max(stepper._h1(du), stepper._h1(dv))
+            assert stepper._max_h1(du, dv) == pytest.approx(larger, rel=1e-14, abs=0.0)
 
     def test_returned_v_spectrum_is_exactly_hermitian(self, grid16, gauss_pair):
         u0, v0 = gauss_pair
@@ -153,20 +155,34 @@ class TestRealChannels:
 
 
 class TestIncrementPredictor:
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_extrapolation_row_exact_for_polynomials(self, p):
+        row = solver.EXTRAPOLATION_ROWS[p]
+        assert len(row) == p <= solver.HISTORY_DEPTH
+        q = np.polynomial.Polynomial(np.random.default_rng(p).standard_normal(p))
+        assert q.degree() == p - 1
+        n = 7
+        got = sum(c * q(n - j) for j, c in enumerate(row, start=1))
+        assert got == pytest.approx(q(n), rel=1e-12, abs=1e-12)
+
     def test_no_increment_crosses_a_dt_change(self, grid16, gauss_pair):
         u0, v0 = gauss_pair
         mask = grid16.dealias_mask()
         u, v = (u0.spectrum * mask).astype(complex), (v0.spectrum * mask).astype(complex)
         run = PerturbedRun(eps=0.1, T=0.1, dt=0.01)
         used = _Stepper(grid16, coupled_params(), run)
-        u1, v1, _ = used.step(u, v, 0.01)
-        after = used.step(u1, v1, 0.005)
-        fresh = _Stepper(grid16, coupled_params(), run).step(u1, v1, 0.005)
-        assert np.array_equal(after[0], fresh[0])
-        assert np.array_equal(after[1], fresh[1])
-        assert after[2] == fresh[2]
+        for _ in range(solver.HISTORY_DEPTH + 1):
+            u, v, _ = used.step(u, v, 0.01)
+        assert len(used._history) == solver.HISTORY_DEPTH
+        for dt in (0.005, 0.01):
+            after = used.step(u, v, dt)
+            fresh = _Stepper(grid16, coupled_params(), run).step(u, v, dt)
+            assert np.array_equal(after[0], fresh[0])
+            assert np.array_equal(after[1], fresh[1])
+            assert after[2] == fresh[2]
+            u, v = after[0], after[1]
 
-    def test_predicted_run_converges_in_three_sweeps(self, monkeypatch):
+    def test_predicted_run_converges_in_one_sweep(self, monkeypatch):
         grid = make_grid(16.0, 128)
         u0 = Field.from_function(
             grid, lambda x: 0.35 * np.exp(-(x**2)) * np.exp(1j * 3 * np.pi / 16 * x))
@@ -183,13 +199,13 @@ class TestIncrementPredictor:
         monkeypatch.setattr(_Stepper, "step", counting_step)
         traj = solve_perturbed(u0, v0, params, PerturbedRun(eps=0.1, T=0.2, dt=1e-3))
         assert len(sweeps) == 200
-        assert np.mean(sweeps) <= 3.1
+        assert np.mean(sweeps) <= 1.05
         mass = grid.measure * np.sum(np.abs(traj.u_specs) ** 2, axis=1)
         assert np.max(np.abs(mass - mass[0])) <= 1e-12 * mass[0]
         tight = solve_perturbed(u0, v0, params,
                                 PerturbedRun(eps=0.1, T=0.2, dt=1e-3, picard_tol=1e-13))
         for got, ref in ((traj.u_specs, tight.u_specs), (traj.v_specs, tight.v_specs)):
-            assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestSolvePerturbed:
