@@ -25,7 +25,6 @@ from .sobolev import (
     check_equivalence,
     check_linf_interp,
     check_product_bound,
-    gagliardo_seminorm_sq,
     hs_norm,
     norm_equivalence_constants,
     random_band_limited,
@@ -58,7 +57,6 @@ from .diagnostics import (
     bilinear_form,
     coercivity_report,
     diagnose_trajectory,
-    dt_negative_norm,
     energy_balance_residual,
     record_diagnostics,
     smallness_condition,
@@ -68,7 +66,6 @@ from .diagnostics import (
 from .entropy import (
     EntropySpec,
     TestFunction,
-    default_test_functions,
     entropy_balance_residual,
     entropy_flux,
     kruzkov_entropy,

@@ -42,8 +42,6 @@ __all__ = [
     "coercivity_report",
     "theta_envelope",
     "smallness_condition",
-    "dt_negative_norm",
-    "dt_negative_norm_series",
 ]
 
 
@@ -208,7 +206,7 @@ def _series(
     return DiagnosticSeries(t=np.asarray(times, dtype=np.float64), **col)
 
 
-def _window(traj: Trajectory, lo: int = 0, hi: int | None = None) -> DiagnosticSeries:
+def _window(traj: Trajectory, lo: int, hi: int) -> DiagnosticSeries:
     """The diagnostics pass over stored samples lo..hi-1 of a trajectory."""
     return _series(traj.grid, traj.params, traj.run, traj.times[lo:hi],
                    traj.u_specs[lo:hi], traj.v_specs[lo:hi])
@@ -257,38 +255,6 @@ def diagnose_trajectory(
     if envelope is None:
         envelope = theta_envelope(traj, traj.params, traj.run)
     return envelope.series.records(envelope)
-
-
-def dt_negative_norm(traj: Trajectory, i: int) -> tuple[float, float]:
-    """H^{-1} norms of the difference quotients at sample i (backward pair)."""
-    if i < 1:
-        raise ValueError("need two consecutive samples")
-    sr = _window(traj, i - 1, i + 1)
-    return float(sr.dtu_hminus1[1]), float(sr.dtv_hminus1[1])
-
-
-@dataclass
-class NegativeNormSeries:
-    times: np.ndarray
-    dtu: np.ndarray
-    dtv: np.ndarray
-    dtu_sq_integral: float
-    dtv_sq_integral: float
-
-
-def dt_negative_norm_series(traj: Trajectory) -> NegativeNormSeries:
-    """Difference-quotient norms at every stored interval plus their
-    accumulated squared time integrals."""
-    sr = _window(traj)
-    dtu, dtv = sr.dtu_hminus1[1:], sr.dtv_hminus1[1:]
-    dts = np.diff(sr.t)
-    return NegativeNormSeries(
-        times=sr.t[1:],
-        dtu=dtu,
-        dtv=dtv,
-        dtu_sq_integral=float(np.sum(dtu**2 * dts)),
-        dtv_sq_integral=float(np.sum(dtv**2 * dts)),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +452,6 @@ def smallness_condition(
     gprime = params.g.M + eps
     aa, bb = abs(params.alpha), abs(params.beta)
     c1s = cns_constant(s)
-    pi2s = np.pi * (2.0 * s - 1.0)
     expo = 1.0 - 0.5 / s
     # single powers: eps**b * eps**(-1.5 a) is 0 * inf = NaN for a tiny eps
     try:

@@ -24,7 +24,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fractional import PeriodicInterpolant, _leggauss, cns_constant, periodic_tail_weight
+from .fractional import (
+    PeriodicInterpolant,
+    _image_correction,
+    _outer_nodes,
+    _panel_edges,
+    _panel_nodes,
+    cns_constant,
+    periodic_tail_weight,
+    special_jacobi,
+)
 from .grid import Field, GridSpec, as_order
 from .solver import NonlinearityG, PerturbedRun, SystemParams, Trajectory
 
@@ -42,8 +51,21 @@ __all__ = [
     "entropy_balance_residual",
     "weak_residual_u",
     "weak_residual_v",
-    "default_test_functions",
 ]
+
+# Quadrature controls: Gauss-Jacobi nodes of the singular piece and
+# Gauss-Legendre nodes per outer panel of the pointwise operator, nodes per
+# panel of the remainder arcs and of the density integrals over eta'', and
+# nodes of the eta'' g antiderivative.
+POINTWISE_JACOBI_NODES = 12
+POINTWISE_PANEL_NODES = 16
+ARC_NODES = 20
+DENSITY_NODES = 24
+ANTIDERIVATIVE_NODES = 48
+
+# Relative distance of v(x) to the level k (against max |v - k|) below which
+# the sign of v(x) - k counts as undefined.
+SIGN_TOL = 1e-9
 
 
 class UndefinedSignError(ValueError):
@@ -139,20 +161,12 @@ def smooth_capped_entropy(a: float = 1.0) -> EntropySpec:
     return EntropySpec(eta, eta_prime, eta_pp, (-a, a), label=f"smooth_capped({a:g})")
 
 
-def _split_points(lo: float, hi: float, interior: list[float]) -> np.ndarray:
-    pts = [lo] + sorted(p for p in interior if lo < p < hi) + [hi]
-    return np.array(pts)
-
-
-def _gl_panels(edges: np.ndarray, fn, n: int = 24) -> float:
-    x_ref, w_ref = _leggauss(n)
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        if b <= a:
-            continue
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        total += half * float(np.sum(w_ref * fn(mid + half * x_ref)))
-    return total
+def _density_integral(eta: EntropySpec, v: float, fn) -> float:
+    """1/2 integral eta''(xi) fn(xi) dxi over the density support, with a
+    panel edge at the kink xi = v."""
+    lo, hi = eta.pp_support
+    xi, w = _panel_nodes(np.array([lo, min(max(v, lo), hi), hi]), DENSITY_NODES)
+    return 0.5 * float(np.sum(w * eta.eta_pp(xi) * fn(xi)))
 
 
 def reconstruct_entropy(eta: EntropySpec, v: float) -> float:
@@ -160,9 +174,7 @@ def reconstruct_entropy(eta: EntropySpec, v: float) -> float:
     (defined modulo an additive constant by the superposition itself)."""
     if eta.dirac_at is not None:
         return float(abs(v - eta.dirac_at))
-    lo, hi = eta.pp_support
-    edges = _split_points(lo, hi, [v])
-    val = 0.5 * _gl_panels(edges, lambda xi: eta.eta_pp(xi) * np.abs(v - xi))
+    val = _density_integral(eta, v, lambda xi: np.abs(v - xi))
     return float(val + eta.linear_coeff * v)
 
 
@@ -171,10 +183,8 @@ def entropy_flux(eta: EntropySpec, g: NonlinearityG, v: float) -> float:
     linear part's g(v)); for the kink entropy this is |g(v) - g(k)| exactly."""
     if eta.dirac_at is not None:
         return float(abs(g.fn(np.array([v]))[0] - g.fn(np.array([eta.dirac_at]))[0]))
-    lo, hi = eta.pp_support
     gv = float(g.fn(np.array([v]))[0])
-    edges = _split_points(lo, hi, [v])
-    val = 0.5 * _gl_panels(edges, lambda xi: eta.eta_pp(xi) * np.abs(gv - g.fn(xi)))
+    val = _density_integral(eta, v, lambda xi: np.abs(gv - g.fn(xi)))
     return float(val + eta.linear_coeff * gv)
 
 
@@ -239,8 +249,6 @@ def frac_power_pointwise(
     grid: GridSpec,
     s: float,
     kink_radii: list[float] | None = None,
-    inner_nodes: int = 12,
-    panel_nodes: int = 16,
 ) -> float:
     """(-D)^s of a scalar callable at one point by pairing quadrature.
 
@@ -250,71 +258,26 @@ def frac_power_pointwise(
     h^(1-2s) applied to the bounded ratio D(h)/h^2.
     """
     L = grid.half_length
-    period = 2.0 * L
-    radii = [r for r in (kink_radii or []) if r < period]
+    radii = kink_radii or []
     wx = float(w_fn(np.array([x]))[0])
 
     def D(h: np.ndarray) -> np.ndarray:
         return 2.0 * wx - w_fn(x + h) - w_fn(x - h)
 
-    h1 = min(4.0 * grid.dx, 0.5 * (radii[0] if radii else period / 4.0))
+    h1 = min(4.0 * grid.dx, 0.5 * min(radii, default=L / 2.0))
 
     # Singular piece: int_0^h1 (D/h^2) h^(1-2s) dh by Gauss-Jacobi.
-    xj, wj = special_jacobi(inner_nodes, 1.0 - 2.0 * s)
+    xj, wj = special_jacobi(POINTWISE_JACOBI_NODES, 1.0 - 2.0 * s)
     hq = h1 * xj
-    phi = D(hq) / hq**2
-    inner = h1 ** (2.0 - 2.0 * s) * float(np.sum(wj * phi))
-    # Smooth image correction on the same interval.
-    inner += _gl_panels(
-        np.array([0.0, h1]),
-        lambda h: D(h) * (periodic_tail_weight(h, s, L) - h ** (-1.0 - 2.0 * s)),
-        n=8,
-    )
+    inner = h1 ** (2.0 - 2.0 * s) * float(np.sum(wj * (D(hq) / hq**2)))
+    hc, wc, corr = _image_correction(h1, s, L)
+    inner += float(np.sum(wc * D(hc) * corr))
 
-    edges = _split_points(h1, period, radii)
-    refined = [edges[0]]
-    for a, b in zip(edges[:-1], edges[1:]):
-        # geometric growth away from the singular end keeps panels resolved
-        step = a
-        while step * 2.0 < b and step * 2.0 > refined[-1]:
-            if refined[-1] < step * 2.0 < b:
-                refined.append(step * 2.0)
-            step *= 2.0
-        refined.append(b)
-    edges = np.array(sorted(set(refined)))
-    outer = _gl_panels(
-        edges, lambda h: D(h) * periodic_tail_weight(h, s, L), n=panel_nodes
-    )
-    return cns_constant(s) * (inner + outer)
+    h, w = _outer_nodes(h1, s, L, POINTWISE_PANEL_NODES, radii)
+    return cns_constant(s) * (inner + float(np.sum(w * D(h))))
 
 
-def special_jacobi(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes/weights for integral_0^1 f(t) t^beta dt.
-
-    Golub-Welsch (Math. Comp. 23 (1969) 221): the Gauss-Jacobi nodes for the
-    weight (1 + x)^beta on [-1, 1] are the eigenvalues of the symmetric
-    Jacobi matrix of the recurrence, and each weight is the integral of the
-    weight function times the squared first eigenvector component.
-    """
-    k = np.arange(1, n)
-    ab = 2.0 * k + beta
-    diag = np.empty(n)
-    diag[0] = beta / (beta + 2.0)
-    diag[1:] = beta**2 / (ab * (ab + 2.0))
-    off = np.sqrt(4.0 * k**2 * (k + beta) ** 2 / (ab**2 * (ab + 1.0) * (ab - 1.0)))
-    x, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    t = 0.5 * (x + 1.0)
-    return t, vecs[0] ** 2 / (beta + 1.0)
-
-
-def remainder_Rk(
-    v: Field,
-    g: NonlinearityG,
-    k: float,
-    s,
-    x: float,
-    sign_tol: float = 1e-9,
-) -> float:
+def remainder_Rk(v: Field, g: NonlinearityG, k: float, s, x: float) -> float:
     """One-sided remainder integral over the opposite component of the level
     set {v <> k}, with the fully periodized kernel.
 
@@ -327,7 +290,7 @@ def remainder_Rk(
     spl = PeriodicInterpolant(grid, v.values)
     vx = float(spl(np.array([x]))[0])
     scale = max(float(np.max(np.abs(v.values - k))), 1e-30)
-    if abs(vx - k) <= sign_tol * scale:
+    if abs(vx - k) <= SIGN_TOL * scale:
         raise UndefinedSignError(f"v(x) = k within tolerance at x = {x:.6g}")
     gk = float(g.fn(np.array([k]))[0])
     cross = _crossings(v, k)
@@ -354,18 +317,16 @@ def remainder_Rk(
 
     total = 0.0
     for a, b in arcs:
-        # subdivide geometrically toward whichever end lies nearest to x
+        # panels grow geometrically away from whichever end lies nearest to x
         da = min((a - x) % period, (x - a) % period)
         db = min((b - x) % period, (x - b) % period)
-        edges = [a, b]
         anchor, far = (a, b) if da < db else (b, a)
+        span = abs(far - anchor)
         dist = max(min(da, db), 1e-3 * grid.dx)
-        step = dist
-        while step < abs(far - anchor):
-            point = anchor + math.copysign(step, far - anchor)
-            edges.append(point)
-            step *= 2.0
-        total += _gl_panels(np.array(sorted(edges)), integrand, n=20)
+        offsets = np.append(0.0, _panel_edges(min(dist, span), span))
+        y, w = _panel_nodes(np.sort(anchor + math.copysign(1.0, far - anchor) * offsets),
+                            ARC_NODES)
+        total += float(np.sum(w * integrand(y)))
     return float(2.0 * cns_constant(s) * total)
 
 
@@ -461,39 +422,6 @@ class TestFunction:
         grid = self.grid
         spec = grid.to_spectrum(self.space_values())
         return grid.from_spectrum(grid.frac_symbol(0.5 * s) * spec)
-
-
-def default_test_functions(
-    grid: GridSpec, T: float, seed: int = 2024, n: int = 16
-) -> list[TestFunction]:
-    """The bundled library: seeded bump parameters, half complex-flavored for
-    the short-wave pairing, half real for the long-wave one; several supports
-    reach before t = 0 to exercise the initial-data terms."""
-    rng = np.random.default_rng(seed)
-    L = grid.half_length
-    out = []
-    for i in range(n):
-        flavor = "complex" if i < n // 2 else "real"
-        width = float(rng.uniform(0.22, 0.4)) * L
-        center = float(rng.uniform(-0.4, 0.4)) * L
-        t_lo = float(rng.uniform(-0.3, 0.35)) * T
-        t_hi = t_lo + float(rng.uniform(0.35, 0.55)) * T
-        if flavor == "complex":
-            amp = complex(rng.normal(), rng.normal())
-        else:
-            amp = complex(rng.normal(), 0.0)
-        out.append(
-            TestFunction(
-                grid=grid,
-                t_lo=t_lo,
-                t_hi=min(t_hi, 0.9 * T),
-                x_center=center,
-                x_width=width,
-                amplitude=amp,
-                flavor=flavor,
-            )
-        )
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -641,16 +569,15 @@ def weak_residual_v(
 # ---------------------------------------------------------------------------
 
 def _eta_pp_g_antiderivative(
-    eta: EntropySpec, g: NonlinearityG, values: np.ndarray, nodes: int = 48
+    eta: EntropySpec, g: NonlinearityG, values: np.ndarray
 ) -> np.ndarray:
     """G2(w) = integral_0^w eta''(k) g(k) dk, vectorized over w."""
     lo, hi = eta.pp_support
     upper = np.clip(values, lo, hi)
-    x_ref, w_ref = _leggauss(nodes)
-    t = 0.5 * (x_ref + 1.0)  # [0, 1]
+    t, w = _panel_nodes(np.array([0.0, 1.0]), ANTIDERIVATIVE_NODES)
     k_mat = upper[:, None] * t[None, :]
     integrand = eta.eta_pp(k_mat) * g.fn(k_mat)
-    return 0.5 * upper * (integrand @ w_ref)
+    return upper * (integrand @ w)
 
 
 def _remainder_superposition(

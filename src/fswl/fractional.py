@@ -16,7 +16,8 @@ Two independent evaluation routes are provided on purpose:
   normalization constant and of the equivalence of the definitions.
 
 The same pairing machinery provides the double-integral quadratures used by
-the Gagliardo seminorm and the nonlocal bilinear form.
+the Gagliardo seminorm and the nonlocal bilinear form, and its panel
+generator and rule serve the pointwise entropy quadratures.
 """
 
 from __future__ import annotations
@@ -202,14 +203,19 @@ def periodic_tail_weight(h: np.ndarray, s: float, L: float) -> np.ndarray:
     return period ** (-1.0 - 2.0 * s) * _hurwitz_zeta(1.0 + 2.0 * s, h / period)
 
 
-def _panel_edges(h1: float, H: float) -> np.ndarray:
-    """Geometric panel edges from h1 to H (kernel steepest near h1)."""
-    edges = [h1]
-    h = h1
-    while h * 2.0 < H:
-        h *= 2.0
-        edges.append(h)
-    edges.append(H)
+def _panel_edges(lo: float, hi: float, splits=()) -> np.ndarray:
+    """Geometric panel edges from lo > 0 to hi: the width doubles away from
+    lo (kernel steepest there) and the doubling restarts at every split point
+    inside (lo, hi) (where the integrand is only Lipschitz)."""
+    if not lo > 0.0:
+        raise ValueError(f"geometric panels need lo > 0, got {lo!r}")
+    pts = [lo, *sorted(p for p in splits if lo < p < hi), hi]
+    edges = []
+    for a, b in zip(pts[:-1], pts[1:]):
+        while a < b:
+            edges.append(a)
+            a *= 2.0
+    edges.append(hi)
     return np.array(edges)
 
 
@@ -223,10 +229,33 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _gauss_nodes(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _panel_nodes(edges: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on every
+    nonempty panel [edges[i], edges[i+1]], concatenated in panel order."""
     x, w = _leggauss(n)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return mid + half * x, half * w
+    a, b = np.asarray(edges[:-1]), np.asarray(edges[1:])
+    keep = b > a
+    mid, half = 0.5 * (a + b)[keep, None], 0.5 * (b - a)[keep, None]
+    return (mid + half * x).ravel(), (half * w).ravel()
+
+
+def special_jacobi(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes/weights for integral_0^1 f(t) t^beta dt.
+
+    Golub-Welsch (Math. Comp. 23 (1969) 221): the Gauss-Jacobi nodes for the
+    weight (1 + x)^beta on [-1, 1] are the eigenvalues of the symmetric
+    Jacobi matrix of the recurrence, and each weight is the integral of the
+    weight function times the squared first eigenvector component.
+    """
+    k = np.arange(1, n)
+    ab = 2.0 * k + beta
+    diag = np.empty(n)
+    diag[0] = beta / (beta + 2.0)
+    diag[1:] = beta**2 / (ab * (ab + 2.0))
+    off = np.sqrt(4.0 * k**2 * (k + beta) ** 2 / (ab**2 * (ab + 1.0) * (ab - 1.0)))
+    x, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    t = 0.5 * (x + 1.0)
+    return t, vecs[0] ** 2 / (beta + 1.0)
 
 
 # Pairing quadrature controls: Gauss-Legendre nodes per outer panel at the
@@ -277,14 +306,20 @@ def _inner_cut(grid: GridSpec, *specs: np.ndarray) -> float:
     return h1
 
 
+def _image_correction(h1: float, s: float, L: float):
+    """8-point Gauss-Legendre nodes h and weights on [0, h1], and the smooth
+    image correction weight(h) - h^(-1-2s) of the folded kernel there."""
+    hc, wc = _panel_nodes(np.array([0.0, h1]), 8)
+    return hc, wc, periodic_tail_weight(hc, s, L) - hc ** (-1.0 - 2.0 * s)
+
+
 def _inner_moments(h1: float, s: float, L: float) -> dict[int, float]:
     """Integrals of h^(2m) against the image-folded kernel over [0, h1].
 
     The singular part h^(-1-2s) integrates analytically; the smooth image
-    correction weight(h) - h^(-1-2s) by Gauss-Legendre.
+    correction by Gauss-Legendre.
     """
-    hc, wc = _gauss_nodes(0.0, h1, 8)
-    corr = periodic_tail_weight(hc, s, L) - hc ** (-1.0 - 2.0 * s)
+    hc, wc, corr = _image_correction(h1, s, L)
     return {
         m: h1 ** (2 * m - 2.0 * s) / (2 * m - 2.0 * s)
         + float(np.sum(wc * hc ** (2 * m) * corr))
@@ -292,13 +327,11 @@ def _inner_moments(h1: float, s: float, L: float) -> dict[int, float]:
     }
 
 
-def _outer_nodes(h1: float, s: float, L: float, nodes: int):
-    """(h, weight) over [h1, 2L]: Gauss-Legendre on geometric panels against
-    the full image-folded kernel."""
-    edges = _panel_edges(h1, 2.0 * L)
-    for a, b in zip(edges[:-1], edges[1:]):
-        hq, wq = _gauss_nodes(a, b, nodes)
-        yield from zip(hq, wq * periodic_tail_weight(hq, s, L))
+def _outer_nodes(h1: float, s: float, L: float, nodes: int, splits=()):
+    """(h, weight) arrays over [h1, 2L]: Gauss-Legendre on geometric panels,
+    split at ``splits``, against the full image-folded kernel."""
+    h, w = _panel_nodes(_panel_edges(h1, 2.0 * L, splits), nodes)
+    return h, w * periodic_tail_weight(h, s, L)
 
 
 def _refine(level, rel_tol: float, input_scale: float, what: str):
@@ -342,7 +375,7 @@ def frac_laplacian_singular(f: Field, s) -> Field:
 
     def level(nodes: int) -> np.ndarray:
         total = inner.copy()
-        for h, w in _outer_nodes(h1, s, L, nodes):
+        for h, w in zip(*_outer_nodes(h1, s, L, nodes)):
             total += w * (2.0 * fx - spl.shifted(h) - spl.shifted(-h))
         return total
 
@@ -386,7 +419,7 @@ def pair_correlation_integral(v: Field, w: Field, s, rel_tol: float = 1e-8) -> f
 
     def level(nodes: int) -> float:
         total = inner
-        for h, wt in _outer_nodes(h1, s, L, nodes):
+        for h, wt in zip(*_outer_nodes(h1, s, L, nodes)):
             dv = spl_v.shifted(h) - v.values
             dw = spl_w.shifted(h) - w.values
             total += wt * float(np.real(np.sum(dv * np.conj(dw)))) * dx

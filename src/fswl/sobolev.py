@@ -25,7 +25,6 @@ __all__ = [
     "NormReport",
     "InequalityReport",
     "hs_norm",
-    "gagliardo_seminorm_sq",
     "check_equivalence",
     "check_algebra",
     "check_chain_rule",
@@ -48,10 +47,6 @@ class NormReport:
     l2: float
     hs_fourier: float
     frac_grad_l2: float
-
-    def split_norm(self) -> float:
-        """sqrt(l2^2 + frac_grad^2): the 1+|k|^{2s} weighted norm."""
-        return float(np.hypot(self.l2, self.frac_grad_l2))
 
 
 @dataclass
@@ -105,15 +100,10 @@ def hs_norm(f: Field, s) -> NormReport:
     )
 
 
-def gagliardo_seminorm_sq(f: Field, s) -> float:
-    """Squared double-integral seminorm |f(x)-f(y)|^2 / |x-y|^{1+2s}."""
-    return pair_correlation_integral(f, f, s)
-
-
 def check_equivalence(f: Field, s) -> InequalityReport:
     """Identity: Gagliardo seminorm = 2 C_{1,s}^{-1} ||(-D)^{s/2} f||_2^2."""
     s = as_order(s).s
-    gag = gagliardo_seminorm_sq(f, s)
+    gag = pair_correlation_integral(f, f, s)
     frac = _weighted_norm(f, f.grid.frac_symbol(s))
     rhs = 2.0 / cns_constant(s) * frac**2
     return InequalityReport(

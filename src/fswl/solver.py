@@ -111,15 +111,6 @@ class NonlinearityG:
         if abs(float(self.fn(np.zeros(1))[0])) > 0.0:
             raise ValueError("nonlinearity must satisfy g(0) = 0")
 
-    def validate_bounds(self, v_range: float = 10.0, n: int = 2001, tol: float = 1e-9) -> None:
-        v = np.linspace(-v_range, v_range, n)
-        gp = self.derivative(v)
-        if np.min(gp) < self.m - tol or np.max(gp) > self.M + tol:
-            raise ValueError(
-                f"sampled derivative range [{np.min(gp):.3g}, {np.max(gp):.3g}] "
-                f"escapes [{self.m}, {self.M}]"
-            )
-
     def regularized(self, eps: float) -> "NonlinearityG":
         """g_eps(v) = g(v) + eps v: removes the degeneracy, g_eps' >= eps."""
         if eps == 0.0:

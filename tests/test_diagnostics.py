@@ -8,8 +8,6 @@ from fswl.diagnostics import (
     bilinear_form,
     coercivity_report,
     diagnose_trajectory,
-    dt_negative_norm,
-    dt_negative_norm_series,
     energy_balance_residual,
     record_diagnostics,
     smallness_condition,
@@ -258,8 +256,8 @@ class TestNegativeNorms:
         run = PerturbedRun(eps=0.1, T=0.1, dt=0.01)
         traj = solve_perturbed(Field.zero(grid16), Field.zero(grid16, "real"),
                                coupled_params(), run)
-        du, dv = dt_negative_norm(traj, 1)
-        assert du == 0.0 and dv == 0.0
+        rec = diagnose_trajectory(traj)[1]
+        assert rec.dtu_hminus1 == 0.0 and rec.dtv_hminus1 == 0.0
 
     def test_linear_single_mode_closed_form(self, grid16):
         params = SystemParams(alpha=0.0, beta=0.0, s=0.75, g=g_zero(), gamma=0.0)
@@ -269,7 +267,7 @@ class TestNegativeNorms:
         A = 0.5
         u0 = Field.from_function(grid16, lambda x: A * np.exp(1j * k * x))
         traj = solve_perturbed(u0, Field.zero(grid16, "real"), params, run)
-        du, _ = dt_negative_norm(traj, 1)
+        du = diagnose_trajectory(traj)[1].dtu_hminus1
         omega = k**1.5 + 0.1**4 * k**2
         expected = (2 * abs(np.sin(omega * dt / 2)) / dt) * A * np.sqrt(grid16.measure) \
             / np.sqrt(1 + k**2)
@@ -282,8 +280,10 @@ class TestNegativeNorms:
         for eps in (0.2, 0.1, 0.05):
             run = PerturbedRun(eps=eps, T=0.2, dt=5e-3)
             traj = solve_perturbed(u0, v0, params, run)
-            series = dt_negative_norm_series(traj)
-            integrals.append(series.dtu_sq_integral + series.dtv_sq_integral)
+            recs = diagnose_trajectory(traj)
+            dts = np.diff([r.t for r in recs])
+            sq = np.array([r.dtu_hminus1**2 + r.dtv_hminus1**2 for r in recs[1:]])
+            integrals.append(float(np.sum(sq * dts)))
         assert max(integrals) <= 3.0 * min(integrals) + 1e-12
 
 
@@ -298,14 +298,6 @@ def test_diagnose_trajectory_fills_residuals(grid16, gauss_pair):
     assert np.isfinite(recs[-1].dtu_hminus1)
     row = recs[1].to_json()
     assert "energy_balance_residual" in row
-
-
-def test_dt_negative_norm_requires_pair(grid16, gauss_pair):
-    u0, v0 = gauss_pair
-    run = PerturbedRun(eps=0.1, T=0.05, dt=5e-3)
-    traj = solve_perturbed(u0, v0, coupled_params(), run)
-    with pytest.raises(ValueError):
-        dt_negative_norm(traj, 0)
 
 
 def test_block_pass_matches_per_sample_oracle(grid16, gauss_pair):
@@ -333,8 +325,6 @@ def test_block_pass_matches_per_sample_oracle(grid16, gauss_pair):
             ref[i]["energy_balance_residual"], rel=0, abs=1e-12)
         assert v_balance_residual(traj, i) == pytest.approx(
             ref[i]["v_balance_residual"], rel=0, abs=1e-12)
-        assert dt_negative_norm(traj, i) == pytest.approx(
-            oracles.dt_negative_norm(traj, i), rel=1e-12, abs=0)
     single = record_diagnostics((traj.u_at(20), traj.v_at(20)), traj.times[20], params, run)
     for key, value in oracles.record_fields(traj.u_at(20), traj.v_at(20), params, run).items():
         assert getattr(single, key) == pytest.approx(value, rel=1e-12, abs=0)

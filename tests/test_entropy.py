@@ -17,9 +17,14 @@ from fswl.entropy import (
     reconstruct_entropy,
     remainder_Rk,
     smooth_capped_entropy,
+)
+from fswl.fractional import (
+    PeriodicInterpolant,
+    cns_constant,
+    frac_laplacian_spectral,
+    periodic_tail_weight,
     special_jacobi,
 )
-from fswl.fractional import PeriodicInterpolant, frac_laplacian_spectral
 from fswl.grid import Field, make_grid
 from fswl.solver import g_linear, g_tanh_blend
 
@@ -100,6 +105,28 @@ class TestRemainder:
         cross = _crossings(v, 0.25)
         with pytest.raises(UndefinedSignError):
             remainder_Rk(v, g, 0.25, 0.75, cross[0])
+
+    def test_short_far_arc_matches_dense_quadrature(self):
+        # x sits farther from the arc {v > k} than the arc is long, so the
+        # arc is one panel; the reference integrates the same integrand, and
+        # the floor is one 20-point rule across a piecewise quintic spline
+        grid = make_grid(16.0, 256)
+        v = Field.from_function(grid, lambda x: np.exp(-(x**2)), flavor="real")
+        g, k, s, x = g_tanh_blend(0.2, 1.0), 0.5, 0.75, 8.0
+        a, b = sorted(_crossings(v, k))
+        assert min(abs(x - a), abs(x - b)) > b - a
+        spl = PeriodicInterpolant(grid, v.values)
+        gk = float(g.fn(np.array([k]))[0])
+
+        def integrand(y):
+            d = np.mod(x - y, 32.0)
+            mag = float(g.fn(spl(np.array([y])))[0]) - gk
+            return mag * float(periodic_tail_weight(d, s, 16.0)
+                               + periodic_tail_weight(32.0 - d, s, 16.0))
+
+        ref = 2.0 * cns_constant(s) * quad(integrand, a, b, epsabs=0.0, epsrel=1e-13)[0]
+        assert ref > 0.0
+        assert remainder_Rk(v, g, k, s, x) == pytest.approx(ref, rel=1e-7)
 
     @pytest.mark.parametrize("s,k", [(0.6, -0.2), (0.35, 0.1)])
     def test_pointwise_identity(self, crossing_setup, s, k):

@@ -173,3 +173,33 @@ def test_gauss_legendre_rule_computed_once_and_read_only():
     assert fractional._leggauss(12)[0] is x
     with pytest.raises(ValueError):
         w[0] = 0.0
+
+
+class TestPanels:
+    def test_edges_double_away_from_lo(self):
+        assert np.array_equal(fractional._panel_edges(0.1, 1.0), [0.1, 0.2, 0.4, 0.8, 1.0])
+        assert np.array_equal(fractional._panel_edges(0.5, 0.5), [0.5])  # no panel
+        with pytest.raises(ValueError, match="lo > 0"):
+            fractional._panel_edges(0.0, 1.0)
+
+    def test_edges_restart_at_splits(self):
+        pieces = [(0.1, 0.7), (0.7, 3.0), (3.0, 10.0)]
+        want = np.concatenate([fractional._panel_edges(a, b)[:-1] for a, b in pieces] + [[10.0]])
+        got = fractional._panel_edges(0.1, 10.0, (3.0, 0.7))
+        assert np.array_equal(got, want)
+        # splits on or outside (lo, hi) are ignored
+        outside = fractional._panel_edges(0.1, 10.0, (-1.0, 0.1, 3.0, 10.0, 12.0, 0.7))
+        assert np.array_equal(outside, want)
+
+    def test_nodes_skip_empty_panels_and_integrate_exactly(self):
+        n = 6
+        edges = np.array([-1.0, 0.3, 0.3, 1.1, 2.0])
+        x, w = fractional._panel_nodes(edges, n)
+        assert x.shape == w.shape == (3 * n,)
+        for lo, hi in ((-1.0, 0.3), (0.3, 1.1), (1.1, 2.0)):
+            inside = (x > lo) & (x < hi)
+            assert inside.sum() == n and w[inside].sum() == pytest.approx(hi - lo, rel=1e-14)
+        # the n-point rule is exact up to degree 2n - 1 on each panel
+        p = np.polynomial.Polynomial(np.random.default_rng(4).standard_normal(2 * n))
+        exact = p.integ()(2.0) - p.integ()(-1.0)
+        assert np.sum(w * p(x)) == pytest.approx(exact, rel=1e-13)

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from fswl.fractional import pair_correlation_integral
 from fswl.grid import Field, make_grid
 from fswl.sobolev import (
     check_algebra,
@@ -12,7 +13,6 @@ from fswl.sobolev import (
     check_equivalence,
     check_linf_interp,
     check_product_bound,
-    gagliardo_seminorm_sq,
     hs_norm,
     norm_equivalence_constants,
     random_band_limited,
@@ -46,7 +46,7 @@ class TestHsNorm:
         for s in (1e-3, 1e-5):
             rep = hs_norm(f, s)
             assert rep.l2 == pytest.approx(l2, rel=1e-13)
-            assert rep.split_norm() == pytest.approx(np.sqrt(2.0) * l2, rel=1e-2)
+            assert np.hypot(rep.l2, rep.frac_grad_l2) == pytest.approx(np.sqrt(2.0) * l2, rel=1e-2)
 
     def test_hs_dominates_l2(self):
         g = make_grid(16.0, 128)
@@ -60,7 +60,7 @@ class TestEquivalenceIdentity:
     def test_constant_has_zero_seminorm(self):
         g = make_grid(10.0, 128)
         f = Field.from_function(g, lambda x: np.full_like(x, 1.3), flavor="real")
-        assert abs(gagliardo_seminorm_sq(f, 0.6)) < 1e-12
+        assert abs(pair_correlation_integral(f, f, 0.6)) < 1e-12
 
     def test_gaussian_matches_spectral(self, g20):
         f = Field.from_function(g20, lambda x: np.exp(-(x**2)), flavor="real")
@@ -70,8 +70,8 @@ class TestEquivalenceIdentity:
 
     def test_homogeneity(self, g20):
         f = Field.from_function(g20, lambda x: np.exp(-(x**2)), flavor="real")
-        one = gagliardo_seminorm_sq(f, 0.7)
-        two = gagliardo_seminorm_sq(2.0 * f, 0.7)
+        one = pair_correlation_integral(f, f, 0.7)
+        two = pair_correlation_integral(2.0 * f, 2.0 * f, 0.7)
         assert two == pytest.approx(4.0 * one, rel=1e-9)
 
     def test_refinement_converges_to_identity(self):

@@ -5,7 +5,6 @@ import pytest
 
 from fswl.entropy import (
     TestFunction,
-    default_test_functions,
     entropy_balance_residual,
     smooth_capped_entropy,
     weak_residual_u,
@@ -59,13 +58,6 @@ class TestTestFunctions:
         with pytest.raises(ValueError, match="resolved"):
             TestFunction(grid=make_grid(16.0, 16), t_lo=0.0, t_hi=0.5, x_center=0.0,
                          x_width=1.0, amplitude=1 + 0j)
-
-    def test_default_library_layout(self, grid128):
-        tfs = default_test_functions(grid128, 1.0, seed=5)
-        assert len(tfs) == 16
-        assert sum(tf.flavor == "complex" for tf in tfs) == 8
-        assert any(tf.t_lo < 0 for tf in tfs)
-        assert all(tf.t_hi <= 0.9 for tf in tfs)
 
     def test_self_adjoint_transfer(self, grid128):
         # int ((-D)^{s/2} f) psi = int f ((-D)^{s/2} psi): the identity that
