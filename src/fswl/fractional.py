@@ -18,6 +18,16 @@ Two independent evaluation routes are provided on purpose:
 The same pairing machinery provides the double-integral quadratures used by
 the Gagliardo seminorm and the nonlocal bilinear form, and its panel
 generator and rule serve the pointwise entropy quadratures.
+
+At an outer node h the paired difference is a zero-sum stencil of spline
+taps on the coefficient array c: the taps at x + h (and x - h) less those
+at x.  Each refinement level of the operator folds the weighted stencils of
+all its nodes into one kernel K on the lags d and takes the outer sum as
+-sum_d K[d] (c[x+d] - c[x]); the double integral first forms the structure
+function S[d] = sum_x (c_v[x+d] - c_v[x]) conj(c_w[x+d] - c_w[x]) and then
+needs only lag sums of S per node.  Both work on coefficient differences,
+built in row blocks, so a constant field gives exact zeros; still no FFT of
+the operand.
 """
 
 from __future__ import annotations
@@ -139,38 +149,31 @@ def _bspline_coefficients(values: np.ndarray) -> np.ndarray:
     return np.array(c)
 
 
+def _spline_taps(t: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tap table of the spline at t grid cells from x_0: the coefficient
+    indices (reduced mod n) and weights of its six taps, each of shape
+    (6, *t.shape), so that the value there is sum_m w[m] c[idx[m]]."""
+    j = np.floor(t)
+    w = _tap_weights(t - j)
+    idx = (j.astype(np.intp) + np.arange(-2, 4).reshape((6,) + (1,) * np.ndim(t))) % n
+    return idx, w
+
+
 class PeriodicInterpolant:
     """Periodic cardinal quintic B-spline through the samples of a grid field.
 
-    ``__call__`` evaluates it at arbitrary points; ``shifted`` evaluates it
-    at every grid point moved by the same offset.  Both are 6-tap stencils
-    on the coefficient array, laid out three times in a row so that every
-    tap of every point is a plain index or slice.
+    ``__call__`` evaluates it at arbitrary points, a 6-tap stencil on the
+    coefficient array.
     """
 
     def __init__(self, grid: GridSpec, values: np.ndarray):
         self.grid = grid
-        self._coefs = np.tile(_bspline_coefficients(np.asarray(values)), 3)
+        self._coefs = _bspline_coefficients(np.asarray(values))
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
-        n = self.grid.n_points
         t = (np.asarray(pts) + self.grid.half_length) / self.grid.dx
-        j = np.floor(t)
-        w = _tap_weights(t - j)
-        base = j.astype(np.intp) % n + (n - 2)
-        return sum(w[m] * self._coefs[base + m] for m in range(6))
-
-    def shifted(self, h: float) -> np.ndarray:
-        """Values at x + h for every grid point x."""
-        n = self.grid.n_points
-        t = h / self.grid.dx
-        j = math.floor(t)
-        w = _tap_weights(t - j)
-        out = 0.0
-        for m in range(6):
-            start = n + (j - 2 + m) % n
-            out = out + w[m] * self._coefs[start:start + n]
-        return out
+        idx, w = _spline_taps(t, self.grid.n_points)
+        return sum(w[m] * self._coefs[idx[m]] for m in range(6))
 
 
 # Euler-Maclaurin for the Hurwitz zeta: the first terms summed directly, the
@@ -334,6 +337,46 @@ def _outer_nodes(h1: float, s: float, L: float, nodes: int, splits=()):
     return h, w * periodic_tail_weight(h, s, L)
 
 
+def _pair_stencil(h: np.ndarray, dx: float, n: int, both_sides: bool):
+    """Zero-sum tap tables, each of shape (taps, len(h)), of the paired
+    difference at every node h on the spline coefficients: f(x+h) + f(x-h)
+    - 2f(x) (18 taps) if ``both_sides``, else f(x+h) - f(x) (12 taps).  The
+    u = 0 taps reproduce the samples f(x)."""
+    sides = (h, -h) if both_sides else (h,)
+    tables = [_spline_taps(side / dx, n) for side in sides]
+    idx0, w0 = _spline_taps(np.zeros_like(h), n)
+    idx = np.concatenate([t[0] for t in tables] + [idx0])
+    w = np.concatenate([t[1] for t in tables] + [-len(sides) * w0])
+    return idx, w
+
+
+# Entries of one row block of the difference matrix.
+_BLOCK_ENTRIES = 1 << 17
+
+
+def _difference_coefficients(values: np.ndarray) -> np.ndarray:
+    """Spline coefficients of ``values - values[0]``.  The prefilter
+    reproduces constants, so no coefficient difference changes, and a
+    constant field gets exactly equal coefficients."""
+    return _bspline_coefficients(values - values[0])
+
+
+def _difference_rows(c: np.ndarray):
+    """Row blocks (rows, D[rows]) of D[x, d] = c[(x + d) mod n] - c[x].
+
+    The differences vanish exactly on a constant field, where a correlation
+    of c minus c times the kernel sum would leave round-off that differs
+    from level to level.  The n x n matrix is never formed: each block holds
+    at most ``_BLOCK_ENTRIES``.
+    """
+    n = len(c)
+    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([c, c[:-1]]), n)
+    step = max(1, _BLOCK_ENTRIES // n)
+    for lo in range(0, n, step):
+        rows = slice(lo, min(lo + step, n))
+        yield rows, windows[rows] - c[rows, None]
+
+
 def _refine(level, rel_tol: float, input_scale: float, what: str):
     """Double the outer panel nodes until ``level(nodes)`` is stable to
     ``rel_tol`` (relative to the result, floored at ``rel_tol * input_scale``)."""
@@ -365,18 +408,24 @@ def frac_laplacian_singular(f: Field, s) -> Field:
     s = as_order(s).s
     grid = f.grid
     L = grid.half_length
+    n = grid.n_points
     fx = f.values
-    spl = PeriodicInterpolant(grid, fx)
+    c = _difference_coefficients(fx)
     h1 = _inner_cut(grid, f.spectrum)
 
-    inner = np.zeros(grid.n_points, dtype=np.complex128)
+    inner = np.zeros(n, dtype=np.complex128)
     for m, moment in _inner_moments(h1, s, L).items():
         inner += _TAYLOR_COEFS[m] * _spectral_derivative(grid, f.spectrum, 2 * m) * moment
 
+    # The weighted stencils of all nodes fold into one kernel K on the lags,
+    # and the outer sum is -sum_d K[d] (c[x+d] - c[x]).
     def level(nodes: int) -> np.ndarray:
+        h, w = _outer_nodes(h1, s, L, nodes)
+        idx, taps = _pair_stencil(h, grid.dx, n, both_sides=True)
+        kernel = np.bincount(idx.ravel(), (taps * w).ravel(), minlength=n)
         total = inner.copy()
-        for h, w in zip(*_outer_nodes(h1, s, L, nodes)):
-            total += w * (2.0 * fx - spl.shifted(h) - spl.shifted(-h))
+        for rows, diff in _difference_rows(c):
+            total[rows] -= diff @ kernel
         return total
 
     input_scale = max(float(np.max(np.abs(fx))), 1e-300)
@@ -404,8 +453,7 @@ def pair_correlation_integral(v: Field, w: Field, s, rel_tol: float = 1e-8) -> f
     grid = v.grid
     L = grid.half_length
     dx = grid.dx
-    spl_v = PeriodicInterpolant(grid, v.values)
-    spl_w = PeriodicInterpolant(grid, w.values)
+    n = grid.n_points
     h1 = _inner_cut(grid, v.spectrum, w.spectrum)
 
     # J(h) = int (v(x+h)-v(x)) conj(w(x+h)-w(x)) dx expands in even powers of
@@ -417,13 +465,22 @@ def pair_correlation_integral(v: Field, w: Field, s, rel_tol: float = 1e-8) -> f
         ip = float(np.real(np.sum(dv * np.conj(dw)))) * dx
         inner += (-1.0) ** (m + 1) * 2.0 / math.factorial(2 * m) * ip * moment
 
+    # Coefficient structure function S[d] = sum_x (c_v[x+d] - c_v[x])
+    # conj(c_w[x+d] - c_w[x]).  For a zero-sum stencil k of the difference
+    # at h, sum_x (k * c_v)[x] conj((k * c_w)[x]) = -1/2 sum_{d,d'} k_d k_d'
+    # S[d - d'], so every node costs 144 lag terms and no pass over x.
+    c_v = _difference_coefficients(v.values)
+    c_w = c_v if w is v else _difference_coefficients(w.values)
+    S = np.zeros(n, dtype=np.result_type(c_v, c_w))
+    for (rows, dv), (_, dw) in zip(_difference_rows(c_v), _difference_rows(c_w)):
+        S += np.einsum("xd,xd->d", dv, dw.conj())
+
     def level(nodes: int) -> float:
-        total = inner
-        for h, wt in zip(*_outer_nodes(h1, s, L, nodes)):
-            dv = spl_v.shifted(h) - v.values
-            dw = spl_w.shifted(h) - w.values
-            total += wt * float(np.real(np.sum(dv * np.conj(dw)))) * dx
-        return 2.0 * total
+        h, wt = _outer_nodes(h1, s, L, nodes)
+        idx, taps = _pair_stencil(h, dx, n, both_sides=False)
+        lag = (idx[:, None] - idx[None, :]) % n
+        J = -0.5 * np.einsum("pi,qi,pqi->i", taps, taps, S[lag]).real * dx
+        return 2.0 * (inner + float(np.dot(wt, J)))
 
     input_scale = max(
         float(np.max(np.abs(v.values))) * float(np.max(np.abs(w.values))) * grid.measure,

@@ -321,6 +321,7 @@ def _suite_weakform(seed: int) -> list[dict]:
     rv = abs(weak_residual_v(traj, params, run, tfr))
     checks.append(_check("linear_exact_u", ru <= 1e-8, residual=ru))
     checks.append(_check("linear_exact_v", rv <= 1e-8, residual=rv))
+    del traj  # not held through the second solve: it sets the suite's peak memory
 
     run_long = PerturbedRun(eps=0.1, T=2.0, dt=2e-3, eps_g=0.0)
     traj2 = solve_perturbed(u0, v0, params, run_long)

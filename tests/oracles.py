@@ -5,14 +5,20 @@ a different scheme, the normalization constant comes from special-function
 closed forms and an independent high-order quadrature, and the growth bound
 oracle integrates the equality-case ODE with an adaptive Runge-Kutta, and
 the trajectory diagnostics are evaluated one sample at a time from Field
-objects instead of by the batched pass.
+objects instead of by the batched pass, and the pairing quadratures sum
+their outer nodes one at a time over spline values shifted by each node
+instead of as lag sums over coefficient differences.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.special import gamma as sp_gamma
+
+from fswl import fractional as fr
 
 
 def cns_closed_form(s: float) -> float:
@@ -235,3 +241,68 @@ def diagnose(traj) -> list[dict]:
     for i, r in enumerate(recs):
         r.update(theta=env["theta"][i], H_bound=env["H_bound"][i])
     return recs
+
+
+def _shifted_samples(coefs, grid, h: float) -> np.ndarray:
+    """Spline with coefficients ``coefs`` at every grid point moved by h."""
+    n = grid.n_points
+    tiled = np.tile(coefs, 3)
+    t = h / grid.dx
+    j = math.floor(t)
+    w = fr._tap_weights(t - j)
+    out = 0.0
+    for m in range(6):
+        start = n + (j - 2 + m) % n
+        out = out + w[m] * tiled[start:start + n]
+    return out
+
+
+def frac_laplacian_singular_loop(f, s):
+    """``frac_laplacian_singular`` with the outer sum taken node by node:
+    w (2f(x) - f(x+h) - f(x-h)) from two shifted spline passes per node."""
+    grid, L, fx = f.grid, f.grid.half_length, f.values
+    coefs = fr._bspline_coefficients(fx)
+    h1 = fr._inner_cut(grid, f.spectrum)
+    inner = np.zeros(grid.n_points, dtype=np.complex128)
+    for m, moment in fr._inner_moments(h1, s, L).items():
+        inner += fr._TAYLOR_COEFS[m] * fr._spectral_derivative(grid, f.spectrum, 2 * m) * moment
+
+    def level(nodes):
+        total = inner.copy()
+        for h, w in zip(*fr._outer_nodes(h1, s, L, nodes)):
+            total += w * (2.0 * fx - _shifted_samples(coefs, grid, h)
+                          - _shifted_samples(coefs, grid, -h))
+        return total
+
+    input_scale = max(float(np.max(np.abs(fx))), 1e-300)
+    vals = fr.cns_constant(s) * fr._refine(level, fr.SINGULAR_REL_TOL, input_scale, "singular")
+    return vals.real if f.flavor == "real" else vals
+
+
+def pair_correlation_integral_loop(v, w, s, rel_tol=1e-8):
+    """``pair_correlation_integral`` with the outer sum taken node by node:
+    the sampled product of the shifted differences at each node."""
+    grid, L, dx = v.grid, v.grid.half_length, v.grid.dx
+    cv = fr._bspline_coefficients(v.values)
+    cw = fr._bspline_coefficients(w.values)
+    h1 = fr._inner_cut(grid, v.spectrum, w.spectrum)
+    inner = 0.0
+    for m, moment in fr._inner_moments(h1, s, L).items():
+        dv = fr._spectral_derivative(grid, v.spectrum, m)
+        dw = fr._spectral_derivative(grid, w.spectrum, m)
+        ip = float(np.real(np.sum(dv * np.conj(dw)))) * dx
+        inner += (-1.0) ** (m + 1) * 2.0 / math.factorial(2 * m) * ip * moment
+
+    def level(nodes):
+        total = inner
+        for h, wt in zip(*fr._outer_nodes(h1, s, L, nodes)):
+            dv = _shifted_samples(cv, grid, h) - v.values
+            dw = _shifted_samples(cw, grid, h) - w.values
+            total += wt * float(np.real(np.sum(dv * np.conj(dw)))) * dx
+        return 2.0 * total
+
+    input_scale = max(
+        float(np.max(np.abs(v.values))) * float(np.max(np.abs(w.values))) * grid.measure,
+        1e-300,
+    )
+    return fr._refine(level, rel_tol, input_scale, "pair")

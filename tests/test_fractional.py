@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import interpolate, special
@@ -17,7 +19,12 @@ from fswl.fractional import (
 )
 from fswl.grid import Field, make_grid
 
-from oracles import cns_closed_form, cns_mpmath
+from oracles import (
+    cns_closed_form,
+    cns_mpmath,
+    frac_laplacian_singular_loop,
+    pair_correlation_integral_loop,
+)
 
 
 class TestSpectralRoute:
@@ -86,8 +93,13 @@ class TestScipyOracles:
         spl = PeriodicInterpolant(g, vals)
         pts = np.random.default_rng(5).uniform(-30.0, 30.0, 500)
         assert np.max(np.abs(spl(pts) - wrapped(pts))) <= 1e-13
+        # the tap table of a shift h, applied to the coefficients at every
+        # grid point, as the pairing quadratures use it
+        c = fractional._bspline_coefficients(vals)
         for h in (0.3 * g.dx, -2.7 * g.dx, 5.3, -11.9, 23.99):
-            assert np.max(np.abs(spl.shifted(h) - wrapped(x + h))) <= 1e-13
+            idx, w = fractional._spline_taps(np.array(h / g.dx), n)
+            moved = sum(w[m] * np.roll(c, -idx[m]) for m in range(6))
+            assert np.max(np.abs(moved - wrapped(x + h))) <= 1e-13
 
 
 class TestRieszInverse:
@@ -153,6 +165,69 @@ def rough():
     g = make_grid(16.0, 128)
     rng = np.random.default_rng(3)
     return Field(g, np.tanh(np.cumsum(rng.standard_normal(128)) / 8.0), flavor="real")
+
+
+def _agreement_fields(n):
+    g = make_grid(16.0, n)
+    rng = np.random.default_rng(3)
+    return {
+        "rough": Field(g, np.tanh(np.cumsum(rng.standard_normal(n)) / 8.0), flavor="real"),
+        "gauss": Field.from_function(g, lambda x: np.exp(-(x**2)), flavor="real"),
+        "modulated": Field.from_function(g, lambda x: np.exp(-(x**2)) * np.exp(2j * x)),
+    }
+
+
+class TestLagSumsMatchNodeLoops:
+    """The lag-sum outer sums against the node-by-node loops over shifted
+    spline values that they replace."""
+
+    @pytest.mark.parametrize("n", [128, 512])
+    @pytest.mark.parametrize("name", ["rough", "gauss", "modulated"])
+    def test_singular(self, n, name, monkeypatch):
+        f = _agreement_fields(n)[name]
+        if name == "rough" and n == 512:
+            # neither route refines this field to 1e-8 within MAX_REFINE
+            monkeypatch.setattr(fractional, "SINGULAR_REL_TOL", 1e-5)
+        got = frac_laplacian_singular(f, 0.75)
+        want = frac_laplacian_singular_loop(f, 0.75)
+        assert got.flavor == f.flavor
+        assert np.max(np.abs(got.values - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n", [128, 512])
+    @pytest.mark.parametrize("pair", [("rough", "rough"), ("gauss", "modulated"),
+                                      ("modulated", "modulated"), ("rough", "gauss")])
+    def test_pair(self, n, pair):
+        fields = _agreement_fields(n)
+        v, w = fields[pair[0]], fields[pair[1]]
+        # neither route refines the rough field to the default 1e-8, so every
+        # case stops at 1e-6
+        got = pair_correlation_integral(v, w, 0.75, rel_tol=1e-6)
+        want = pair_correlation_integral_loop(v, w, 0.75, rel_tol=1e-6)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("n", [128, 512])
+    def test_constant_field_gives_exact_zeros(self, n):
+        f = Field.from_function(make_grid(16.0, n), lambda x: np.full_like(x, 0.7),
+                                flavor="real")
+        assert pair_correlation_integral(f, f, 0.6) == 0.0
+        assert np.max(np.abs(frac_laplacian_singular(f, 0.6).values)) < 1e-12
+
+
+@pytest.mark.parametrize("route", ["singular", "pair"])
+def test_lag_sums_never_hold_an_n_by_n_array(route):
+    # an n x n complex temporary at N = 2048 alone takes 64 MB
+    g = make_grid(20.0, 2048)
+    f = Field.from_function(g, lambda x: np.exp(-(x**2)) * np.exp(1j * x))
+    tracemalloc.start()
+    try:
+        if route == "singular":
+            frac_laplacian_singular(f, 0.6)
+        else:
+            pair_correlation_integral(f, f, 0.6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_refinement_stall_raises_on_impossible_tolerance(rough, monkeypatch):
