@@ -261,10 +261,10 @@ def diagnose_trajectory(
 # Bilinear form and coercivity
 # ---------------------------------------------------------------------------
 
-def bilinear_form(v: Field, w: Field, s, rel_tol: float = 1e-8) -> float:
+def bilinear_form(v: Field, w: Field, s) -> float:
     """B_s(v, w) = C_{1,s} double-integral of paired differences."""
     s = as_order(s).s
-    return cns_constant(s) * pair_correlation_integral(v, w, s, rel_tol)
+    return cns_constant(s) * pair_correlation_integral(v, w, s)
 
 
 def coercivity_report(v: Field, G: NonlinearityG, s) -> InequalityReport:

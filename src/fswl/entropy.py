@@ -27,7 +27,6 @@ import numpy as np
 from .fractional import (
     PeriodicInterpolant,
     _image_correction,
-    _outer_nodes,
     _panel_edges,
     _panel_nodes,
     cns_constant,
@@ -273,7 +272,10 @@ def frac_power_pointwise(
     hc, wc, corr = _image_correction(h1, s, L)
     inner += float(np.sum(wc * D(hc) * corr))
 
-    h, w = _outer_nodes(h1, s, L, POINTWISE_PANEL_NODES, radii)
+    # Outer piece: Gauss-Legendre on geometric panels split at the kink radii,
+    # against the full image-folded kernel.
+    h, w = _panel_nodes(_panel_edges(h1, 2.0 * L, radii), POINTWISE_PANEL_NODES)
+    w = w * periodic_tail_weight(h, s, L)
     return cns_constant(s) * (inner + float(np.sum(w * D(h))))
 
 

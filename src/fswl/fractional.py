@@ -16,18 +16,21 @@ Two independent evaluation routes are provided on purpose:
   normalization constant and of the equivalence of the definitions.
 
 The same pairing machinery provides the double-integral quadratures used by
-the Gagliardo seminorm and the nonlocal bilinear form, and its panel
-generator and rule serve the pointwise entropy quadratures.
+the Gagliardo seminorm and the nonlocal bilinear form, and its geometric
+panel generator and panel rule serve the pointwise entropy quadratures.
 
-At an outer node h the paired difference is a zero-sum stencil of spline
-taps on the coefficient array c: the taps at x + h (and x - h) less those
-at x.  Each refinement level of the operator folds the weighted stencils of
-all its nodes into one kernel K on the lags d and takes the outer sum as
--sum_d K[d] (c[x+d] - c[x]); the double integral first forms the structure
-function S[d] = sum_x (c_v[x+d] - c_v[x]) conj(c_w[x+d] - c_w[x]) and then
-needs only lag sums of S per node.  Both work on coefficient differences,
-built in row blocks, so a constant field gives exact zeros; still no FFT of
-the operand.
+Outside the Taylor-handled inner region [0, h1] both routes take one fixed
+rule: ``CELL_NODES`` Gauss-Legendre nodes on every grid cell of [h1, 2L].
+At a node h the paired difference is a zero-sum stencil of spline taps on
+the coefficient array c: the taps at x + h (and x - h) less those at x.  The
+nodes of a cell share their tap indices, and the tap weights are quintics in
+the offset within the cell, so the rule converges geometrically and needs no
+refinement.  The operator folds the weighted stencils of all nodes into one
+kernel K on the lags d and takes the outer sum as -sum_d K[d] (c[x+d] -
+c[x]); the double integral first forms the structure function S[d] = sum_x
+(c_v[x+d] - c_v[x]) conj(c_w[x+d] - c_w[x]) and then needs 144 lag terms of
+S per cell.  Both work on coefficient differences, built in row blocks, so a
+constant field gives exact zeros; still no FFT of the operand.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ import numpy as np
 from .grid import Field, GridSpec, ZeroModeError, as_order
 
 __all__ = [
-    "QuadratureError",
     "cns_constant",
     "frac_laplacian_spectral",
     "frac_laplacian_singular",
@@ -49,10 +51,6 @@ __all__ = [
     "periodic_tail_weight",
     "pair_correlation_integral",
 ]
-
-
-class QuadratureError(RuntimeError):
-    """Quadrature refinement stalled above the requested tolerance."""
 
 
 # ---------------------------------------------------------------------------
@@ -261,14 +259,10 @@ def special_jacobi(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
     return t, vecs[0] ** 2 / (beta + 1.0)
 
 
-# Pairing quadrature controls: Gauss-Legendre nodes per outer panel at the
-# coarsest level, node-doubling refinement levels, half-width of the
-# Taylor-handled inner region in grid cells, and the tolerance of the
-# pointwise route.
-PANEL_NODES = 10
-MAX_REFINE = 4
+# Gauss-Legendre nodes per grid cell of the outer rule, and half-width of the
+# Taylor-handled inner region in grid cells.
+CELL_NODES = 12
 INNER_CELLS = 4.0
-SINGULAR_REL_TOL = 1e-8
 
 # Coefficients of the even Taylor expansion of 2f(x) - f(x+h) - f(x-h):
 # term m contributes -2 f^(2m)(x) h^(2m) / (2m)!.
@@ -330,27 +324,43 @@ def _inner_moments(h1: float, s: float, L: float) -> dict[int, float]:
     }
 
 
-def _outer_nodes(h1: float, s: float, L: float, nodes: int, splits=()):
-    """(h, weight) arrays over [h1, 2L]: Gauss-Legendre on geometric panels,
-    split at ``splits``, against the full image-folded kernel."""
-    h, w = _panel_nodes(_panel_edges(h1, 2.0 * L, splits), nodes)
-    return h, w * periodic_tail_weight(h, s, L)
+def _outer_cells(grid: GridSpec, h1: float, s: float):
+    """The outer rule over [h1, 2L]: ``CELL_NODES`` Gauss-Legendre nodes on
+    every grid cell [j dx, (j+1) dx], the first cell starting at h1.
+
+    Returns the cell indices j, and the fractional offsets u = h/dx - j of
+    the nodes with their weights against the full image-folded kernel, both
+    of shape (cells, CELL_NODES).  The spline taps are polynomials in u on
+    each cell, so the fixed rule converges geometrically.
+    """
+    dx = grid.dx
+    j = np.arange(math.floor(h1 / dx), grid.n_points)
+    start = np.maximum(h1 / dx - j, 0.0)[:, None]
+    x, w = _leggauss(CELL_NODES)
+    u = start + (1.0 - start) * 0.5 * (1.0 + x)
+    wt = (1.0 - start) * 0.5 * dx * w
+    return j, u, wt * periodic_tail_weight((j[:, None] + u) * dx, s, grid.half_length)
 
 
-def _pair_stencil(h: np.ndarray, dx: float, n: int, both_sides: bool):
-    """Zero-sum tap tables, each of shape (taps, len(h)), of the paired
-    difference at every node h on the spline coefficients: f(x+h) + f(x-h)
-    - 2f(x) (18 taps) if ``both_sides``, else f(x+h) - f(x) (12 taps).  The
-    u = 0 taps reproduce the samples f(x)."""
-    sides = (h, -h) if both_sides else (h,)
-    tables = [_spline_taps(side / dx, n) for side in sides]
-    idx0, w0 = _spline_taps(np.zeros_like(h), n)
-    idx = np.concatenate([t[0] for t in tables] + [idx0])
-    w = np.concatenate([t[1] for t in tables] + [-len(sides) * w0])
-    return idx, w
+def _cell_stencil(j: np.ndarray, u: np.ndarray, n: int, both_sides: bool):
+    """Zero-sum tap table of the paired difference at the nodes h = (j + u) dx
+    on the spline coefficients: indices of shape (cells, taps), shared by all
+    nodes of a cell, and weights of shape (cells, nodes, taps).  The stencil
+    is f(x+h) + f(x-h) - 2f(x) (18 taps) if ``both_sides``, else f(x+h) - f(x)
+    (12 taps).  The u = 0 taps reproduce the samples f(x)."""
+    m = np.arange(-2, 4)
+    cell = j[:, None]
+    idx, w = [cell + m], [_tap_weights(u)]
+    if both_sides:
+        idx.append(m - cell - 1)
+        w.append(_tap_weights(1.0 - u))
+    w.append(np.broadcast_to(-len(w) * _TAPS[0][:, None, None], w[0].shape))
+    idx.append(np.broadcast_to(m, idx[0].shape))
+    return np.concatenate(idx, axis=1) % n, np.moveaxis(np.concatenate(w), 0, -1)
 
 
-# Entries of one row block of the difference matrix.
+# Entries of one row block of the difference matrix, and the most lag terms
+# of one block of cells in the double integral.
 _BLOCK_ENTRIES = 1 << 17
 
 
@@ -365,9 +375,8 @@ def _difference_rows(c: np.ndarray):
     """Row blocks (rows, D[rows]) of D[x, d] = c[(x + d) mod n] - c[x].
 
     The differences vanish exactly on a constant field, where a correlation
-    of c minus c times the kernel sum would leave round-off that differs
-    from level to level.  The n x n matrix is never formed: each block holds
-    at most ``_BLOCK_ENTRIES``.
+    of c minus c times the kernel sum would leave round-off.  The n x n
+    matrix is never formed: each block holds at most ``_BLOCK_ENTRIES``.
     """
     n = len(c)
     windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([c, c[:-1]]), n)
@@ -377,24 +386,6 @@ def _difference_rows(c: np.ndarray):
         yield rows, windows[rows] - c[rows, None]
 
 
-def _refine(level, rel_tol: float, input_scale: float, what: str):
-    """Double the outer panel nodes until ``level(nodes)`` is stable to
-    ``rel_tol`` (relative to the result, floored at ``rel_tol * input_scale``)."""
-    prev = level(PANEL_NODES)
-    for lvl in range(1, MAX_REFINE + 1):
-        cur = level(PANEL_NODES * 2**lvl)
-        delta = float(np.max(np.abs(cur - prev)))
-        scale = max(float(np.max(np.abs(cur))), rel_tol * input_scale)
-        prev = cur
-        if delta <= rel_tol * scale:
-            return cur
-    scale = max(float(np.max(np.abs(prev))), 1e-30)
-    raise QuadratureError(
-        f"{what} quadrature refinement stalled above tolerance: "
-        f"delta={delta:.3e} vs {rel_tol:.1e} of scale {scale:.3e}"
-    )
-
-
 def frac_laplacian_singular(f: Field, s) -> Field:
     """Principal-value singular-integral evaluation of the operator.
 
@@ -402,34 +393,28 @@ def frac_laplacian_singular(f: Field, s) -> Field:
     O(h^(1-2s)) at the origin and the inner region integrates analytically
     against its Taylor expansion (even derivatives are exact spectral
     derivatives of the band-limited representative; they never touch the
-    fractional symbol).  Refinement doubles the panel nodes until the result
-    is stable to ``SINGULAR_REL_TOL``.
+    fractional symbol).  The outer region takes the fixed cell-aligned rule
+    of ``_outer_cells``.
     """
     s = as_order(s).s
     grid = f.grid
     L = grid.half_length
     n = grid.n_points
-    fx = f.values
-    c = _difference_coefficients(fx)
+    c = _difference_coefficients(f.values)
     h1 = _inner_cut(grid, f.spectrum)
 
-    inner = np.zeros(n, dtype=np.complex128)
+    total = np.zeros(n, dtype=np.complex128)
     for m, moment in _inner_moments(h1, s, L).items():
-        inner += _TAYLOR_COEFS[m] * _spectral_derivative(grid, f.spectrum, 2 * m) * moment
+        total += _TAYLOR_COEFS[m] * _spectral_derivative(grid, f.spectrum, 2 * m) * moment
 
     # The weighted stencils of all nodes fold into one kernel K on the lags,
     # and the outer sum is -sum_d K[d] (c[x+d] - c[x]).
-    def level(nodes: int) -> np.ndarray:
-        h, w = _outer_nodes(h1, s, L, nodes)
-        idx, taps = _pair_stencil(h, grid.dx, n, both_sides=True)
-        kernel = np.bincount(idx.ravel(), (taps * w).ravel(), minlength=n)
-        total = inner.copy()
-        for rows, diff in _difference_rows(c):
-            total[rows] -= diff @ kernel
-        return total
-
-    input_scale = max(float(np.max(np.abs(fx))), 1e-300)
-    vals = cns_constant(s) * _refine(level, SINGULAR_REL_TOL, input_scale, "singular")
+    j, u, wt = _outer_cells(grid, h1, s)
+    idx, taps = _cell_stencil(j, u, n, both_sides=True)
+    kernel = np.bincount(idx.ravel(), np.einsum("cqt,cq->ct", taps, wt).ravel(), minlength=n)
+    for rows, diff in _difference_rows(c):
+        total[rows] -= diff @ kernel
+    vals = cns_constant(s) * total
     if f.flavor == "real":
         return Field(grid, vals.real, flavor="real")
     return Field(grid, vals, flavor="complex")
@@ -439,7 +424,7 @@ def frac_laplacian_singular(f: Field, s) -> Field:
 # Pair-difference double integrals (Gagliardo-type)
 # ---------------------------------------------------------------------------
 
-def pair_correlation_integral(v: Field, w: Field, s, rel_tol: float = 1e-8) -> float:
+def pair_correlation_integral(v: Field, w: Field, s) -> float:
     """Double integral of (v(x)-v(y)) conj(w(x)-w(y)) / |x-y|^(1+2s).
 
     x runs over the torus window and y over the whole line via the periodic
@@ -468,22 +453,21 @@ def pair_correlation_integral(v: Field, w: Field, s, rel_tol: float = 1e-8) -> f
     # Coefficient structure function S[d] = sum_x (c_v[x+d] - c_v[x])
     # conj(c_w[x+d] - c_w[x]).  For a zero-sum stencil k of the difference
     # at h, sum_x (k * c_v)[x] conj((k * c_w)[x]) = -1/2 sum_{d,d'} k_d k_d'
-    # S[d - d'], so every node costs 144 lag terms and no pass over x.
+    # S[d - d'].  The nodes of one cell share their 12 tap indices, so their
+    # weighted tap products fold into a 12 x 12 Gram matrix, each cell adds
+    # 144 terms to one kernel on the lags, and no pass over x remains.
     c_v = _difference_coefficients(v.values)
     c_w = c_v if w is v else _difference_coefficients(w.values)
-    S = np.zeros(n, dtype=np.result_type(c_v, c_w))
-    for (rows, dv), (_, dw) in zip(_difference_rows(c_v), _difference_rows(c_w)):
-        S += np.einsum("xd,xd->d", dv, dw.conj())
+    S = sum(np.einsum("xd,xd->d", dv, dw.conj())
+            for (_, dv), (_, dw) in zip(_difference_rows(c_v), _difference_rows(c_w)))
 
-    def level(nodes: int) -> float:
-        h, wt = _outer_nodes(h1, s, L, nodes)
-        idx, taps = _pair_stencil(h, dx, n, both_sides=False)
-        lag = (idx[:, None] - idx[None, :]) % n
-        J = -0.5 * np.einsum("pi,qi,pqi->i", taps, taps, S[lag]).real * dx
-        return 2.0 * (inner + float(np.dot(wt, J)))
-
-    input_scale = max(
-        float(np.max(np.abs(v.values))) * float(np.max(np.abs(w.values))) * grid.measure,
-        1e-300,
-    )
-    return _refine(level, rel_tol, input_scale, "pair")
+    j, u, wt = _outer_cells(grid, h1, s)
+    kernel = np.zeros(n)
+    step = _BLOCK_ENTRIES // 12**2
+    for lo in range(0, len(j), step):
+        cells = slice(lo, lo + step)
+        idx, taps = _cell_stencil(j[cells], u[cells], n, both_sides=False)
+        gram = np.swapaxes(taps * wt[cells, :, None], 1, 2) @ taps
+        lag = (idx[:, :, None] - idx[:, None, :]) % n
+        kernel += np.bincount(lag.ravel(), gram.ravel(), minlength=n)
+    return 2.0 * inner - dx * float(np.dot(kernel, S).real)

@@ -165,13 +165,13 @@ def _suite_inequalities(seed: int) -> list[dict]:
         checks.append(_check(f"sharp_inequalities_s{s}", n_viol == 0,
                              violations=n_viol, algebra_max_ratio=max_ratio))
 
-    # sign checks on rough composites: a loose quadrature tolerance is ample
+    # sign checks on rough composites
     v = random_band_limited(grid, rng, flavor="real")
     w = random_band_limited(grid, rng, flavor="real")
-    b_vv = bilinear_form(v, v, 0.6, rel_tol=1e-5)
+    b_vv = bilinear_form(v, v, 0.6)
     checks.append(_check("bilinear_positive", b_vv >= -1e-6, value=b_vv))
     tanh_w = Field(grid, np.tanh(w.values), flavor="real")
-    b_gw = bilinear_form(tanh_w, w, 0.6, rel_tol=1e-5)
+    b_gw = bilinear_form(tanh_w, w, 0.6)
     checks.append(_check("bilinear_monotone_composition", b_gw >= -1e-6, value=b_gw))
     rep = coercivity_report(v, g_tanh_blend(0.5, 0.6), 0.75)
     checks.append(_check("porous_coercivity", rep.passed, margin=rep.margin))

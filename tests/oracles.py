@@ -257,52 +257,43 @@ def _shifted_samples(coefs, grid, h: float) -> np.ndarray:
     return out
 
 
+def _cell_nodes(grid, h1, s):
+    """Nodes h and weights of the cell-aligned outer rule, one entry a node."""
+    j, u, wt = fr._outer_cells(grid, h1, s)
+    return ((j[:, None] + u) * grid.dx).ravel(), wt.ravel()
+
+
 def frac_laplacian_singular_loop(f, s):
     """``frac_laplacian_singular`` with the outer sum taken node by node:
     w (2f(x) - f(x+h) - f(x-h)) from two shifted spline passes per node."""
     grid, L, fx = f.grid, f.grid.half_length, f.values
     coefs = fr._bspline_coefficients(fx)
     h1 = fr._inner_cut(grid, f.spectrum)
-    inner = np.zeros(grid.n_points, dtype=np.complex128)
+    total = np.zeros(grid.n_points, dtype=np.complex128)
     for m, moment in fr._inner_moments(h1, s, L).items():
-        inner += fr._TAYLOR_COEFS[m] * fr._spectral_derivative(grid, f.spectrum, 2 * m) * moment
-
-    def level(nodes):
-        total = inner.copy()
-        for h, w in zip(*fr._outer_nodes(h1, s, L, nodes)):
-            total += w * (2.0 * fx - _shifted_samples(coefs, grid, h)
-                          - _shifted_samples(coefs, grid, -h))
-        return total
-
-    input_scale = max(float(np.max(np.abs(fx))), 1e-300)
-    vals = fr.cns_constant(s) * fr._refine(level, fr.SINGULAR_REL_TOL, input_scale, "singular")
+        total += fr._TAYLOR_COEFS[m] * fr._spectral_derivative(grid, f.spectrum, 2 * m) * moment
+    for h, w in zip(*_cell_nodes(grid, h1, s)):
+        total += w * (2.0 * fx - _shifted_samples(coefs, grid, h)
+                      - _shifted_samples(coefs, grid, -h))
+    vals = fr.cns_constant(s) * total
     return vals.real if f.flavor == "real" else vals
 
 
-def pair_correlation_integral_loop(v, w, s, rel_tol=1e-8):
+def pair_correlation_integral_loop(v, w, s):
     """``pair_correlation_integral`` with the outer sum taken node by node:
     the sampled product of the shifted differences at each node."""
     grid, L, dx = v.grid, v.grid.half_length, v.grid.dx
     cv = fr._bspline_coefficients(v.values)
     cw = fr._bspline_coefficients(w.values)
     h1 = fr._inner_cut(grid, v.spectrum, w.spectrum)
-    inner = 0.0
+    total = 0.0
     for m, moment in fr._inner_moments(h1, s, L).items():
         dv = fr._spectral_derivative(grid, v.spectrum, m)
         dw = fr._spectral_derivative(grid, w.spectrum, m)
         ip = float(np.real(np.sum(dv * np.conj(dw)))) * dx
-        inner += (-1.0) ** (m + 1) * 2.0 / math.factorial(2 * m) * ip * moment
-
-    def level(nodes):
-        total = inner
-        for h, wt in zip(*fr._outer_nodes(h1, s, L, nodes)):
-            dv = _shifted_samples(cv, grid, h) - v.values
-            dw = _shifted_samples(cw, grid, h) - w.values
-            total += wt * float(np.real(np.sum(dv * np.conj(dw)))) * dx
-        return 2.0 * total
-
-    input_scale = max(
-        float(np.max(np.abs(v.values))) * float(np.max(np.abs(w.values))) * grid.measure,
-        1e-300,
-    )
-    return fr._refine(level, rel_tol, input_scale, "pair")
+        total += (-1.0) ** (m + 1) * 2.0 / math.factorial(2 * m) * ip * moment
+    for h, wt in zip(*_cell_nodes(grid, h1, s)):
+        dv = _shifted_samples(cv, grid, h) - v.values
+        dw = _shifted_samples(cw, grid, h) - w.values
+        total += wt * float(np.real(np.sum(dv * np.conj(dw)))) * dx
+    return 2.0 * total

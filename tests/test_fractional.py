@@ -9,7 +9,6 @@ from scipy import interpolate, special
 from fswl import fractional
 from fswl.fractional import (
     PeriodicInterpolant,
-    QuadratureError,
     cns_constant,
     frac_laplacian_singular,
     frac_laplacian_spectral,
@@ -160,13 +159,6 @@ class TestSingularRoute:
         assert np.allclose(out.values, 3.0**1.3 * np.cos(3 * g.x), atol=2e-7)
 
 
-@pytest.fixture
-def rough():
-    g = make_grid(16.0, 128)
-    rng = np.random.default_rng(3)
-    return Field(g, np.tanh(np.cumsum(rng.standard_normal(128)) / 8.0), flavor="real")
-
-
 def _agreement_fields(n):
     g = make_grid(16.0, n)
     rng = np.random.default_rng(3)
@@ -174,6 +166,8 @@ def _agreement_fields(n):
         "rough": Field(g, np.tanh(np.cumsum(rng.standard_normal(n)) / 8.0), flavor="real"),
         "gauss": Field.from_function(g, lambda x: np.exp(-(x**2)), flavor="real"),
         "modulated": Field.from_function(g, lambda x: np.exp(-(x**2)) * np.exp(2j * x)),
+        # h1 = INNER_CELLS dx exactly, so the outer rule starts on a cell edge
+        "wave": Field.from_function(g, lambda x: np.cos(3.0 * np.pi * x / 16.0), flavor="real"),
     }
 
 
@@ -182,12 +176,9 @@ class TestLagSumsMatchNodeLoops:
     spline values that they replace."""
 
     @pytest.mark.parametrize("n", [128, 512])
-    @pytest.mark.parametrize("name", ["rough", "gauss", "modulated"])
-    def test_singular(self, n, name, monkeypatch):
+    @pytest.mark.parametrize("name", ["rough", "gauss", "modulated", "wave"])
+    def test_singular(self, n, name):
         f = _agreement_fields(n)[name]
-        if name == "rough" and n == 512:
-            # neither route refines this field to 1e-8 within MAX_REFINE
-            monkeypatch.setattr(fractional, "SINGULAR_REL_TOL", 1e-5)
         got = frac_laplacian_singular(f, 0.75)
         want = frac_laplacian_singular_loop(f, 0.75)
         assert got.flavor == f.flavor
@@ -195,14 +186,13 @@ class TestLagSumsMatchNodeLoops:
 
     @pytest.mark.parametrize("n", [128, 512])
     @pytest.mark.parametrize("pair", [("rough", "rough"), ("gauss", "modulated"),
-                                      ("modulated", "modulated"), ("rough", "gauss")])
+                                      ("modulated", "modulated"), ("rough", "gauss"),
+                                      ("wave", "wave")])
     def test_pair(self, n, pair):
         fields = _agreement_fields(n)
         v, w = fields[pair[0]], fields[pair[1]]
-        # neither route refines the rough field to the default 1e-8, so every
-        # case stops at 1e-6
-        got = pair_correlation_integral(v, w, 0.75, rel_tol=1e-6)
-        want = pair_correlation_integral_loop(v, w, 0.75, rel_tol=1e-6)
+        got = pair_correlation_integral(v, w, 0.75)
+        want = pair_correlation_integral_loop(v, w, 0.75)
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("n", [128, 512])
@@ -230,15 +220,18 @@ def test_lag_sums_never_hold_an_n_by_n_array(route):
     assert peak < 16 * 2**20
 
 
-def test_refinement_stall_raises_on_impossible_tolerance(rough, monkeypatch):
-    monkeypatch.setattr(fractional, "SINGULAR_REL_TOL", 1e-15)
-    with pytest.raises(QuadratureError, match="singular quadrature .* stalled above tolerance"):
-        frac_laplacian_singular(rough, 0.75)
-
-
-def test_pair_refinement_stall_raises_on_impossible_tolerance(rough):
-    with pytest.raises(QuadratureError, match="pair quadrature .* stalled above tolerance"):
-        pair_correlation_integral(rough, rough, 0.75, rel_tol=1e-15)
+@pytest.mark.parametrize("n", [128, 512, 2048])
+def test_rough_field_converges_in_the_cell_nodes(n, monkeypatch):
+    # the spline taps are polynomials in the offset on every grid cell, so
+    # the fixed rule converges geometrically even on a field this rough
+    f = _agreement_fields(n)["rough"]
+    pair = pair_correlation_integral(f, f, 0.75)
+    sing = frac_laplacian_singular(f, 0.75).values
+    assert np.isfinite(pair) and np.all(np.isfinite(sing))
+    monkeypatch.setattr(fractional, "CELL_NODES", fractional.CELL_NODES + 4)
+    assert pair_correlation_integral(f, f, 0.75) == pytest.approx(pair, rel=1e-10, abs=0.0)
+    finer = frac_laplacian_singular(f, 0.75).values
+    assert np.max(np.abs(finer - sing)) <= 1e-10 * np.max(np.abs(finer))
 
 
 def test_gauss_legendre_rule_computed_once_and_read_only():
