@@ -15,6 +15,9 @@ pairing for the right, level-set arc integration for R_k).
 Weak residuals pair stored trajectories against separable polynomial-bump
 test functions whose time factors are differentiated in closed form, so an
 exactly known solution drives the residual to time-quadrature accuracy.
+The three pairings take only the live samples, where the time factor or
+its derivative is nonzero, BLOCK_SAMPLES at a time; each term is then a
+row-wise product with the sampled spatial factor.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .diagnostics import BLOCK_SAMPLES
 from .fractional import (
     PeriodicInterpolant,
     _image_correction,
@@ -397,19 +401,17 @@ class TestFunction:
 
     # time factor ---------------------------------------------------------
 
-    def _zt(self, t: float) -> float:
+    def _zt(self, t) -> np.ndarray:
         mid = 0.5 * (self.t_lo + self.t_hi)
         half = 0.5 * (self.t_hi - self.t_lo)
-        return (t - mid) / half
+        return (np.atleast_1d(t) - mid) / half
 
     def time_value(self, t) -> np.ndarray:
-        z = np.asarray([self._zt(ti) for ti in np.atleast_1d(t)])
-        return _bump(z, self.power)
+        return _bump(self._zt(t), self.power)
 
     def time_derivative(self, t) -> np.ndarray:
         half = 0.5 * (self.t_hi - self.t_lo)
-        z = np.asarray([self._zt(ti) for ti in np.atleast_1d(t)])
-        return _bump_d1(z, self.power) / half
+        return _bump_d1(self._zt(t), self.power) / half
 
     # space factor --------------------------------------------------------
 
@@ -459,6 +461,19 @@ def _simpson(y: np.ndarray, t: np.ndarray):
     return total
 
 
+def _live_blocks(traj: Trajectory, P: np.ndarray, Pd: np.ndarray):
+    """The live samples of a trajectory, those where the time factor P or its
+    derivative Pd is nonzero, BLOCK_SAMPLES at a time: their row indices,
+    u spectra, and u and v in physical space."""
+    grid = traj.grid
+    live = np.flatnonzero((P != 0.0) | (Pd != 0.0))
+    for lo in range(0, live.size, BLOCK_SAMPLES):
+        rows = live[lo:lo + BLOCK_SAMPLES]
+        u_spec = traj.u_specs[rows]
+        yield (rows, u_spec, grid.from_spectrum(u_spec),
+               grid.from_spectrum(traj.v_specs[rows]).real)
+
+
 def weak_residual_u(
     traj: Trajectory,
     params: SystemParams,
@@ -491,23 +506,15 @@ def weak_residual_u(
 
     half_sym = grid.frac_symbol(0.5 * s)
     vals = np.zeros(len(traj), dtype=np.complex128)
-    for i in range(len(traj)):
-        if P[i] == 0.0 and Pd[i] == 0.0:
-            continue
-        u = grid.from_spectrum(traj.u_specs[i])
-        v = grid.from_spectrum(traj.v_specs[i]).real
-        frac_u = grid.from_spectrum(half_sym * traj.u_specs[i])
-        a_u = dx * np.sum(u * Q)
-        a_frac = dx * np.sum(frac_u * Qf)
-        a_lap = dx * np.sum(u * Q2)
-        a_vu = dx * np.sum(v * u * Q)
-        a_cub = dx * np.sum(np.abs(u) ** 2 * u * Q)
-        term = 1j * Pd[i] * a_u + P[i] * (
-            a_frac + params.alpha * a_vu + params.gamma * a_cub
+    for rows, u_spec, u, v in _live_blocks(traj, P, Pd):
+        frac_u = grid.from_spectrum(half_sym * u_spec)
+        term = 1j * Pd[rows] * (u @ Q) + P[rows] * (
+            frac_u @ Qf + params.alpha * ((v * u) @ Q)
+            + params.gamma * ((np.abs(u) ** 2 * u) @ Q)
         )
         if perturbed:
-            term -= run.eps**run.a * P[i] * a_lap
-        vals[i] = term
+            term -= run.eps**run.a * P[rows] * (u @ Q2)
+        vals[rows] = dx * term
     total = _simpson(vals, times)
     P0 = float(tf.time_value(0.0)[0])
     if P0 != 0.0:
@@ -547,17 +554,13 @@ def weak_residual_v(
 
     g_eff = params.g.regularized(run.g_regularization) if perturbed else params.g
     vals = np.zeros(len(traj))
-    for i in range(len(traj)):
-        if P[i] == 0.0 and Pd[i] == 0.0:
-            continue
-        u = grid.from_spectrum(traj.u_specs[i])
-        v = grid.from_spectrum(traj.v_specs[i]).real
-        term = Pd[i] * dx * np.sum(v * Q)
-        term -= P[i] * dx * np.sum(g_eff.fn(v) * Qf)
-        term += params.beta * P[i] * dx * np.sum(np.abs(u) ** 2 * Qf)
+    for rows, _, u, v in _live_blocks(traj, P, Pd):
+        term = Pd[rows] * (v @ Q) + P[rows] * (
+            (params.beta * np.abs(u) ** 2 - g_eff.fn(v)) @ Qf
+        )
         if perturbed:
-            term += run.eps**run.b * P[i] * dx * np.sum(v * Q2)
-        vals[i] = term
+            term += run.eps**run.b * P[rows] * (v @ Q2)
+        vals[rows] = dx * term
     total = _simpson(vals, times)
     P0 = float(tf.time_value(0.0)[0])
     if P0 != 0.0:
@@ -577,7 +580,7 @@ def _eta_pp_g_antiderivative(
     lo, hi = eta.pp_support
     upper = np.clip(values, lo, hi)
     t, w = _panel_nodes(np.array([0.0, 1.0]), ANTIDERIVATIVE_NODES)
-    k_mat = upper[:, None] * t[None, :]
+    k_mat = upper[..., None] * t
     integrand = eta.eta_pp(k_mat) * g.fn(k_mat)
     return upper * (integrand @ w)
 
@@ -659,26 +662,20 @@ def entropy_balance_residual(
     deriv = grid.deriv_symbol()
     half_sym = grid.frac_symbol(0.5 * s)
     vals = np.zeros(len(traj))
-    for i in range(len(traj)):
-        if P[i] == 0.0 and Pd[i] == 0.0:
-            continue
-        u = grid.from_spectrum(traj.u_specs[i])
-        v = grid.from_spectrum(traj.v_specs[i]).real
-        dvdx = grid.from_spectrum(deriv * traj.v_specs[i]).real
+    for rows, _, u, v in _live_blocks(traj, P, Pd):
+        dvdx = grid.from_spectrum(deriv * traj.v_specs[rows]).real
         dens_frac = grid.from_spectrum(
             half_sym * grid.to_spectrum(np.abs(u) ** 2)
         ).real
         eta_v = eta.eta(v)
         q_v = _flux_on_values(eta, params.g, v)
-
-        term = -Pd[i] * dx * np.sum(eta_v * Q)
-        term += P[i] * dx * np.sum(q_v * Qf)
-        term -= params.beta * P[i] * dx * np.sum(eta.eta_prime(v) * dens_frac * Q)
-        term -= eps_b * P[i] * dx * np.sum(eta_v * Q2)
-        term += eps_g * P[i] * dx * np.sum(eta_v * Qf)
-        term += eps_b * P[i] * dx * np.sum(dvdx**2 * eta.eta_pp(v) * Q)
-
-        R = _remainder_superposition(v, g_eff, eta, kernel, dx, c_half)
-        term += P[i] * dx * np.sum(R * Q)
-        vals[i] = term
+        R = np.array([_remainder_superposition(vi, g_eff, eta, kernel, dx, c_half) for vi in v])
+        vals[rows] = dx * (-Pd[rows] * (eta_v @ Q) + P[rows] * (
+            q_v @ Qf
+            - params.beta * ((eta.eta_prime(v) * dens_frac) @ Q)
+            - eps_b * (eta_v @ Q2)
+            + eps_g * (eta_v @ Qf)
+            + eps_b * ((dvdx**2 * eta.eta_pp(v)) @ Q)
+            + R @ Q
+        ))
     return float(abs(_simpson(vals, times)))

@@ -274,13 +274,6 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.times)
 
-    def u_at(self, i: int) -> Field:
-        return Field.from_spectrum(self.grid, self.u_specs[i], flavor="complex")
-
-    def v_at(self, i: int) -> Field:
-        vals = self.grid.from_spectrum(self.v_specs[i])
-        return Field(self.grid, vals.real, flavor="real")
-
 
 class ConvergenceTable:
     """Consecutive-rung differences along a decreasing-eps ladder.

@@ -7,7 +7,9 @@ oracle integrates the equality-case ODE with an adaptive Runge-Kutta, and
 the trajectory diagnostics are evaluated one sample at a time from Field
 objects instead of by the batched pass, and the pairing quadratures sum
 their outer nodes one at a time over spline values shifted by each node
-instead of as lag sums over coefficient differences.
+instead of as lag sums over coefficient differences, and the weak-form and
+entropy-balance pairings of a stored trajectory visit its samples one at a
+time instead of taking the live ones in blocks.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.special import gamma as sp_gamma
 
+from fswl import entropy as en
 from fswl import fractional as fr
+from fswl.grid import Field, as_order
 
 
 def cns_closed_form(s: float) -> float:
@@ -95,6 +99,15 @@ def fit_slope(dts, residuals) -> float:
 # work on Field objects (values and cached spectra) and loop in Python.
 # ---------------------------------------------------------------------------
 
+def sample_fields(traj, i):
+    """(u, v) Fields of stored sample i: u from its spectrum, v the real part
+    of the samples of its spectrum."""
+    grid = traj.grid
+    u = Field.from_spectrum(grid, traj.u_specs[i], flavor="complex")
+    v = Field(grid, grid.from_spectrum(traj.v_specs[i]).real, flavor="real")
+    return u, v
+
+
 def _weighted_sq(grid, spec, weights) -> float:
     return float(grid.measure * np.sum(weights * np.abs(spec) ** 2))
 
@@ -137,7 +150,7 @@ def record_fields(u, v, params, run) -> dict:
 
 def _frac_dens_and_gv(traj, i):
     params, run, grid = traj.params, traj.run, traj.grid
-    u, v = traj.u_at(i), traj.v_at(i)
+    u, v = sample_fields(traj, i)
     dens = np.abs(u.values) ** 2
     dens_spec = grid.to_spectrum(dens)
     frac_dens = _frac_half(grid, dens_spec, params.s).real
@@ -191,7 +204,7 @@ def _cumtrapz(y, t):
 def theta_envelope(traj, params, run) -> dict:
     """theta(t) majorant, its tracked left side and the H(t) bound."""
     s = params.s
-    recs = [record_fields(traj.u_at(i), traj.v_at(i), params, run) for i in range(len(traj))]
+    recs = [record_fields(*sample_fields(traj, i), params, run) for i in range(len(traj))]
     col = lambda key: np.array([r[key] for r in recs])
     times = traj.times
     frac, grad, u4, v_l2 = col("frac_grad_u_sq"), col("grad_u_sq"), col("u_l4_4"), col("v_l2")
@@ -199,7 +212,7 @@ def theta_envelope(traj, params, run) -> dict:
     eps_a, eps_b = run.eps**run.a, run.eps**run.b
     aa, T = abs(params.alpha), run.T
     gprime_sup = params.g.regularized(run.g_regularization).M
-    u0, v0 = traj.u_at(0), traj.v_at(0)
+    u0, v0 = sample_fields(traj, 0)
     u0_l2, v0_l2 = u0.norm_l2(), v0.norm_l2()
     theta0 = (1.0 + frac[0] + eps_a * grad[0] + 0.5 * u4[0]
               + _padded_sup(u0) * v0_l2 * u0_l2 + aa**2 * np.exp(T) * v0_l2**2)
@@ -224,7 +237,7 @@ def diagnose(traj) -> list[dict]:
     residuals at interior samples, backward difference quotients from
     sample 1 on and the envelope columns."""
     params, run, times = traj.params, traj.run, traj.times
-    recs = [record_fields(traj.u_at(i), traj.v_at(i), params, run) for i in range(len(traj))]
+    recs = [record_fields(*sample_fields(traj, i), params, run) for i in range(len(traj))]
     nan = float("nan")
     for i, r in enumerate(recs):
         r.update(t=float(times[i]), energy_balance_residual=nan, v_balance_residual=nan,
@@ -297,3 +310,131 @@ def pair_correlation_integral_loop(v, w, s):
         dw = _shifted_samples(cw, grid, h) - w.values
         total += wt * float(np.real(np.sum(dv * np.conj(dw)))) * dx
     return 2.0 * total
+
+
+# ---------------------------------------------------------------------------
+# Trajectory pairings, one stored sample at a time.  These are the
+# per-sample loops the block pass in fswl.entropy replaces; they share its
+# test functions, Simpson rule, flux and remainder helpers.
+# ---------------------------------------------------------------------------
+
+def weak_residual_u_loop(traj, params, run, tf, perturbed=True) -> complex:
+    grid = traj.grid
+    s = as_order(params.s).s
+    dx = grid.dx
+    Q = np.conj(tf.space_values())
+    Q2 = np.conj(tf.space_d2())
+    Qf = np.conj(tf.space_frac(s))
+    times = traj.times
+    P = tf.time_value(times)
+    Pd = tf.time_derivative(times)
+
+    half_sym = grid.frac_symbol(0.5 * s)
+    vals = np.zeros(len(traj), dtype=np.complex128)
+    for i in range(len(traj)):
+        if P[i] == 0.0 and Pd[i] == 0.0:
+            continue
+        u = grid.from_spectrum(traj.u_specs[i])
+        v = grid.from_spectrum(traj.v_specs[i]).real
+        frac_u = grid.from_spectrum(half_sym * traj.u_specs[i])
+        a_u = dx * np.sum(u * Q)
+        a_frac = dx * np.sum(frac_u * Qf)
+        a_lap = dx * np.sum(u * Q2)
+        a_vu = dx * np.sum(v * u * Q)
+        a_cub = dx * np.sum(np.abs(u) ** 2 * u * Q)
+        term = 1j * Pd[i] * a_u + P[i] * (
+            a_frac + params.alpha * a_vu + params.gamma * a_cub
+        )
+        if perturbed:
+            term -= run.eps**run.a * P[i] * a_lap
+        vals[i] = term
+    total = en._simpson(vals, times)
+    P0 = float(tf.time_value(0.0)[0])
+    if P0 != 0.0:
+        u0 = grid.from_spectrum(traj.u_specs[0])
+        total += 1j * P0 * dx * np.sum(u0 * Q)
+    return complex(total)
+
+
+def weak_residual_v_loop(traj, params, run, tf, perturbed=True) -> float:
+    grid = traj.grid
+    s = as_order(params.s).s
+    dx = grid.dx
+    Q = tf.space_values().real
+    Q2 = tf.space_d2().real
+    Qf = tf.space_frac(s).real
+    times = traj.times
+    P = tf.time_value(times)
+    Pd = tf.time_derivative(times)
+
+    g_eff = params.g.regularized(run.g_regularization) if perturbed else params.g
+    vals = np.zeros(len(traj))
+    for i in range(len(traj)):
+        if P[i] == 0.0 and Pd[i] == 0.0:
+            continue
+        u = grid.from_spectrum(traj.u_specs[i])
+        v = grid.from_spectrum(traj.v_specs[i]).real
+        term = Pd[i] * dx * np.sum(v * Q)
+        term -= P[i] * dx * np.sum(g_eff.fn(v) * Qf)
+        term += params.beta * P[i] * dx * np.sum(np.abs(u) ** 2 * Qf)
+        if perturbed:
+            term += run.eps**run.b * P[i] * dx * np.sum(v * Q2)
+        vals[i] = term
+    total = en._simpson(vals, times)
+    P0 = float(tf.time_value(0.0)[0])
+    if P0 != 0.0:
+        v0 = grid.from_spectrum(traj.v_specs[0]).real
+        total += P0 * dx * np.sum(v0 * Q)
+    return float(total)
+
+
+def entropy_balance_residual_loop(traj, eta, params, run, tf) -> float:
+    grid = traj.grid
+    s = as_order(params.s).s
+    dx = grid.dx
+    L = grid.half_length
+    g_eff = params.g.regularized(run.g_regularization)
+    eps_b = run.eps**run.b
+    eps_g = run.g_regularization
+
+    Q = tf.space_values().real
+    Q2 = tf.space_d2().real
+    Qf = tf.space_frac(s).real
+    times = traj.times
+    P = tf.time_value(times)
+    Pd = tf.time_derivative(times)
+
+    x = grid.x
+    d = np.mod(x[:, None] - x[None, :], 2.0 * L)
+    kernel = np.zeros_like(d)
+    off = d > 0.0
+    kernel[off] = (fr.periodic_tail_weight(d[off], 0.5 * s, L)
+                   + fr.periodic_tail_weight(2.0 * L - d[off], 0.5 * s, L))
+    c_half = fr.cns_constant(0.5 * s)
+
+    deriv = grid.deriv_symbol()
+    half_sym = grid.frac_symbol(0.5 * s)
+    vals = np.zeros(len(traj))
+    for i in range(len(traj)):
+        if P[i] == 0.0 and Pd[i] == 0.0:
+            continue
+        u = grid.from_spectrum(traj.u_specs[i])
+        v = grid.from_spectrum(traj.v_specs[i]).real
+        dvdx = grid.from_spectrum(deriv * traj.v_specs[i]).real
+        dens_frac = grid.from_spectrum(
+            half_sym * grid.to_spectrum(np.abs(u) ** 2)
+        ).real
+        eta_v = eta.eta(v)
+        q_v = en._flux_on_values(eta, params.g, v)
+
+        term = -Pd[i] * dx * np.sum(eta_v * Q)
+        term += P[i] * dx * np.sum(q_v * Qf)
+        term -= params.beta * P[i] * dx * np.sum(eta.eta_prime(v) * dens_frac * Q)
+        term -= eps_b * P[i] * dx * np.sum(eta_v * Q2)
+        term += eps_g * P[i] * dx * np.sum(eta_v * Qf)
+        term += eps_b * P[i] * dx * np.sum(dvdx**2 * eta.eta_pp(v) * Q)
+
+        R = en._remainder_superposition(v, g_eff, eta, kernel, dx, c_half)
+        term += P[i] * dx * np.sum(R * Q)
+        vals[i] = term
+    return float(abs(en._simpson(vals, times)))

@@ -27,7 +27,7 @@ from fswl.solver import (
 )
 
 import oracles
-from oracles import fit_slope, heat_exact
+from oracles import fit_slope, heat_exact, sample_fields
 
 
 def coupled_params():
@@ -54,7 +54,7 @@ class TestRecord:
         mass = A**2 * grid16.measure
         expected = (k**1.5 + 0.1**4 * k**2) * mass + 0.5 * A**4 * grid16.measure
         energies = [
-            record_diagnostics((traj.u_at(i), traj.v_at(i)), traj.times[i], params, run).energy
+            record_diagnostics(sample_fields(traj, i), traj.times[i], params, run).energy
             for i in range(0, len(traj), 10)
         ]
         for e in energies:
@@ -325,6 +325,6 @@ def test_block_pass_matches_per_sample_oracle(grid16, gauss_pair):
             ref[i]["energy_balance_residual"], rel=0, abs=1e-12)
         assert v_balance_residual(traj, i) == pytest.approx(
             ref[i]["v_balance_residual"], rel=0, abs=1e-12)
-    single = record_diagnostics((traj.u_at(20), traj.v_at(20)), traj.times[20], params, run)
-    for key, value in oracles.record_fields(traj.u_at(20), traj.v_at(20), params, run).items():
+    single = record_diagnostics(sample_fields(traj, 20), traj.times[20], params, run)
+    for key, value in oracles.record_fields(*sample_fields(traj, 20), params, run).items():
         assert getattr(single, key) == pytest.approx(value, rel=1e-12, abs=0)

@@ -33,7 +33,7 @@ def test_bracket_crossing_detector():
     from fswl.gronwall import _bound_on_grid
 
     spec = GronwallSpec(C=0.9, sigma=2.0, a=0.0, b=1.0, t0=0.0, horizon=3.0)
-    val, ts, bracket = _bound_on_grid(spec, 2.0, 513)
+    val, ts, bracket = _bound_on_grid(spec, 2.0)
     assert np.any(bracket <= 0.0)
     assert not np.isfinite(val)
     crossing = ts[np.argmax(bracket <= 0.0)]

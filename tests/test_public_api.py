@@ -3,14 +3,17 @@
 Every name in a ``fswl`` module's ``__all__`` must be referenced somewhere in
 the package outside its own top-level definition (a re-export in
 ``__init__.py`` or an import alone does not count), or be named by the
-benchmark under ``bench/``.  A few names are exempt, each for a stated
-reason; an exemption that is no longer needed fails the test too.
+benchmark under ``bench/``.  The same holds for each public method and
+property of a class in an ``__all__``, outside its own definition.  A few
+names are exempt, each for a stated reason; an exemption that is no longer
+needed fails the test too.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -27,33 +30,58 @@ EXEMPT = {
 }
 
 
-def _references() -> dict[tuple[str, str | None], set[str]]:
-    """Identifiers read by each top-level definition of each module (None
-    collects the module-level statements outside any def or class)."""
-    refs: dict[tuple[str, str | None], set[str]] = {}
+def _references() -> dict[tuple[str, str | None, str | None], set[str]]:
+    """Identifiers read by each top-level definition of each module, keyed
+    (module, definition, member): member names a method or property of a
+    class and is None elsewhere; definition None collects the module-level
+    statements outside any def or class."""
+    refs: dict[tuple[str, str | None, str | None], set[str]] = {}
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "__init__.py":
             continue
         for node in ast.parse(path.read_text()).body:
             owner = getattr(node, "name", None)
-            names = refs.setdefault((path.stem, owner), set())
-            for sub in ast.walk(node):
-                if isinstance(sub, ast.Name):
-                    names.add(sub.id)
-                elif isinstance(sub, ast.Attribute):
-                    names.add(sub.attr)
+            items = [node]
+            if isinstance(node, ast.ClassDef):
+                items = [*node.decorator_list, *node.bases, *node.keywords, *node.body]
+            for item in items:
+                member = getattr(item, "name", None) if item is not node else None
+                names = refs.setdefault((path.stem, owner, member), set())
+                for sub in ast.walk(item):
+                    if isinstance(sub, ast.Name):
+                        names.add(sub.id)
+                    elif isinstance(sub, ast.Attribute):
+                        names.add(sub.attr)
     return refs
 
 
+def _public_members(cls) -> list[str]:
+    """Public methods and properties defined in a class body."""
+    return [attr for attr, value in vars(cls).items()
+            if not attr.startswith("_")
+            and (inspect.isfunction(value)
+                 or isinstance(value, (property, staticmethod, classmethod)))]
+
+
 def _unused_public_names() -> set[tuple[str, str]]:
+    """(module, name) of every unused name in an ``__all__``, and
+    (module, "Class.member") of every unused public method or property of a
+    class in one; a member is used if its name is read outside its own
+    definition."""
     refs = _references()
     bench = "\n".join(p.read_text() for p in sorted((ROOT / "bench").rglob("*.py")))
     unused = set()
-    for module, _ in {key for key in refs}:
-        for name in getattr(importlib.import_module(f"fswl.{module}"), "__all__", ()):
-            used = any(name in names for key, names in refs.items() if key != (module, name))
-            if not used and not re.search(rf"\b{re.escape(name)}\b", bench):
-                unused.add((module, name))
+    for module in {key[0] for key in refs}:
+        mod = importlib.import_module(f"fswl.{module}")
+        for name in getattr(mod, "__all__", ()):
+            owner = getattr(mod, name)
+            members = _public_members(owner) if inspect.isclass(owner) else []
+            for label, ident, own in [(name, name, (module, name))] + [
+                    (f"{name}.{m}", m, (module, name, m)) for m in members]:
+                used = any(ident in names for key, names in refs.items()
+                           if key[:len(own)] != own)
+                if not used and not re.search(rf"\b{re.escape(ident)}\b", bench):
+                    unused.add((module, label))
     return unused
 
 

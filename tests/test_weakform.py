@@ -3,6 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import oracles
+from fswl.diagnostics import BLOCK_SAMPLES
 from fswl.entropy import (
     TestFunction,
     entropy_balance_residual,
@@ -82,12 +84,16 @@ class TestWeakResiduals:
         params = coupled_params()
         tf = TestFunction(grid=grid128, t_lo=-0.1, t_hi=0.35, x_center=0.5,
                           x_width=6.0, amplitude=1.0 + 0.4j)
-        residuals = []
+        tfr = TestFunction(grid=grid128, t_lo=-0.1, t_hi=0.35, x_center=-0.5,
+                           x_width=6.0, amplitude=0.9 + 0j, flavor="real")
+        ru, rv = [], []
         for eps in (0.4, 0.2, 0.1):
             run = PerturbedRun(eps=eps, T=0.5, dt=2e-3)
             traj = solve_perturbed(u0, v0, params, run)
-            residuals.append(abs(weak_residual_u(traj, params, run, tf, perturbed=False)))
-        assert residuals[2] < residuals[1] < residuals[0]
+            ru.append(abs(weak_residual_u(traj, params, run, tf, perturbed=False)))
+            rv.append(abs(weak_residual_v(traj, params, run, tfr, perturbed=False)))
+        assert ru[2] < ru[1] < ru[0]
+        assert rv[2] < rv[1] < rv[0]
 
     def test_nonlinear_refinement_at_integrator_order(self, grid128, data):
         u0, v0 = data
@@ -107,6 +113,46 @@ class TestWeakResiduals:
 
         assert fit_slope(dts, ru) >= 1.8
         assert fit_slope(dts, rv) >= 1.8
+
+
+class TestBlockPassMatchesLoops:
+    """The pairings against their per-sample loops in tests/oracles.py, on a
+    test window whose live samples start after sample 0 and do not fill a
+    whole number of blocks."""
+
+    @pytest.fixture(scope="class")
+    def case(self, grid128, data):
+        u0, v0 = data
+        params = coupled_params()
+        run = PerturbedRun(eps=0.1, T=0.5, dt=5e-3)
+        traj = solve_perturbed(u0, v0, params, run)
+        window = dict(grid=grid128, t_lo=0.03, t_hi=0.41, x_width=6.0)
+        tfc = TestFunction(**window, x_center=0.5, amplitude=1.0 + 0.4j)
+        tfr = TestFunction(**window, x_center=-0.5, amplitude=0.9 + 0j, flavor="real")
+        live = np.flatnonzero(tfc.time_value(traj.times))
+        assert live[0] > 0 and len(live) % BLOCK_SAMPLES != 0
+        return traj, params, run, tfc, tfr
+
+    @pytest.mark.parametrize("perturbed", [True, False])
+    def test_short_wave(self, case, perturbed):
+        traj, params, run, tfc, _ = case
+        got = weak_residual_u(traj, params, run, tfc, perturbed=perturbed)
+        want = oracles.weak_residual_u_loop(traj, params, run, tfc, perturbed=perturbed)
+        assert abs(got - want) <= 1e-14
+
+    @pytest.mark.parametrize("perturbed", [True, False])
+    def test_long_wave(self, case, perturbed):
+        traj, params, run, _, tfr = case
+        got = weak_residual_v(traj, params, run, tfr, perturbed=perturbed)
+        want = oracles.weak_residual_v_loop(traj, params, run, tfr, perturbed=perturbed)
+        assert abs(got - want) <= 1e-14
+
+    def test_entropy_balance(self, case):
+        traj, params, run, _, tfr = case
+        eta = smooth_capped_entropy(0.6)
+        got = entropy_balance_residual(traj, eta, params, run, tfr)
+        want = oracles.entropy_balance_residual_loop(traj, eta, params, run, tfr)
+        assert abs(got - want) <= 1e-14
 
 
 class TestEntropyBalance:
