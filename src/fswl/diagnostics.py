@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .fractional import cns_constant, pair_correlation_integral
-from .grid import Field, GridSpec, as_order
+from .grid import BLOCK_SAMPLES, Field, GridSpec, as_order
 from .sobolev import InequalityReport
 from .solver import NonlinearityG, PerturbedRun, SystemParams, Trajectory
 
@@ -67,12 +67,6 @@ class DiagnosticsRecord:
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
-
-
-# Stored samples per batched pass.  It bounds the FFT temporaries (the
-# padded sup alone holds 8N complex values per sample), so peak memory does
-# not grow with the number of stored samples.
-BLOCK_SAMPLES = 16
 
 
 def _weighted_sq(grid: GridSpec, spec: np.ndarray, weights: np.ndarray):

@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .diagnostics import BLOCK_SAMPLES
 from .fractional import (
     PeriodicInterpolant,
     _image_correction,
@@ -37,7 +37,7 @@ from .fractional import (
     periodic_tail_weight,
     special_jacobi,
 )
-from .grid import Field, GridSpec, as_order
+from .grid import BLOCK_SAMPLES, Field, GridSpec, as_order
 from .solver import NonlinearityG, PerturbedRun, SystemParams, Trajectory
 
 __all__ = [
@@ -214,10 +214,16 @@ def _flux_on_values(eta: EntropySpec, g: NonlinearityG, values: np.ndarray) -> n
 # Pointwise fractional power with level-set kinks
 # ---------------------------------------------------------------------------
 
-def _crossings(v: Field, k: float) -> list[float]:
-    """Zero crossings of the band-limited representative of v - k, located by
-    linear bracketing on the grid and bisection on the spline, all brackets
-    at once, until no bracket can shrink further."""
+@lru_cache(maxsize=1)
+def _level_set(v: Field, k: float) -> tuple[PeriodicInterpolant, tuple[float, ...]]:
+    """The spline of v and the zero crossings of its band-limited
+    representative minus k, located by linear bracketing on the grid and
+    bisection on the spline, all brackets at once, until no bracket can
+    shrink further.
+
+    Cached for the last (v, k): callers evaluate one level set at several
+    points.  Fields hash by identity and their samples are write-protected.
+    """
     grid = v.grid
     vals = v.values - k
     on_grid = vals == 0.0
@@ -235,7 +241,12 @@ def _crossings(v: Field, k: float) -> list[float]:
         lo = np.where(right, mid, lo)
         hi = np.where(right, hi, mid)
     roots[bracketed] = 0.5 * (lo + hi)
-    return [float(r) for r in roots[on_grid | bracketed]]
+    return spl, tuple(float(r) for r in roots[on_grid | bracketed])
+
+
+def _crossings(v: Field, k: float) -> list[float]:
+    """Zero crossings of the band-limited representative of v - k."""
+    return list(_level_set(v, k)[1])
 
 
 def _kink_radii(x: float, crossings: list[float], period: float) -> list[float]:
@@ -293,13 +304,12 @@ def remainder_Rk(v: Field, g: NonlinearityG, k: float, s, x: float) -> float:
     grid = v.grid
     L = grid.half_length
     period = 2.0 * L
-    spl = PeriodicInterpolant(grid, v.values)
+    spl, cross = _level_set(v, k)
     vx = float(spl(np.array([x]))[0])
     scale = max(float(np.max(np.abs(v.values - k))), 1e-30)
     if abs(vx - k) <= SIGN_TOL * scale:
         raise UndefinedSignError(f"v(x) = k within tolerance at x = {x:.6g}")
     gk = float(g.fn(np.array([k]))[0])
-    cross = _crossings(v, k)
     if not cross:
         return 0.0
 

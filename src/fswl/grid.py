@@ -41,6 +41,11 @@ REAL_IMAG_RTOL = 1e-9
 # Relative size of the zero mode below which a field counts as mean-free.
 ZERO_MODE_RTOL = 1e-9
 
+# Rows (stored samples, ensemble members) per batched pass.  It bounds the
+# FFT temporaries (the padded sup alone holds 8N complex values per row), so
+# peak memory does not grow with the number of rows.
+BLOCK_SAMPLES = 16
+
 
 class GridError(ValueError):
     """Invalid grid construction parameters."""

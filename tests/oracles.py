@@ -9,7 +9,9 @@ objects instead of by the batched pass, and the pairing quadratures sum
 their outer nodes one at a time over spline values shifted by each node
 instead of as lag sums over coefficient differences, and the weak-form and
 entropy-balance pairings of a stored trajectory visit its samples one at a
-time instead of taking the live ones in blocks.
+time instead of taking the live ones in blocks, and the Sobolev inequality
+ensembles of the verify suite check one drawn member at a time instead of
+row blocks.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from scipy.special import gamma as sp_gamma
 
 from fswl import entropy as en
 from fswl import fractional as fr
+from fswl import sobolev as sb
 from fswl.grid import Field, as_order
 
 
@@ -438,3 +441,44 @@ def entropy_balance_residual_loop(traj, eta, params, run, tf) -> float:
         term += P[i] * dx * np.sum(R * Q)
         vals[i] = term
     return float(abs(en._simpson(vals, times)))
+
+
+# ---------------------------------------------------------------------------
+# Sobolev inequality ensembles, one member at a time.  These are the
+# per-member loops of the verify inequalities suite that its row blocks
+# replace; they go through the per-field check functions.
+# ---------------------------------------------------------------------------
+
+def inequality_ensembles_loop(grid, rng) -> dict:
+    """The rows ``norm_equivalence_sandwich`` and ``sharp_inequalities_s*`` of
+    ``fswl verify --suite inequalities``, by name, drawing from ``rng``."""
+    rows = {}
+    m_s, M_s = sb.norm_equivalence_constants(grid, 0.75)
+    sandwich_ok = True
+    worst = 0.0
+    for _ in range(100):
+        f = sb.random_band_limited(grid, rng)
+        rep = sb.hs_norm(f, 0.75)
+        split = rep.l2 + rep.frac_grad_l2
+        lo, hi = m_s * split, M_s * split
+        sandwich_ok &= lo <= rep.hs_fourier * (1 + 1e-12) and rep.hs_fourier <= hi * (1 + 1e-12)
+        worst = max(worst, lo - rep.hs_fourier, rep.hs_fourier - hi)
+    rows["norm_equivalence_sandwich"] = {"name": "norm_equivalence_sandwich",
+                                         "passed": bool(sandwich_ok), "worst_excess": worst}
+
+    for s in (0.6, 0.75, 0.9):
+        n_viol = 0
+        max_ratio = 0.0
+        for _ in range(200):
+            f = sb.random_band_limited(grid, rng)
+            r1 = sb.check_linf_interp(f, s)
+            r2 = sb.check_product_bound(f, s)
+            fr_ = sb.random_band_limited(grid, rng, flavor="real")
+            r3 = sb.check_chain_rule(np.tanh, 1.0, fr_, s)
+            n_viol += (not r1.passed) + (not r2.passed) + (not r3.passed)
+            g2 = sb.random_band_limited(grid, rng)
+            max_ratio = max(max_ratio, sb.check_algebra(f, g2, s).lhs)
+        name = f"sharp_inequalities_s{s}"
+        rows[name] = {"name": name, "passed": n_viol == 0, "violations": float(n_viol),
+                      "algebra_max_ratio": max_ratio}
+    return rows

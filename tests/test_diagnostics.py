@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from fswl.diagnostics import (
-    BLOCK_SAMPLES,
     bilinear_form,
     coercivity_report,
     diagnose_trajectory,
@@ -14,7 +13,7 @@ from fswl.diagnostics import (
     theta_envelope,
     v_balance_residual,
 )
-from fswl.grid import Field, make_grid
+from fswl.grid import BLOCK_SAMPLES, Field, make_grid
 from fswl.sobolev import random_band_limited
 from fswl.solver import (
     NonlinearityG,

@@ -10,6 +10,7 @@ from fswl.entropy import (
     UndefinedSignError,
     _crossings,
     _kink_radii,
+    _level_set,
     _simpson,
     entropy_flux,
     frac_power_pointwise,
@@ -127,6 +128,29 @@ class TestRemainder:
         ref = 2.0 * cns_constant(s) * quad(integrand, a, b, epsabs=0.0, epsrel=1e-13)[0]
         assert ref > 0.0
         assert remainder_Rk(v, g, k, s, x) == pytest.approx(ref, rel=1e-7)
+
+    def test_level_set_computed_once_per_field_and_level(self, crossing_setup):
+        grid, v, g = crossing_setup
+        xs = (-6.0, -2.0, 1.5, 5.0)
+        _level_set.cache_clear()
+        cached = [remainder_Rk(v, g, 0.1, 0.75, x) for x in xs]
+        cross = _crossings(v, 0.1)
+        info = _level_set.cache_info()
+        assert (info.misses, info.hits) == (1, len(xs))
+        fresh = []
+        for x in xs:
+            _level_set.cache_clear()
+            fresh.append(remainder_Rk(v, g, 0.1, 0.75, x))
+        assert cached == fresh
+        _level_set.cache_clear()
+        assert _crossings(v, 0.1) == cross
+        # a new level or a new Field with the same samples recomputes
+        _level_set.cache_clear()
+        _crossings(v, 0.1)
+        assert _crossings(v, -0.3) != cross
+        twin = Field(grid, v.values, flavor="real")
+        assert _crossings(twin, 0.1) == cross
+        assert _level_set.cache_info().misses == 3
 
     @pytest.mark.parametrize("s,k", [(0.6, -0.2), (0.35, 0.1)])
     def test_pointwise_identity(self, crossing_setup, s, k):

@@ -6,8 +6,14 @@ import numpy as np
 import pytest
 
 from fswl.fractional import pair_correlation_integral
-from fswl.grid import Field, make_grid
+from fswl.grid import BLOCK_SAMPLES, Field, make_grid
 from fswl.sobolev import (
+    _algebra_rows,
+    _band_limited_rows,
+    _chain_rule_rows,
+    _hs_rows,
+    _linf_interp_rows,
+    _product_bound_rows,
     check_algebra,
     check_chain_rule,
     check_equivalence,
@@ -264,3 +270,51 @@ class TestInvariances:
         for key in ("name", "s", "lhs", "rhs", "constant_used", "margin", "witness",
                     "seed", "passed"):
             assert key in row
+
+
+ENSEMBLE_FLAVORS = ("complex", "real", "complex")  # f, fr, g2 of one member
+
+
+class TestRowBlocks:
+    """The row helpers the verify ensembles take in blocks of BLOCK_SAMPLES
+    members, against per-member fields and per-field reports."""
+
+    def test_draws_equal_per_member_fields(self):
+        g = make_grid(16.0, 256)
+        rng_rows, rng_fields = np.random.default_rng(5), np.random.default_rng(5)
+        stacks = _band_limited_rows(g, rng_rows, 37, ENSEMBLE_FLAVORS)
+        for i in range(37):
+            for rows, flavor in zip(stacks, ENSEMBLE_FLAVORS):
+                fld = random_band_limited(g, rng_fields, flavor=flavor)
+                assert rows.values.dtype == fld.values.dtype
+                assert np.array_equal(rows.values[i], fld.values)
+                assert np.array_equal(rows.spec[i], fld.spectrum)
+        assert rng_rows.bit_generator.state == rng_fields.bit_generator.state
+
+    @pytest.mark.parametrize("s", [0.6, 0.9])
+    def test_ragged_blocks_equal_per_field_reports(self, s):
+        g = make_grid(16.0, 256)
+        n = 37
+        assert n % BLOCK_SAMPLES != 0
+        rng_rows, rng_fields = np.random.default_rng(8), np.random.default_rng(8)
+        seen = 0
+        for start in range(0, n, BLOCK_SAMPLES):
+            f, fr, g2 = _band_limited_rows(g, rng_rows, min(BLOCK_SAMPLES, n - start),
+                                           ENSEMBLE_FLAVORS)
+            bounds = (_linf_interp_rows(f, s), _product_bound_rows(f, s),
+                      _chain_rule_rows(np.tanh, 1.0, fr, s))
+            l2, hs, frac = _hs_rows(f, s)
+            ratio = _algebra_rows(f, g2, s)
+            for i in range(len(f.values)):
+                ff, ffr, fg2 = (random_band_limited(g, rng_fields, flavor=fl)
+                                for fl in ENSEMBLE_FLAVORS)
+                reports = (check_linf_interp(ff, s), check_product_bound(ff, s),
+                           check_chain_rule(np.tanh, 1.0, ffr, s))
+                for (lhs, rhs), rep in zip(bounds, reports):
+                    assert (lhs[i], rhs[i]) == (rep.lhs, rep.rhs)
+                norms = hs_norm(ff, s)
+                assert (l2[i], hs[i], frac[i]) == (norms.l2, norms.hs_fourier,
+                                                   norms.frac_grad_l2)
+                assert ratio[i] == check_algebra(ff, fg2, s).lhs
+                seen += 1
+        assert seen == n

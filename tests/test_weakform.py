@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import oracles
-from fswl.diagnostics import BLOCK_SAMPLES
 from fswl.entropy import (
     TestFunction,
     entropy_balance_residual,
@@ -13,7 +12,7 @@ from fswl.entropy import (
     weak_residual_v,
 )
 from fswl.fractional import frac_laplacian_spectral
-from fswl.grid import Field, make_grid
+from fswl.grid import BLOCK_SAMPLES, Field, make_grid
 from fswl.solver import (
     PerturbedRun,
     SystemParams,
