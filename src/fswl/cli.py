@@ -63,6 +63,16 @@ def _finite(raw, name: str) -> float:
     return value
 
 
+def _integer(raw, name: str) -> int:
+    """A config integer: an int or an integral float; a bool, a string or a
+    fractional value is rejected rather than truncated."""
+    if isinstance(raw, float) and raw.is_integer():
+        return int(raw)
+    if isinstance(raw, bool) or not isinstance(raw, int):
+        raise ValueError(f"{name} must be an integer, got {raw!r}")
+    return raw
+
+
 _G_REGISTRY = {
     "zero": lambda spec: g_zero(),
     "linear": lambda spec: g_linear(_finite(spec.get("c", 1.0), "g.c")),
@@ -92,7 +102,7 @@ def _initial_field(grid, spec: dict, flavor: str) -> Field:
         width = _finite(spec.get("width", 1.0), "width")
         if width == 0.0:
             raise ValueError("width must be nonzero")
-        mode = int(spec.get("mode", 0))
+        mode = _integer(spec.get("mode", 0), "mode")
         kappa = np.pi * mode / grid.half_length
         if flavor == "real":
             fn = lambda x: amp * np.exp(-(((x - center) / width) ** 2))
@@ -100,7 +110,7 @@ def _initial_field(grid, spec: dict, flavor: str) -> Field:
             fn = lambda x: amp * np.exp(-(((x - center) / width) ** 2)) * np.exp(1j * kappa * x)
         return Field.from_function(grid, fn, flavor=flavor)
     if kind == "mode":
-        mode = int(spec.get("mode", 1))
+        mode = _integer(spec.get("mode", 1), "mode")
         kappa = np.pi * mode / grid.half_length
         if flavor == "real":
             return Field.from_function(grid, lambda x: amp * np.cos(kappa * x), flavor="real")
@@ -112,7 +122,7 @@ def parse_config(config: dict):
     """Validate a config dict; returns (grid, params, run, u0, v0, extras)."""
     try:
         gspec = config["grid"]
-        grid = make_grid(_finite(gspec["L"], "L"), int(gspec["N"]))
+        grid = make_grid(_finite(gspec["L"], "L"), _integer(gspec["N"], "N"))
     except GridError as exc:
         raise ConfigError(f"grid: {exc}") from exc
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -145,13 +155,13 @@ def parse_config(config: dict):
         dg = config.get("diagnostics", {})
         run = PerturbedRun(
             eps=_finite(pe.get("eps", 0.1), "eps"),
-            a=int(pe.get("a", 4)),
-            b=int(pe.get("b", 7)),
+            a=_integer(pe.get("a", 4), "a"),
+            b=_integer(pe.get("b", 7), "b"),
             T=_finite(tm["T"], "T"),
             dt=_finite(tm["dt"], "dt"),
             picard_tol=_finite(tm.get("picard_tol", 1e-10), "picard_tol"),
-            picard_max_iter=int(tm.get("picard_max_iter", 50)),
-            store_every=int(dg.get("store_every", 1)),
+            picard_max_iter=_integer(tm.get("picard_max_iter", 50), "picard_max_iter"),
+            store_every=_integer(dg.get("store_every", 1), "store_every"),
             blowup_factor=_finite(dg.get("blowup_factor", 1e6), "blowup_factor"),
         )
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -168,7 +178,7 @@ def parse_config(config: dict):
         if sweep.get("eps_ladder"):
             ConvergenceTable.check_ladder(sweep["eps_ladder"])
         extras = {
-            "seed": int(config.get("seed", 1234)),
+            "seed": _integer(config.get("seed", 1234), "seed"),
             "eps_ladder": sweep.get("eps_ladder"),
             "alpha_grid": sweep.get("alpha_grid"),
         }

@@ -69,16 +69,6 @@ class DiagnosticsRecord:
         return json.dumps(asdict(self), sort_keys=True)
 
 
-def _weighted_sq(grid: GridSpec, spec: np.ndarray, weights: np.ndarray):
-    """measure * sum_k weights |c_k|^2 along the last axis."""
-    return grid.measure * np.sum(weights * np.abs(spec) ** 2, axis=-1)
-
-
-def _integral(grid: GridSpec, values: np.ndarray):
-    """Rectangle rule dx * sum along the last axis."""
-    return grid.dx * np.real(np.sum(values, axis=-1))
-
-
 @dataclass
 class DiagnosticSeries:
     """Every per-sample scalar of a run of stored samples, from one pass.
@@ -159,28 +149,28 @@ def _series(
         ddens = grid.from_spectrum(d * dens_spec).real
         dv = grid.from_spectrum(d * v_spec).real
 
-        frac_u = _weighted_sq(grid, u_spec, frac_w)
-        grad_u = _weighted_sq(grid, u_spec, k2)
-        grad_v = _weighted_sq(grid, v_spec, k2)
-        u4 = _integral(grid, dens**2)
-        coupling = _integral(grid, v * dens)
-        col["mass"][blk] = _integral(grid, dens)
+        frac_u = grid.weighted_sq(u_spec, frac_w)
+        grad_u = grid.weighted_sq(u_spec, k2)
+        grad_v = grid.weighted_sq(v_spec, k2)
+        u4 = grid.integral(dens**2)
+        coupling = grid.integral(v * dens)
+        col["mass"][blk] = grid.integral(dens)
         col["energy"][blk] = frac_u + eps_a * grad_u + 0.5 * u4 + alpha * coupling
         col["frac_grad_u_sq"][blk] = frac_u
         col["grad_u_sq"][blk] = grad_u
         col["u_l4_4"][blk] = u4
-        col["v_l2"][blk] = np.sqrt(_integral(grid, v**2))
+        col["v_l2"][blk] = np.sqrt(grid.integral(v**2))
         col["v_sup"][blk] = grid.sup_norm(v_spec)
         col["grad_v_sq"][blk] = grad_v
         col["energy_rhs"][blk] = (
-            alpha * beta * _integral(grid, frac_dens * dens)
-            - alpha * _integral(grid, dens * frac_gv)
-            - alpha * eps_b * _integral(grid, ddens * dv)
+            alpha * beta * grid.integral(frac_dens * dens)
+            - alpha * grid.integral(dens * frac_gv)
+            - alpha * eps_b * grid.integral(ddens * dv)
         )
         col["v_terms"][blk] = (
-            _integral(grid, frac_gv * v)
+            grid.integral(frac_gv * v)
             + eps_b * grad_v
-            - beta * _integral(grid, frac_dens * v)
+            - beta * grid.integral(frac_dens * v)
         )
         # backward difference quotients reach one sample before the block
         back = slice(max(lo, 1), blk.stop)
@@ -188,7 +178,7 @@ def _series(
         dts = (times[back] - times[prev])[:, None]
         for name, specs in (("dtu_hminus1", u_specs), ("dtv_hminus1", v_specs)):
             quotient = (specs[back] - specs[prev]) / dts
-            col[name][back] = np.sqrt(_weighted_sq(grid, quotient, hminus1_w))
+            col[name][back] = np.sqrt(grid.weighted_sq(quotient, hminus1_w))
 
     energy, v_l2_sq = col["energy"], col["v_l2"] ** 2
     rhs, v_terms = col.pop("energy_rhs"), col.pop("v_terms")
@@ -273,8 +263,8 @@ def coercivity_report(v: Field, G: NonlinearityG, s) -> InequalityReport:
     grid = v.grid
     Gv_spec = grid.to_spectrum(G.fn(v.values))
     frac_Gv = grid.from_spectrum(grid.frac_symbol(0.5 * s) * Gv_spec).real
-    lhs = float(_integral(grid, frac_Gv * v.values))
-    quarter = float(_weighted_sq(grid, v.spectrum, grid.frac_symbol(0.5 * s)))
+    lhs = float(grid.integral(frac_Gv * v.values))
+    quarter = float(grid.weighted_sq(v.spectrum, grid.frac_symbol(0.5 * s)))
     return InequalityReport(
         name="porous_coercivity",
         s=s,
@@ -294,12 +284,9 @@ def coercivity_report(v: Field, G: NonlinearityG, s) -> InequalityReport:
 class EnvelopeSeries:
     """theta/H envelopes along a trajectory and the tracked inequalities."""
 
-    times: np.ndarray
     theta: np.ndarray
     lhs_theta: np.ndarray       # 1 + frac_grad^2 + eps^a grad^2 + ||u||_4^4 / 4
-    h_measured: np.ndarray      # the same minus the leading 1
     H_bound: np.ndarray
-    v_l2_sq: np.ndarray
     theta_margin_min: float
     H_margin_min: float
     series: DiagnosticSeries    # the diagnostics pass the envelope was built from
@@ -376,12 +363,9 @@ def theta_envelope(traj: Trajectory, params: SystemParams, run: PerturbedRun) ->
     H = np.exp(T) * v0_l2**2 + cH * _cumtrapz(h_meas ** (1.0 + 0.5 / s), times)
 
     return EnvelopeSeries(
-        times=times,
         theta=theta,
         lhs_theta=lhs,
-        h_measured=h_meas,
         H_bound=H,
-        v_l2_sq=v_l2**2,
         theta_margin_min=float(np.min(theta - lhs)),
         H_margin_min=float(np.min(H - v_l2**2)),
         series=sr,
@@ -413,6 +397,27 @@ class SmallnessReport:
         return json.dumps(asdict(self), sort_keys=True)
 
 
+def _log(x):
+    """Natural log; a zero factor gives -inf, without a warning."""
+    with np.errstate(divide="ignore"):
+        return np.log(x)
+
+
+def _exp(x) -> float:
+    """exp as a float; inf beyond the float range, without a warning."""
+    with np.errstate(over="ignore"):
+        return float(np.exp(x))
+
+
+def _unit_scaled(f: Field) -> tuple[Field, float]:
+    """f divided by 2^e, the smallest power of two above its largest
+    sample, and log 2^e.  The division is exact, and the norms of the
+    scaled field neither overflow nor underflow."""
+    e = int(np.frexp(np.max(np.abs(f.values)))[1])
+    scaled = np.ldexp(f.values.view(np.float64), -e).view(f.values.dtype)
+    return Field(f.grid, scaled, flavor=f.flavor), e * math.log(2.0)
+
+
 def smallness_condition(
     params: SystemParams,
     u0: Field,
@@ -430,67 +435,56 @@ def smallness_condition(
     Norms are taken on the band-projected (mollified) data; the derivative
     cap of the regularized nonlinearity enters as M + eps.  With zero
     coupling the left side vanishes and the condition holds for any data.
+
+    Every term of C, C2 and C3 is a product of powers, evaluated as the sum
+    of their logarithms, and the terms and the left side are combined in
+    log space; the data norms are taken of the data scaled by a power of
+    two, whose log is added back.  So neither an eps power nor a data norm
+    over- or underflows: C, C2, C3 and lhs read inf only where their value
+    is beyond the float range, and 0.0 only where a zero factor (alpha,
+    beta or the data; log 0 = -inf) kills them.
     """
     s = as_order(params.s).require_system_range().s
     grid = u0.grid
     mask = grid.dealias_mask()
-    u0p = Field.from_spectrum(grid, u0.spectrum * mask, flavor="complex")
-    v0p = Field(grid, grid.from_spectrum(v0.spectrum * mask).real, flavor="real")
-
-    frac_u0 = _weighted_sq(grid, u0p.spectrum, grid.frac_symbol(s))
-    grad_u0 = _weighted_sq(grid, u0p.spectrum, grid.k**2)
-    u0_l2 = u0p.norm_l2()
-    u0_l4 = u0p.norm_l4_4()
-    u0_sup = u0p.norm_sup()
-    v0_l2 = v0p.norm_l2()
-    gprime = params.g.M + eps
+    u0p, log_su = _unit_scaled(Field.from_spectrum(grid, u0.spectrum * mask, flavor="complex"))
+    v0p, log_sv = _unit_scaled(
+        Field(grid, grid.from_spectrum(v0.spectrum * mask).real, flavor="real"))
     aa, bb = abs(params.alpha), abs(params.beta)
-    c1s = cns_constant(s)
-    expo = 1.0 - 0.5 / s
-    # single powers: eps**b * eps**(-1.5 a) is 0 * inf = NaN for a tiny eps
-    try:
-        eps_c = eps ** (b - 1.5 * a)
-        eps_c3 = eps ** (b - 1 - 1.5 * a)
-    except OverflowError:  # a tiny eps: the condition then fails, not the run
-        eps_c = eps_c3 = math.inf
-    # the eps-weighted terms carry alpha^2 (and beta^2) and norms of the
-    # data: where that factor is zero they vanish, also where the eps power
-    # overflowed (0 * inf is NaN)
-    if aa * u0_l2 * v0_l2 == 0.0:
-        eps_c = 0.0
-    if aa * bb * u0_l2 == 0.0:
-        eps_c3 = 0.0
-
-    block = (
-        1.0
-        + frac_u0
-        + grad_u0
-        + 0.5 * u0_l4
-        + u0_sup * v0_l2 * u0_l2
-        + aa**2 * np.exp(T) * v0_l2**2
-    )
-    C = (
-        2.0**6 * block**expo
-        + (2.0**5 * aa**2 * (2.0 * s - 1.0) / (s**2 * np.pi))
-        * gprime**2 * u0_l2 ** (2.0 - 1.0 / s) * v0_l2**2 * np.exp(3.0 * T)
-        + (2.0**4 * aa**2 * eps_c * (2.0 * s - 1.0) ** 2 / (np.pi * s**2))
-        * u0_l2 * v0_l2**2 * np.exp(2.0 * T)
-    )
-    C1 = 2.0**6 * T
-    C2 = (2.0**8 * aa**2 * bb**2 * T / (s**2 * np.pi**2)) * u0_l2 ** (6.0 - 2.0 / s)
-    C3 = (
-        (2.0**9 * aa**2 * bb**2 / (s**2 * np.pi**2))
-        * gprime**2 * u0_l2 ** (4.0 - 2.0 / s) * np.exp(3.0 * T)
-        + (2.0**8 * c1s * aa**2 * bb**2 * eps_c3 * (2.0 * s - 1.0) / (np.pi**2 * s**2))
-        * u0_l2 ** (3.0 - 1.0 / s) * np.exp(2.0 * T)
-        + (2.0**10 * aa**4 * bb**4 * np.exp(2.0 * T) / (np.pi**2 * s**2))
-        * u0_l2 ** (4.0 - 2.0 / s) * T
-    )
+    lu = _log(u0p.norm_l2()) + log_su
+    lv = _log(v0p.norm_l2()) + log_sv
+    l_eps = _log(eps)
+    la2 = 2.0 * _log(aa)
+    lab2 = la2 + 2.0 * _log(bb)
+    lg2 = 2.0 * _log(params.g.M + eps)
+    log_block = np.logaddexp.reduce([
+        0.0,
+        _log(grid.weighted_sq(u0p.spectrum, grid.frac_symbol(s))) + 2.0 * log_su,
+        _log(grid.weighted_sq(u0p.spectrum, grid.k**2)) + 2.0 * log_su,
+        _log(0.5 * u0p.norm_l4_4()) + 4.0 * log_su,
+        _log(u0p.norm_sup()) + log_su + lv + lu,
+        la2 + T + 2.0 * lv,
+    ])
+    sq = s**2
+    log_C = np.logaddexp.reduce([
+        _log(2.0**6) + (1.0 - 0.5 / s) * log_block,
+        _log(2.0**5 * (2.0 * s - 1.0) / (sq * np.pi))
+        + la2 + lg2 + (2.0 - 1.0 / s) * lu + 2.0 * lv + 3.0 * T,
+        _log(2.0**4 * (2.0 * s - 1.0) ** 2 / (np.pi * sq))
+        + la2 + (b - 1.5 * a) * l_eps + lu + 2.0 * lv + 2.0 * T,
+    ])
+    log_C2 = _log(2.0**8 * T / (sq * np.pi**2)) + lab2 + (6.0 - 2.0 / s) * lu
+    log_C3 = np.logaddexp.reduce([
+        _log(2.0**9 / (sq * np.pi**2)) + lab2 + lg2 + (4.0 - 2.0 / s) * lu + 3.0 * T,
+        _log(2.0**8 * cns_constant(s) * (2.0 * s - 1.0) / (np.pi**2 * sq))
+        + lab2 + (b - 1 - 1.5 * a) * l_eps + (3.0 - 1.0 / s) * lu + 2.0 * T,
+        _log(2.0**10 * T / (np.pi**2 * sq)) + 2.0 * lab2 + (4.0 - 2.0 / s) * lu + 2.0 * T,
+    ])
 
     half = 0.5 * (2.0 * s - 1.0)
-    lhs = C * (C2 + C3) ** half * np.exp(64.0 * T**2) * T**half
-    rhs = (0.5 * (2.0 * s - 1.0)) ** half
-    satisfied = bool(lhs <= rhs)
+    log_lhs = log_C + half * (np.logaddexp(log_C2, log_C3) + _log(T)) + 64.0 * T**2
+    rhs = half**half
+    satisfied = bool(log_lhs <= _log(rhs))
     if params.alpha == 0.0:
         route = "alpha = 0: condition holds for any data"
     elif satisfied:
@@ -502,11 +496,11 @@ def smallness_condition(
         T=T,
         eps=eps,
         alpha=params.alpha,
-        C=float(C),
-        C1=float(C1),
-        C2=float(C2),
-        C3=float(C3),
-        lhs=float(lhs),
+        C=_exp(log_C),
+        C1=2.0**6 * T,
+        C2=_exp(log_C2),
+        C3=_exp(log_C3),
+        lhs=_exp(log_lhs),
         rhs=float(rhs),
         satisfied=satisfied,
         route=route,

@@ -11,8 +11,9 @@ integrands; the induced Parseval identity is
 
     dx * sum |f_j|^2  =  2L * sum |c_k|^2.
 
-Every other module builds on these conventions, so multiplier formulas
-are written against them exactly once, here.
+Every other module builds on these conventions, so multiplier formulas,
+the Parseval sum and the rectangle rule are written against them exactly
+once, here.
 """
 
 from __future__ import annotations
@@ -119,6 +120,14 @@ class GridSpec:
         the j < 0 half being their conjugates.  The imaginary parts of the
         zero and Nyquist modes are ignored."""
         return np.fft.irfft(coeffs, self.n_points, norm="forward")
+
+    def weighted_sq(self, spec: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """Parseval sum 2L * sum_k weights |c_k|^2 along the last axis."""
+        return self.measure * np.sum(weights * np.abs(spec) ** 2, axis=-1)
+
+    def integral(self, values: np.ndarray) -> np.ndarray:
+        """Rectangle rule: dx times the real part of the sum along the last axis."""
+        return self.dx * np.real(np.sum(values, axis=-1))
 
     def sup_norm(self, coeffs: np.ndarray, pad: int = 8) -> np.ndarray:
         """Sup norm of the band-limited function(s) with coefficients
@@ -279,17 +288,14 @@ class Field:
     # -- norms (rectangle-rule / Parseval) --------------------------------
 
     def norm_l2(self) -> float:
-        return float(np.sqrt(self.grid.dx * np.sum(np.abs(self.values) ** 2)))
+        return float(np.sqrt(self.grid.integral(np.abs(self.values) ** 2)))
 
     def norm_l4_4(self) -> float:
         """Fourth power of the L^4 norm."""
-        return float(self.grid.dx * np.sum(np.abs(self.values) ** 4))
+        return float(self.grid.integral(np.abs(self.values) ** 4))
 
     def norm_h1(self) -> float:
-        w = 1.0 + self.grid.k**2
-        return float(
-            np.sqrt(self.grid.measure * np.sum(w * np.abs(self.spectrum) ** 2))
-        )
+        return float(np.sqrt(self.grid.weighted_sq(self.spectrum, 1.0 + self.grid.k**2)))
 
     def norm_sup(self, pad: int = 8) -> float:
         """Sup norm on a ``pad``-times zero-padded refinement (see
@@ -302,24 +308,6 @@ class Field:
 
     def _like(self, values: np.ndarray, flavor: str | None = None) -> "Field":
         return Field(self.grid, values, flavor=flavor or self.flavor)
-
-    def __add__(self, other: "Field") -> "Field":
-        flavor = "real" if self.flavor == other.flavor == "real" else "complex"
-        return self._like(self.values + other.values, flavor)
-
-    def __sub__(self, other: "Field") -> "Field":
-        flavor = "real" if self.flavor == other.flavor == "real" else "complex"
-        return self._like(self.values - other.values, flavor)
-
-    def __mul__(self, c) -> "Field":
-        if isinstance(c, Field):
-            flavor = "real" if self.flavor == c.flavor == "real" else "complex"
-            return self._like(self.values * c.values, flavor)
-        if isinstance(c, complex) and c.imag != 0.0 and self.flavor == "real":
-            return Field(self.grid, self.values * c, flavor="complex")
-        return self._like(self.values * c)
-
-    __rmul__ = __mul__
 
     def translated(self, cells: int) -> "Field":
         """Translation by an integer number of grid cells (exact)."""

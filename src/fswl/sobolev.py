@@ -112,13 +112,13 @@ def _passes(margin, tolerance=DEFAULT_SLACK):
 
 
 def _l2_rows(rows: _Rows) -> np.ndarray:
-    return np.sqrt(rows.grid.dx * np.sum(np.abs(rows.values) ** 2, axis=-1))
+    return np.sqrt(rows.grid.integral(np.abs(rows.values) ** 2))
 
 
 def _weighted_rows(rows: _Rows, weights: np.ndarray) -> np.ndarray:
     # weights multiply |c_k|^2, so the norm of (-D)^sigma f takes the
     # squared symbol, i.e. frac_symbol(2*sigma).
-    return np.sqrt(rows.grid.measure * np.sum(weights * np.abs(rows.spec) ** 2, axis=-1))
+    return np.sqrt(rows.grid.weighted_sq(rows.spec, weights))
 
 
 def _hs_rows(rows: _Rows, s: float):

@@ -418,9 +418,7 @@ class _Stepper:
         return got
 
     def _h1(self, spec: np.ndarray) -> float:
-        return float(
-            np.sqrt(self.grid.measure * np.sum(self.h1_weight * np.abs(spec) ** 2))
-        )
+        return float(np.sqrt(self.grid.weighted_sq(spec, self.h1_weight)))
 
     def _pair_h1(self) -> np.ndarray:
         """H1 norms of the u spectrum and the v half spectrum held in
@@ -647,10 +645,9 @@ def l2_spacetime_diff(t1: Trajectory, t2: Trajectory) -> tuple[float, float]:
     """L^2((0,T) x window) distances between two runs on the same grids."""
     if len(t1) != len(t2) or not np.allclose(t1.times, t2.times):
         raise ValueError("trajectories must share the sample time grid")
-    measure = t1.grid.measure
     trapezoid = getattr(np, "trapezoid", None) or np.trapz
-    du2 = measure * np.sum(np.abs(t1.u_specs - t2.u_specs) ** 2, axis=1)
-    dv2 = measure * np.sum(np.abs(t1.v_specs - t2.v_specs) ** 2, axis=1)
+    du2 = t1.grid.weighted_sq(t1.u_specs - t2.u_specs, 1.0)
+    dv2 = t1.grid.weighted_sq(t1.v_specs - t2.v_specs, 1.0)
     return (
         float(np.sqrt(trapezoid(du2, t1.times))),
         float(np.sqrt(trapezoid(dv2, t1.times))),

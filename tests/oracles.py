@@ -11,7 +11,8 @@ instead of as lag sums over coefficient differences, and the weak-form and
 entropy-balance pairings of a stored trajectory visit its samples one at a
 time instead of taking the live ones in blocks, and the Sobolev inequality
 ensembles of the verify suite check one drawn member at a time instead of
-row blocks.
+row blocks, and the smallness condition multiplies out its powers at 60
+digits instead of summing their logarithms in floating point.
 """
 
 from __future__ import annotations
@@ -482,3 +483,58 @@ def inequality_ensembles_loop(grid, rng) -> dict:
         rows[name] = {"name": name, "passed": n_viol == 0, "violations": float(n_viol),
                       "algebra_max_ratio": max_ratio}
     return rows
+
+
+# ---------------------------------------------------------------------------
+# Smallness condition at 60 digits.  The constants are evaluated as the
+# products of powers they are written as, in mpmath, whose exponent range
+# is unbounded: nothing over- or underflows, and a zero factor is a zero.
+# ---------------------------------------------------------------------------
+
+def smallness_mpmath(params, u0, v0, T, eps, a, b) -> dict:
+    """C, C2, C3, lhs and rhs of ``smallness_condition`` as mpmath numbers,
+    and its verdict lhs <= rhs.  The band-projected data are floats; their
+    norms (but the padded sup) and everything after them are sums and
+    products at 60 digits."""
+    import mpmath
+
+    grid = u0.grid
+    mask = grid.dealias_mask()
+    u = Field.from_spectrum(grid, u0.spectrum * mask, flavor="complex")
+    v = Field(grid, grid.from_spectrum(v0.spectrum * mask).real, flavor="real")
+    with mpmath.workdps(60):
+        mpf, pi, e = mpmath.mpf, mpmath.pi, mpmath.exp
+
+        def power_sum(weights, values, p):
+            """sum_j w_j |z_j|^p for an even p."""
+            return mpmath.fsum(mpf(w) * (mpf(z.real) ** 2 + mpf(z.imag) ** 2) ** (p // 2)
+                               for w, z in zip(weights, values))
+
+        ones = np.ones(grid.n_points)
+        dx, measure = mpf(grid.dx), mpf(grid.measure)
+        frac = measure * power_sum(grid.frac_symbol(params.s), u.spectrum, 2)
+        grad = measure * power_sum(grid.k**2, u.spectrum, 2)
+        uu = mpmath.sqrt(dx * power_sum(ones, u.values, 2))
+        u_l4 = dx * power_sum(ones, u.values, 4)
+        vv = mpmath.sqrt(dx * power_sum(ones, v.values, 2))
+        s, T, eps = mpf(params.s), mpf(T), mpf(eps)
+        aa, bb = abs(mpf(params.alpha)), abs(mpf(params.beta))
+        gp = mpf(params.g.M) + eps
+        block = (1 + frac + grad + u_l4 / 2 + mpf(_padded_sup(u)) * vv * uu
+                 + aa**2 * e(T) * vv**2)
+        C = (2**6 * block ** (1 - 1 / (2 * s))
+             + 2**5 * aa**2 * (2 * s - 1) / (s**2 * pi) * gp**2 * uu ** (2 - 1 / s)
+             * vv**2 * e(3 * T)
+             + 2**4 * aa**2 * eps ** (b - mpf(3) / 2 * a) * (2 * s - 1) ** 2 / (pi * s**2)
+             * uu * vv**2 * e(2 * T))
+        C2 = 2**8 * aa**2 * bb**2 * T / (s**2 * pi**2) * uu ** (6 - 2 / s)
+        C3 = (2**9 * aa**2 * bb**2 / (s**2 * pi**2) * gp**2 * uu ** (4 - 2 / s) * e(3 * T)
+              + 2**8 * mpf(cns_closed_form(params.s)) * aa**2 * bb**2
+              * eps ** (b - 1 - mpf(3) / 2 * a) * (2 * s - 1) / (pi**2 * s**2)
+              * uu ** (3 - 1 / s) * e(2 * T)
+              + 2**10 * aa**4 * bb**4 * e(2 * T) / (pi**2 * s**2) * uu ** (4 - 2 / s) * T)
+        half = (2 * s - 1) / 2
+        lhs = C * (C2 + C3) ** half * e(64 * T**2) * T**half
+        rhs = half**half
+        return {"C": +C, "C2": +C2, "C3": +C3, "lhs": +lhs, "rhs": +rhs,
+                "satisfied": bool(lhs <= rhs)}

@@ -59,6 +59,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match="power of two"):
             parse_config(cfg)
 
+    def test_integer_fields_take_integral_floats_only(self):
+        cfg = tiny_config(grid={"L": 16.0, "N": 64.0}, seed=11.0)
+        cfg["perturbation"]["a"] = 4.0
+        grid, _, run, _, _, extras = parse_config(cfg)
+        assert (grid.n_points, run.a, extras["seed"]) == (64, 4, 11)
+        assert all(type(n) is int for n in (grid.n_points, run.a, extras["seed"]))
+        cfg["perturbation"]["a"] = 4.5
+        with pytest.raises(ConfigError, match="a must be an integer, got 4.5"):
+            parse_config(cfg)
+
     def test_unknown_nonlinearity_rejected(self):
         cfg = tiny_config()
         cfg["system"]["g"] = {"kind": "cubic"}
@@ -345,6 +355,21 @@ def test_unreachable_contraction_cap_fails_fast(tmp_path):
     (("time", "dt"), 1e-300),
     (("sweep", "eps_ladder"), ["0.1", 0.2]),
     (("sweep", "eps_ladder"), [1.5, 0.1]),
+    # integer fields take an int or an integral float, never a truncation
+    (("grid", "N"), 64.5),
+    (("grid", "N"), "64"),
+    (("perturbation", "a"), 4.5),
+    (("perturbation", "b"), True),
+    (("perturbation", "b"), "7"),
+    (("time", "picard_max_iter"), "50"),
+    (("time", "picard_max_iter"), 50.5),
+    (("diagnostics", "store_every"), True),
+    (("diagnostics", "store_every"), 1.5),
+    (("initial", "u0", "mode"), 4.5),
+    (("initial", "u0", "mode"), True),
+    (("seed",), 1.5),
+    (("seed",), "11"),
+    (("seed",), True),
 ])
 def test_invalid_number_is_config_error(tmp_path, path, value):
     cfg = tiny_config()

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import sys
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fswl.diagnostics import (
     bilinear_form,
@@ -240,6 +244,43 @@ class TestSmallness:
         zero_v = smallness_condition(coupled_params(), u0, Field.zero(grid16, "real"),
                                      1.0, 1e-300, a=8, b=7)
         assert np.isfinite(zero_v.C) and zero_v.lhs == np.inf and not zero_v.satisfied
+
+    @given(
+        log10_eps=st.floats(-300.0, -0.01),
+        a=st.integers(0, 12),
+        b=st.integers(0, 12),
+        alpha=st.sampled_from([0.0, 1e-6, 0.1, -0.7, 3.0, 100.0]),
+        beta=st.sampled_from([0.0, 1e-4, 0.1, 2.0]),
+        s=st.floats(0.51, 0.99),
+        T=st.floats(0.05, 2.0),
+        amp_u=st.sampled_from([0.0, 1e-200, 1e-100, 1e-8, 0.35, 4.0, 1e50, 1e200]),
+        amp_v=st.sampled_from([0.0, 1e-200, 1e-100, 1e-8, 0.4, 4.0, 1e50, 1e200]),
+    )
+    @settings(max_examples=100)
+    def test_agrees_with_60_digit_oracle(self, log10_eps, a, b, alpha, beta, s, T,
+                                         amp_u, amp_v):
+        # the verdict always agrees; the reported constants agree to 1e-12
+        # wherever the float range holds them, and read 0.0 or inf exactly
+        # where their value is zero or beyond it, also for data whose norms
+        # (or their powers) leave the float range
+        grid = make_grid(16.0, 256)
+        u0 = Field.from_function(grid, lambda x: amp_u * np.exp(-(x**2) + 0.6j * x))
+        v0 = Field.from_function(grid, lambda x: amp_v * np.exp(-((x / 1.5) ** 2)), "real")
+        params = SystemParams(alpha=alpha, beta=beta, s=s, g=g_tanh_blend(0.2, 1.0))
+        eps = 10.0**log10_eps
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = smallness_condition(params, u0, v0, T, eps, a=a, b=b)
+            ref = oracles.smallness_mpmath(params, u0, v0, T, eps, a, b)
+        assert rep.satisfied == ref["satisfied"]
+        for key in ("C", "C2", "C3", "lhs"):
+            got, want = getattr(rep, key), ref[key]
+            if want == 0:
+                assert got == 0.0, key
+            elif want > sys.float_info.max:
+                assert got == np.inf, key
+            elif 1e-300 <= want <= 1e300:
+                assert abs(got - want) <= 1e-12 * want, key
 
     def test_report_serializes(self, grid16, gauss_pair):
         u0, v0 = gauss_pair

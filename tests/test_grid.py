@@ -74,6 +74,18 @@ def test_parseval_and_norms():
     assert f.norm_l2() == pytest.approx(direct)
 
 
+def test_parseval_sums_along_last_axis():
+    g = make_grid(8.0, 64)
+    rows = np.stack([np.exp(-((g.x - c) ** 2)) * np.exp(0.5j * g.x) for c in (0.0, 1.0, -2.5)])
+    specs = g.to_spectrum(rows)
+    w = 1.0 + g.k**2
+    assert g.integral(np.abs(rows) ** 2) == pytest.approx(g.weighted_sq(specs, 1.0), rel=1e-13)
+    for row, spec, sq, total in zip(rows, specs, g.weighted_sq(specs, w), g.integral(rows)):
+        assert sq == g.weighted_sq(spec, w)
+        assert total == g.dx * np.sum(row).real
+        assert Field(g, row).norm_h1() == np.sqrt(sq)
+
+
 def test_real_flavor_enforced():
     g = make_grid(8.0, 64)
     with pytest.raises(ValueError, match="imaginary"):
