@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import io
 import json
 import math
 import sys
+import tempfile
+from contextlib import ExitStack, contextmanager
 from dataclasses import replace
 from multiprocessing import get_context
 from pathlib import Path
@@ -94,28 +95,32 @@ def config_hash(config: dict) -> str:
 
 def _initial_field(grid, spec: dict, flavor: str) -> Field:
     kind = spec.get("kind", "gaussian")
-    amp = _finite(spec.get("amplitude", 0.0), "amplitude")
-    if kind == "zero" or amp == 0.0:
+    if kind == "zero":
         return Field.zero(grid, flavor=flavor)
+    # every key of the kind is validated, also when zero data skips its use
+    amp = _finite(spec.get("amplitude", 0.0), "amplitude")
     center = _finite(spec.get("center", 0.0), "center")
     if kind == "gaussian":
         width = _finite(spec.get("width", 1.0), "width")
         if width == 0.0:
             raise ValueError("width must be nonzero")
         mode = _integer(spec.get("mode", 0), "mode")
-        kappa = np.pi * mode / grid.half_length
+    elif kind == "mode":
+        mode = _integer(spec.get("mode", 1), "mode")
+    else:
+        raise ConfigError(f"unknown initial-data kind {kind!r}")
+    if amp == 0.0:
+        return Field.zero(grid, flavor=flavor)
+    kappa = np.pi * mode / grid.half_length
+    if kind == "gaussian":
         if flavor == "real":
             fn = lambda x: amp * np.exp(-(((x - center) / width) ** 2))
         else:
             fn = lambda x: amp * np.exp(-(((x - center) / width) ** 2)) * np.exp(1j * kappa * x)
         return Field.from_function(grid, fn, flavor=flavor)
-    if kind == "mode":
-        mode = _integer(spec.get("mode", 1), "mode")
-        kappa = np.pi * mode / grid.half_length
-        if flavor == "real":
-            return Field.from_function(grid, lambda x: amp * np.cos(kappa * x), flavor="real")
-        return Field.from_function(grid, lambda x: amp * np.exp(1j * kappa * x))
-    raise ConfigError(f"unknown initial-data kind {kind!r}")
+    if flavor == "real":
+        return Field.from_function(grid, lambda x: amp * np.cos(kappa * x), flavor="real")
+    return Field.from_function(grid, lambda x: amp * np.exp(1j * kappa * x))
 
 
 def parse_config(config: dict):
@@ -197,6 +202,15 @@ def _dump_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n")
 
 
+def _sha256_file(path: Path) -> str:
+    """Hex sha256 of a file's bytes, read 1 MB at a time."""
+    digest = hashlib.sha256()
+    with path.open("rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
 def write_trajectory(path: Path, traj: Trajectory, chash: str) -> None:
     """A one-line JSON header at ``path`` and the spectra in a binary
     sidecar next to it (``path`` with suffix ``.npy``): one complex128
@@ -212,10 +226,6 @@ def write_trajectory(path: Path, traj: Trajectory, chash: str) -> None:
         for u_spec, v_spec in zip(traj.u_specs, traj.v_specs):
             fh.write(np.asarray(u_spec, dtype="<c16").tobytes())
             fh.write(np.asarray(v_spec, dtype="<c16").tobytes())
-    digest = hashlib.sha256()
-    with sidecar.open("rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
     header = {
         "artifact_version": ARTIFACT_VERSION,
         "config_hash": chash,
@@ -226,16 +236,17 @@ def write_trajectory(path: Path, traj: Trajectory, chash: str) -> None:
         "n_samples": len(traj),
         "times": traj.times.tolist(),
         "spectra_file": sidecar.name,
-        "spectra_sha256": digest.hexdigest(),
+        "spectra_sha256": _sha256_file(sidecar),
         "spectra_layout": "complex128 [n_samples, 2 (u, v), N], fft_order",
     }
     path.write_text(json.dumps(header, sort_keys=True) + "\n")
 
 
 def read_trajectory(path: Path, params: SystemParams, run: PerturbedRun) -> Trajectory:
-    """Load what ``write_trajectory`` wrote.  Raises ValueError when the
-    header is not schema 2 or the sidecar's hash, dtype or shape does not
-    match the header."""
+    """Load what ``write_trajectory`` wrote, the spectra memory-mapped
+    read-only from the sidecar.  Raises ValueError when the header is not
+    schema 2 or the sidecar's hash, dtype or shape does not match the
+    header."""
     path = Path(path)
     with path.open() as fh:
         header = json.loads(fh.readline())
@@ -252,10 +263,10 @@ def read_trajectory(path: Path, params: SystemParams, run: PerturbedRun) -> Traj
         raise ValueError(f"{path}: malformed trajectory header: {exc!r}") from exc
     if Path(name).name != name:
         raise ValueError(f"{path}: spectra_file must be a file name, got {name!r}")
-    blob = (path.parent / name).read_bytes()
-    if hashlib.sha256(blob).hexdigest() != digest:
-        raise ValueError(f"{path.parent / name}: sha256 does not match the header")
-    spectra = np.load(io.BytesIO(blob), allow_pickle=False)
+    sidecar = path.parent / name
+    if _sha256_file(sidecar) != digest:
+        raise ValueError(f"{sidecar}: sha256 does not match the header")
+    spectra = np.load(sidecar, mmap_mode="r", allow_pickle=False)
     shape = (n, 2, grid.n_points)
     if spectra.dtype != np.complex128 or spectra.shape != shape or times.shape != (n,):
         raise ValueError(
@@ -284,10 +295,19 @@ def _write_timeseries_csv(path: Path, recs, chash: str) -> None:
 # Verbs
 # ---------------------------------------------------------------------------
 
+def _make_out_dir(out_dir: Path) -> None:
+    """Create the ``--out`` directory; a path that cannot be one, such as an
+    existing file, is a ConfigError."""
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {out_dir} cannot be a directory: {exc.strerror}") from exc
+
+
 def do_run(config: dict, out_dir: Path) -> int:
     _, params, run, u0, v0, _ = parse_config(config)
     chash = config_hash(config)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(out_dir)
     _dump_json(out_dir / "config.json",
                {"artifact_version": ARTIFACT_VERSION, "config_hash": chash,
                 "config": config})
@@ -349,46 +369,82 @@ def do_run(config: dict, out_dir: Path) -> int:
 
 
 def _sweep_worker(job):
-    """Solve one sweep job ``(u0, v0, params, run)``; returns its status and
-    its trajectory, None when the solve failed."""
+    """Solve one sweep job ``(u0, v0, params, run, path, chash)``.  A ladder
+    rung, whose path is not None, is written there with ``write_trajectory``.
+    Returns the status and that path, None when the solve failed or the job
+    has no path."""
+    *problem, path, chash = job
     try:
-        return "completed", solve_perturbed(*job)
+        traj = solve_perturbed(*problem)
     except BlowupError as exc:
         return f"blowup: {exc}", None
     except SolverError as exc:
         return f"failed: {exc}", None
+    if path is not None:
+        write_trajectory(path, traj, chash)
+    return "completed", path
+
+
+@contextmanager
+def _fork_pool(workers: int):
+    """A fork pool, terminated on exit.  When the block raises an Exception
+    the pool first lets its jobs finish: terminating a worker while it sends
+    a result can leave ``Pool.terminate`` waiting forever on the queue lock
+    that worker held."""
+    with get_context("fork").Pool(workers) as pool:
+        try:
+            yield pool
+        except Exception:
+            pool.close()
+            pool.join()
+            raise
 
 
 def do_sweep(config: dict, out_dir: Path, workers: int = 1) -> int:
-    grid, params, run, u0, v0, extras = parse_config(config)
+    _, params, run, u0, v0, extras = parse_config(config)
+    if workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {workers}")
     chash = config_hash(config)
-    out_dir.mkdir(parents=True, exist_ok=True)
     ladder = extras["eps_ladder"] or []
     alpha_grid = extras["alpha_grid"] or []
     if not ladder and not alpha_grid:
         raise ConfigError("sweep needs sweep.eps_ladder or sweep.alpha_grid")
+    _make_out_dir(out_dir)
 
     keys = [("eps", eps) for eps in ladder] + [("alpha", alpha) for alpha in alpha_grid]
     alpha_params = [replace(params, alpha=float(alpha)) for alpha in alpha_grid]
-    jobs = [(u0, v0, params, replace(run, eps=float(eps))) for eps in ladder]
-    jobs += [(u0, v0, sp, run) for sp in alpha_params]
-    workers = min(workers, len(jobs))
-    if workers > 1:
-        with get_context("fork").Pool(workers) as pool:
-            results = pool.map(_sweep_worker, jobs)
-    else:
-        results = [_sweep_worker(job) for job in jobs]
-    eps_results, alpha_results = results[:len(ladder)], results[len(ladder):]
-
+    rung_runs = [replace(run, eps=float(eps)) for eps in ladder]
     report = {"artifact_version": ARTIFACT_VERSION, "config_hash": chash}
-    if ladder:
-        table = ConvergenceTable(ladder, eps_results)
-        report["viscosity_table"] = table.rows()
-        report["u_diffs_decreasing"], report["v_diffs_decreasing"] = table.strictly_decreasing()
+    statuses = []
+    with ExitStack() as stack:
+        # Each ladder rung comes back as a trajectory file in a temporary
+        # directory, and the table reads them in ladder order, so the parent
+        # holds at most two rungs.
+        tmp = Path(stack.enter_context(tempfile.TemporaryDirectory(prefix="fswl-sweep-")))
+        jobs = [(u0, v0, params, r, tmp / f"rung{i}.jsonl", chash)
+                for i, r in enumerate(rung_runs)]
+        jobs += [(u0, v0, sp, run, None, chash) for sp in alpha_params]
+        workers = min(workers, len(jobs))
+        if workers > 1:
+            results = stack.enter_context(_fork_pool(workers)).imap(_sweep_worker, jobs)
+        else:
+            results = map(_sweep_worker, jobs)
+
+        def rungs():
+            for r, (status, path) in zip(rung_runs, results):
+                statuses.append(status)
+                yield status, None if path is None else read_trajectory(path, params, r)
+
+        if ladder:
+            table = ConvergenceTable(ladder, rungs())
+            report["viscosity_table"] = table.rows()
+            report["u_diffs_decreasing"], report["v_diffs_decreasing"] = (
+                table.strictly_decreasing())
+        statuses += [status for status, _ in results]
 
     if alpha_grid:
         cells = []
-        for alpha, sp, (status, _) in zip(alpha_grid, alpha_params, alpha_results):
+        for alpha, sp, status in zip(alpha_grid, alpha_params, statuses[len(ladder):]):
             small = smallness_condition(sp, u0, v0, run.T, run.eps, a=run.a, b=run.b)
             cells.append({
                 "alpha": alpha,
@@ -403,9 +459,9 @@ def do_sweep(config: dict, out_dir: Path, workers: int = 1) -> int:
         )
 
     _dump_json(out_dir / "sweep_report.json", report)
-    for key, (status, _) in sorted(zip(keys, results), key=lambda r: repr(r[0])):
+    for key, status in sorted(zip(keys, statuses), key=lambda r: repr(r[0])):
         print(f"{key}: {status}")
-    return 1 if any(traj is None for _, traj in eps_results) else 0
+    return 1 if any(status != "completed" for status in statuses[:len(ladder)]) else 0
 
 
 def do_verify(suite: str, seed: int, out_dir: Path | None) -> int:
@@ -417,12 +473,27 @@ def do_verify(suite: str, seed: int, out_dir: Path | None) -> int:
     for row in report["checks"]:
         print(f"{'PASS' if row['passed'] else 'FAIL'} {row['name']}")
     if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
+        _make_out_dir(out_dir)
         _dump_json(out_dir / f"verify_{suite}.json", report)
     return 0 if report["passed"] else 1
 
 
 # ---------------------------------------------------------------------------
+
+def _load_config(path: Path) -> dict:
+    """The JSON object in the ``--config`` file; a file that cannot be read,
+    is not JSON or whose top level is not an object is a ConfigError."""
+    try:
+        config = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ConfigError(f"--config {path} cannot be read: {exc.strerror}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError(f"--config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ConfigError(
+            f"--config {path} must hold a JSON object, got {type(config).__name__}")
+    return config
+
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
@@ -452,9 +523,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.verb in ("run", "sweep"):
-            config = canonical_config() if args.config is None else json.loads(
-                Path(args.config).read_text()
-            )
+            config = canonical_config() if args.config is None else _load_config(args.config)
             if args.seed is not None:
                 config["seed"] = args.seed
             if args.verb == "run":

@@ -34,11 +34,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
-from .grid import Field, GridSpec, as_order
+from .grid import BLOCK_SAMPLES, Field, GridSpec, as_order
 
 __all__ = [
     "NonlinearityG",
@@ -279,22 +279,30 @@ class ConvergenceTable:
     """Consecutive-rung differences along a decreasing-eps ladder.
 
     Built from one ``(status, trajectory)`` per rung, the trajectory None
-    when the rung failed.  A pair of completed rungs gets its space-time
-    L2 differences and status "ok"; a pair with a failed rung gets only the
-    two rung statuses, "<coarse> / <fine>".
+    when the rung failed, taken from an iterable in ladder order; only the
+    previous rung is kept, so a generator of rungs has at most two alive.
+    A pair of completed rungs gets its space-time L2 differences and status
+    "ok"; a pair with a failed rung gets only the two rung statuses,
+    "<coarse> / <fine>".
     """
 
-    def __init__(self, eps_ladder: list, rungs: list[tuple[str, Trajectory | None]]):
+    def __init__(self, eps_ladder: list, rungs: Iterable[tuple[str, Trajectory | None]]):
         self._rows = []
-        pairs = list(zip(eps_ladder, rungs, strict=True))
-        for (e1, (s1, t1)), (e2, (s2, t2)) in zip(pairs, pairs[1:]):
-            row = {"eps_coarse": e1, "eps_fine": e2}
-            if t1 is None or t2 is None:
-                row["status"] = f"{s1} / {s2}"
-            else:
-                du, dv = l2_spacetime_diff(t1, t2)
-                row.update(u_l2_diff=du, v_l2_diff=dv, status="ok")
-            self._rows.append(row)
+        prev = None
+        for eps, (status, traj) in zip(eps_ladder, rungs, strict=True):
+            if prev is not None:
+                self._rows.append(self._pair_row(*prev, eps, status, traj))
+            prev = eps, status, traj
+
+    @staticmethod
+    def _pair_row(e1, s1, t1, e2, s2, t2) -> dict:
+        row = {"eps_coarse": e1, "eps_fine": e2}
+        if t1 is None or t2 is None:
+            row["status"] = f"{s1} / {s2}"
+        else:
+            du, dv = l2_spacetime_diff(t1, t2)
+            row.update(u_l2_diff=du, v_l2_diff=dv, status="ok")
+        return row
 
     @staticmethod
     def check_ladder(eps_ladder: list) -> None:
@@ -585,9 +593,13 @@ def solve_perturbed(
                 f"dt/2^{MAX_HALVINGS} = {run.dt / 2**MAX_HALVINGS:.3e}"
             )
 
-    stored_t = [0.0]
-    stored_u = [u_spec.copy()]
-    stored_v = [v_spec.copy()]
+    # every store_every-th step and the last one, after the initial sample
+    n_samples = 1 + -(-n_steps // run.store_every)
+    times = np.empty(n_samples)
+    u_specs = np.empty((n_samples, grid.n_points), dtype=np.complex128)
+    v_specs = np.empty_like(u_specs)
+    times[0], u_specs[0], v_specs[0] = 0.0, u_spec, v_spec
+    stored = 1
 
     successes = 0
     for step_idx in range(n_steps):
@@ -623,17 +635,11 @@ def solve_perturbed(
                 n_sub //= 2
                 successes = 0
         if (step_idx + 1) % run.store_every == 0 or step_idx + 1 == n_steps:
-            stored_t.append(t_target)
-            stored_u.append(u_spec.copy())
-            stored_v.append(v_spec.copy())
+            times[stored], u_specs[stored], v_specs[stored] = t_target, u_spec, v_spec
+            stored += 1
 
     return Trajectory(
-        grid=grid,
-        params=params,
-        run=run,
-        times=np.array(stored_t),
-        u_specs=np.array(stored_u),
-        v_specs=np.array(stored_v),
+        grid=grid, params=params, run=run, times=times, u_specs=u_specs, v_specs=v_specs,
     )
 
 
@@ -642,12 +648,18 @@ def solve_perturbed(
 # ---------------------------------------------------------------------------
 
 def l2_spacetime_diff(t1: Trajectory, t2: Trajectory) -> tuple[float, float]:
-    """L^2((0,T) x window) distances between two runs on the same grids."""
+    """L^2((0,T) x window) distances between two runs on the same grids.
+    The differences are formed BLOCK_SAMPLES samples at a time, so no
+    temporary of a whole trajectory's size is made."""
     if len(t1) != len(t2) or not np.allclose(t1.times, t2.times):
         raise ValueError("trajectories must share the sample time grid")
     trapezoid = getattr(np, "trapezoid", None) or np.trapz
-    du2 = t1.grid.weighted_sq(t1.u_specs - t2.u_specs, 1.0)
-    dv2 = t1.grid.weighted_sq(t1.v_specs - t2.v_specs, 1.0)
+    du2 = np.empty(len(t1))
+    dv2 = np.empty(len(t1))
+    for lo in range(0, len(t1), BLOCK_SAMPLES):
+        rows = slice(lo, lo + BLOCK_SAMPLES)
+        du2[rows] = t1.grid.weighted_sq(t1.u_specs[rows] - t2.u_specs[rows], 1.0)
+        dv2[rows] = t1.grid.weighted_sq(t1.v_specs[rows] - t2.v_specs[rows], 1.0)
     return (
         float(np.sqrt(trapezoid(du2, t1.times))),
         float(np.sqrt(trapezoid(dv2, t1.times))),
@@ -665,8 +677,8 @@ def vanishing_viscosity_sweep(
     record consecutive differences (empirical Cauchy behavior; observed, not
     asserted as a theorem).  A failing rung raises its SolverError."""
     ConvergenceTable.check_ladder(eps_ladder)
-    rungs = [
+    rungs = (
         ("completed", solve_perturbed(u0, v0, params, replace(run_template, eps=eps, eps_g=None)))
         for eps in eps_ladder
-    ]
+    )
     return ConvergenceTable(eps_ladder, rungs)

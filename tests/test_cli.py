@@ -4,6 +4,7 @@ import json
 import math
 import tempfile
 import time
+import weakref
 from pathlib import Path
 
 from types import SimpleNamespace
@@ -225,8 +226,8 @@ class TestSweepVerb:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, jobs):
-                return [fn(job) for job in jobs]
+            def imap(self, fn, jobs):
+                return map(fn, jobs)
 
         monkeypatch.setattr(cli, "get_context", lambda method: SimpleNamespace(Pool=SerialPool))
         cfg = tiny_config()
@@ -249,6 +250,57 @@ class TestSweepVerb:
             "completed / failed: injected", "failed: injected / completed", "ok"]
         assert all("u_l2_diff" not in r and "v_l2_diff" not in r for r in rows[:2])
         assert rows[2]["u_l2_diff"] > 0 and rows[2]["v_l2_diff"] > 0
+
+    def test_rung_files_removed_on_every_exit(self, tmp_path, monkeypatch):
+        # the rung trajectories live in a temporary directory that goes away
+        # after a failed rung and after an exception alike
+        root = tmp_path / "tmp-root"
+        root.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(root))
+
+        def solve(u0, v0, params, run):
+            if run.eps == 0.1:
+                raise SolverError("injected")
+            return solve_perturbed(u0, v0, params, run)
+
+        monkeypatch.setattr(cli, "solve_perturbed", solve)
+        cfg = tiny_config()
+        cfg["sweep"] = {"eps_ladder": [0.2, 0.1, 0.05]}
+        assert do_sweep(cfg, tmp_path / "out", workers=1) == 1
+        assert list(root.iterdir()) == []
+
+        def unreadable(path, params, run):
+            raise ValueError("injected read failure")
+
+        monkeypatch.setattr(cli, "read_trajectory", unreadable)
+        with pytest.raises(ValueError, match="injected read failure"):
+            do_sweep(cfg, tmp_path / "out", workers=2)
+        assert list(root.iterdir()) == []
+
+    def test_parent_holds_at_most_two_rungs(self, tmp_path, monkeypatch):
+        # Trajectory is unhashable, so a list of weak references, not a WeakSet
+        refs = []
+        counts = []
+
+        def read(path, params, run):
+            traj = read_trajectory(path, params, run)
+            refs.append(weakref.ref(traj))
+            counts.append(sum(ref() is not None for ref in refs))
+            return traj
+
+        monkeypatch.setattr(cli, "read_trajectory", read)
+        cfg = tiny_config()
+        cfg["sweep"] = {"eps_ladder": [0.2, 0.1, 0.05, 0.025]}
+        assert do_sweep(cfg, tmp_path / "out", workers=2) == 0
+        assert counts == [1, 2, 2, 2]
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_nonpositive_workers_is_config_error(self, tmp_path, capsys, workers):
+        config = _dump(tmp_path, dict(tiny_config(), sweep={"eps_ladder": [0.2, 0.1]}))
+        assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "o"),
+                     "--workers", str(workers)]) == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestVerifyVerb:
@@ -274,6 +326,60 @@ def test_main_entry_config_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(tiny_config(grid={"L": 16.0, "N": 100})))
     assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("verb", ["run", "sweep", "verify"])
+def test_out_naming_a_file_is_config_error(tmp_path, capsys, verb):
+    config = _dump(tmp_path, dict(tiny_config(), sweep={"eps_ladder": [0.2, 0.1]}))
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    given = ["--suite", "gronwall"] if verb == "verify" else ["--config", str(config)]
+    assert main([verb, *given, "--out", str(out)]) == 2
+    assert f"--out {out}" in capsys.readouterr().err
+    assert out.read_text() == "not a directory\n"
+
+
+def _directory(tmp_path: Path) -> Path:
+    path = tmp_path / "a-directory.json"
+    path.mkdir()
+    return path
+
+
+@pytest.mark.parametrize("verb", ["run", "sweep"])
+@pytest.mark.parametrize("make", [
+    lambda tmp: tmp / "missing.json",
+    _directory,
+    lambda tmp: _write(tmp / "malformed.json", b'{"grid": {"L": 16.0,'),
+    lambda tmp: _write(tmp / "list.json", b"[1, 2]"),
+    lambda tmp: _write(tmp / "number.json", b"7"),
+    lambda tmp: _write(tmp / "latin1.json", b'{"seed": "\xe9"}'),
+], ids=["missing", "directory", "malformed", "list", "number", "not-utf8"])
+def test_config_file_faults_are_config_errors(tmp_path, capsys, verb, make):
+    config = make(tmp_path)
+    assert main([verb, "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert f"--config {config}" in capsys.readouterr().err
+
+
+def _write(path: Path, blob: bytes) -> Path:
+    path.write_bytes(blob)
+    return path
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "gaussian", "amplitude": 0.0, "mode": 4.5, "width": "x"},
+    {"kind": "gaussian", "amplitude": 0.0, "mode": 4.5},
+    {"kind": "gaussian", "amplitude": 0.0, "width": "x"},
+    {"kind": "gaussian", "amplitude": 0.0, "width": 0.0},
+    {"kind": "gaussian", "amplitude": 0.0, "center": math.nan},
+    {"kind": "mode", "amplitude": 0.0, "mode": "3"},
+    {"kind": "bump", "amplitude": 0.0},
+])
+def test_zero_amplitude_keys_still_validated(spec):
+    # zero data takes a shortcut to the zero field, but not past validation
+    cfg = tiny_config()
+    cfg["initial"]["u0"] = spec
+    with pytest.raises(ConfigError):
+        parse_config(cfg)
 
 
 def test_canonical_regression_run(tmp_path):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -293,6 +295,20 @@ class TestSolvePerturbed:
         with pytest.raises(BlowupError):
             solve_perturbed(u0, v0, params, run)
 
+    def test_store_every_not_dividing_steps(self, grid16, gauss_pair):
+        # every third step and the last one are stored, after the initial
+        # sample, and the rows are those of the run that stores every step
+        u0, v0 = gauss_pair
+        every = solve_perturbed(u0, v0, coupled_params(),
+                                PerturbedRun(eps=0.1, T=1.0, dt=0.1))
+        traj = solve_perturbed(u0, v0, coupled_params(),
+                               PerturbedRun(eps=0.1, T=1.0, dt=0.1, store_every=3))
+        np.testing.assert_allclose(traj.times, [0.0, 0.3, 0.6, 0.9, 1.0], rtol=1e-14)
+        rows = [0, 3, 6, 9, 10]
+        assert np.array_equal(traj.times, every.times[rows])
+        assert np.array_equal(traj.u_specs, every.u_specs[rows])
+        assert np.array_equal(traj.v_specs, every.v_specs[rows])
+
     def test_invalid_run_parameters(self):
         with pytest.raises(ValueError):
             PerturbedRun(eps=1.5, T=1.0, dt=0.1)
@@ -336,6 +352,25 @@ class TestViscositySweep:
         run = PerturbedRun(eps=0.1, T=0.25, dt=5e-3)
         table = vanishing_viscosity_sweep(u0, v0, params, [0.2, 0.1, 0.05], run)
         assert table.u_diffs[1] < table.u_diffs[0]
+
+    def test_at_most_two_trajectories_alive(self, grid16, gauss_pair, monkeypatch):
+        # Trajectory is unhashable, so a list of weak references, not a WeakSet
+        refs = []
+        counts = []
+
+        def solve(*args):
+            traj = solve_perturbed(*args)
+            refs.append(weakref.ref(traj))
+            counts.append(sum(ref() is not None for ref in refs))
+            return traj
+
+        monkeypatch.setattr(solver, "solve_perturbed", solve)
+        u0, v0 = gauss_pair
+        run = PerturbedRun(eps=0.1, T=0.05, dt=5e-3)
+        table = vanishing_viscosity_sweep(u0, v0, coupled_params(),
+                                          [0.2, 0.1, 0.05, 0.025], run)
+        assert counts == [1, 2, 2, 2]
+        assert [row["status"] for row in table.rows()] == ["ok"] * 3
 
     def test_full_system_table_monotone(self, grid16, gauss_pair):
         u0, v0 = gauss_pair
