@@ -15,7 +15,7 @@ import json
 import math
 import sys
 import tempfile
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import replace
 from multiprocessing import get_context
 from pathlib import Path
@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import diagnose_trajectory, smallness_condition, theta_envelope
-from .grid import Field, GridError, make_grid
+from .grid import Field, make_grid
 from .solver import (
     BlowupError,
     ConvergenceTable,
@@ -57,11 +57,12 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 def _finite(raw, name: str) -> float:
-    """A config number as a float; NaN and infinities are rejected."""
-    value = float(raw)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {raw!r}")
-    return value
+    """A config number as a float: a number or a numeric string; a bool,
+    NaN and the infinities are rejected."""
+    with suppress(TypeError, ValueError, OverflowError):
+        if not isinstance(raw, bool) and math.isfinite(value := float(raw)):
+            return value
+    raise ValueError(f"{name} must be a finite number, got {raw!r}")
 
 
 def _integer(raw, name: str) -> int:
@@ -74,18 +75,83 @@ def _integer(raw, name: str) -> int:
     return raw
 
 
-_G_REGISTRY = {
-    "zero": lambda spec: g_zero(),
-    "linear": lambda spec: g_linear(_finite(spec.get("c", 1.0), "g.c")),
-    "tanh_blend": lambda spec: g_tanh_blend(_finite(spec.get("m", 0.2), "g.m"),
-                                            _finite(spec.get("M", 1.0), "g.M")),
+def _finite_list(raw, name: str) -> list:
+    """A config list of finite numbers, returned as given."""
+    if not isinstance(raw, list):
+        raise ValueError(f"{name} must be a list of numbers, got {raw!r}")
+    for value in raw:
+        _finite(value, f"{name} entry")
+    return raw
+
+
+def _gate(raw, name: str, fixed: float) -> None:
+    """A gate key may only restate its fixed value; it sets nothing."""
+    if _finite(raw, name) != fixed:
+        raise ValueError(f"{name} is fixed at {fixed!r}")
+
+
+# Every key a config may hold, as nested sections of (reader, default); a
+# reader takes the raw value and its dotted path.  A default of ... marks a
+# required key.  A default of None, or a reader returning None, passes nothing
+# on: the constructor that takes the key keeps its default.  A section
+# {"kind": {kind: table}} takes the keys of its kind's table, the first kind
+# by default.
+_INITIAL = {"kind": {
+    "gaussian": {"amplitude": (_finite, 0.0), "center": (_finite, 0.0),
+                 "width": (_finite, 1.0), "mode": (_integer, 0)},
+    "mode": {"amplitude": (_finite, 0.0), "center": (_finite, 0.0), "mode": (_integer, 1)},
+    "zero": {},
+}}
+_SCHEMA = {
+    "grid": {"L": (_finite, ...), "N": (_integer, ...)},
+    "system": {"alpha": (_finite, ...), "beta": (_finite, ...), "s": (_finite, ...),
+               "gamma": (_finite, None),
+               "g": {"kind": {"zero": {}, "linear": {"c": (_finite, None)},
+                              "tanh_blend": {"m": (_finite, None), "M": (_finite, None)}}}},
+    "perturbation": {"eps": (_finite, 0.1), "a": (_integer, None), "b": (_integer, None)},
+    "time": {"T": (_finite, ...), "dt": (_finite, ...),
+             "picard_tol": (_finite, None), "picard_max_iter": (_integer, None)},
+    "diagnostics": {"store_every": (_integer, None), "blowup_factor": (_finite, None),
+                    # configs may restate the fixed gates, never change them
+                    "mass_rtol": (lambda raw, name: _gate(raw, name, MASS_RTOL), None),
+                    "sup_tol": (lambda raw, name: _gate(raw, name, SUP_TOL), None)},
+    "initial": {"u0": _INITIAL, "v0": _INITIAL},
+    "sweep": {"eps_ladder": (_finite_list, ()), "alpha_grid": (_finite_list, ())},
+    "seed": (_integer, 1234),
 }
+_NONLINEARITIES = {"zero": g_zero, "linear": g_linear, "tanh_blend": g_tanh_blend}
+
+
+def _read(raw, table: dict, prefix: str) -> dict:
+    """Config section ``raw`` read through ``table``, ``prefix`` its dotted path
+    and a dot; an unknown or missing key and a non-object section name it."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{prefix[:-1] or 'config'} must be an object, got {type(raw).__name__}")
+    out, kinds = {}, table.get("kind")
+    if kinds:
+        kind = out["kind"] = raw.get("kind", next(iter(kinds)))
+        if not (isinstance(kind, str) and kind in kinds):
+            raise ValueError(f"{prefix}kind must be one of {sorted(kinds)}, got {kind!r}")
+        table = kinds[kind]
+    for key in raw:
+        if key not in table and not (kinds and key == "kind"):
+            raise ValueError(f"unknown key {prefix}{key}")
+    for key, entry in table.items():
+        if isinstance(entry, dict):
+            out[key] = _read(raw.get(key, {}), entry, f"{prefix}{key}.")
+            continue
+        reader, default = entry
+        value = reader(raw[key], prefix + key) if key in raw else default
+        if value is ...:
+            raise ValueError(f"missing key {prefix}{key}")
+        if value is not None:
+            out[key] = value
+    return out
 
 
 def canonical_config() -> dict:
     """The bundled default configuration (the repository's regression run)."""
-    path = Path(__file__).parent / "configs" / "canonical.json"
-    return json.loads(path.read_text())
+    return json.loads((Path(__file__).parent / "configs" / "canonical.json").read_text())
 
 
 def config_hash(config: dict) -> str:
@@ -93,105 +159,37 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _initial_field(grid, spec: dict, flavor: str) -> Field:
-    kind = spec.get("kind", "gaussian")
-    if kind == "zero":
+def _initial_field(grid, spec: dict, flavor: str, name: str) -> Field:
+    """The initial field of a read ``initial`` entry; ``name`` is its path."""
+    kind = spec["kind"]
+    if kind == "gaussian" and spec["width"] == 0.0:
+        raise ValueError(f"{name}.width must be nonzero")
+    if kind == "zero" or spec["amplitude"] == 0.0:
         return Field.zero(grid, flavor=flavor)
-    # every key of the kind is validated, also when zero data skips its use
-    amp = _finite(spec.get("amplitude", 0.0), "amplitude")
-    center = _finite(spec.get("center", 0.0), "center")
+    x, amp, kappa = grid.x, spec["amplitude"], np.pi * spec["mode"] / grid.half_length
     if kind == "gaussian":
-        width = _finite(spec.get("width", 1.0), "width")
-        if width == 0.0:
-            raise ValueError("width must be nonzero")
-        mode = _integer(spec.get("mode", 0), "mode")
-    elif kind == "mode":
-        mode = _integer(spec.get("mode", 1), "mode")
-    else:
-        raise ConfigError(f"unknown initial-data kind {kind!r}")
-    if amp == 0.0:
-        return Field.zero(grid, flavor=flavor)
-    kappa = np.pi * mode / grid.half_length
-    if kind == "gaussian":
+        amp = amp * np.exp(-(((x - spec["center"]) / spec["width"]) ** 2))
         if flavor == "real":
-            fn = lambda x: amp * np.exp(-(((x - center) / width) ** 2))
-        else:
-            fn = lambda x: amp * np.exp(-(((x - center) / width) ** 2)) * np.exp(1j * kappa * x)
-        return Field.from_function(grid, fn, flavor=flavor)
-    if flavor == "real":
-        return Field.from_function(grid, lambda x: amp * np.cos(kappa * x), flavor="real")
-    return Field.from_function(grid, lambda x: amp * np.exp(1j * kappa * x))
+            return Field(grid, amp, flavor=flavor)
+    carrier = np.cos(kappa * x) if flavor == "real" else np.exp(1j * kappa * x)
+    return Field(grid, amp * carrier, flavor=flavor)
 
 
 def parse_config(config: dict):
-    """Validate a config dict; returns (grid, params, run, u0, v0, extras)."""
+    """Validate a config dict against ``_SCHEMA``; returns (grid, params,
+    run, u0, v0, extras)."""
     try:
-        gspec = config["grid"]
-        grid = make_grid(_finite(gspec["L"], "L"), _integer(gspec["N"], "N"))
-    except GridError as exc:
-        raise ConfigError(f"grid: {exc}") from exc
-    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"grid section invalid: {exc}") from exc
-
-    try:
-        sy = config["system"]
-        g_spec = sy.get("g", {"kind": "zero"})
-        kind = g_spec.get("kind", "zero")
-        if kind not in _G_REGISTRY:
-            raise ConfigError(
-                f"unknown nonlinearity kind {kind!r}; choose from {sorted(_G_REGISTRY)}"
-            )
-        g = _G_REGISTRY[kind](g_spec)
-        params = SystemParams(
-            alpha=_finite(sy["alpha"], "alpha"),
-            beta=_finite(sy["beta"], "beta"),
-            s=_finite(sy["s"], "s"),
-            g=g,
-            gamma=_finite(sy.get("gamma", 1.0), "gamma"),
-        )
-    except ConfigError:
-        raise
-    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"system section invalid: {exc}") from exc
-
-    try:
-        pe = config.get("perturbation", {})
-        tm = config["time"]
-        dg = config.get("diagnostics", {})
-        run = PerturbedRun(
-            eps=_finite(pe.get("eps", 0.1), "eps"),
-            a=_integer(pe.get("a", 4), "a"),
-            b=_integer(pe.get("b", 7), "b"),
-            T=_finite(tm["T"], "T"),
-            dt=_finite(tm["dt"], "dt"),
-            picard_tol=_finite(tm.get("picard_tol", 1e-10), "picard_tol"),
-            picard_max_iter=_integer(tm.get("picard_max_iter", 50), "picard_max_iter"),
-            store_every=_integer(dg.get("store_every", 1), "store_every"),
-            blowup_factor=_finite(dg.get("blowup_factor", 1e6), "blowup_factor"),
-        )
-    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"time/perturbation section invalid: {exc}") from exc
-
-    try:
-        init = config.get("initial", {})
-        u0 = _initial_field(grid, init.get("u0", {"kind": "zero"}), "complex")
-        v0 = _initial_field(grid, init.get("v0", {"kind": "zero"}), "real")
-        sweep = config.get("sweep", {})
-        for key in ("eps_ladder", "alpha_grid"):
-            for value in sweep.get(key) or ():
-                _finite(value, f"sweep.{key} entry")
-        if sweep.get("eps_ladder"):
-            ConvergenceTable.check_ladder(sweep["eps_ladder"])
-        extras = {
-            "seed": _integer(config.get("seed", 1234), "seed"),
-            "eps_ladder": sweep.get("eps_ladder"),
-            "alpha_grid": sweep.get("alpha_grid"),
-        }
-    except ConfigError:
-        raise
-    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"initial/seed/sweep section invalid: {exc}") from exc
-    return grid, params, run, u0, v0, extras
+        c = _read(config, _SCHEMA, "")
+        grid = make_grid(**c["grid"])
+        g = c["system"].pop("g")
+        params = SystemParams(**c["system"], g=_NONLINEARITIES[g.pop("kind")](**g))
+        run = PerturbedRun(**c["perturbation"], **c["time"], **c["diagnostics"])
+        u0 = _initial_field(grid, c["initial"]["u0"], "complex", "initial.u0")
+        v0 = _initial_field(grid, c["initial"]["v0"], "real", "initial.v0")
+        ConvergenceTable.check_ladder(c["sweep"]["eps_ladder"])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(str(exc)) from exc
+    return grid, params, run, u0, v0, {"seed": c["seed"], **c["sweep"]}
 
 
 # ---------------------------------------------------------------------------
@@ -405,8 +403,7 @@ def do_sweep(config: dict, out_dir: Path, workers: int = 1) -> int:
     if workers < 1:
         raise ConfigError(f"--workers must be at least 1, got {workers}")
     chash = config_hash(config)
-    ladder = extras["eps_ladder"] or []
-    alpha_grid = extras["alpha_grid"] or []
+    ladder, alpha_grid = extras["eps_ladder"], extras["alpha_grid"]
     if not ladder and not alpha_grid:
         raise ConfigError("sweep needs sweep.eps_ladder or sweep.alpha_grid")
     _make_out_dir(out_dir)
@@ -480,11 +477,22 @@ def do_verify(suite: str, seed: int, out_dir: Path | None) -> int:
 
 # ---------------------------------------------------------------------------
 
+def _unique_keys(pairs: list) -> dict:
+    """The JSON object of ``pairs``; a key given twice is a ValueError."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _load_config(path: Path) -> dict:
     """The JSON object in the ``--config`` file; a file that cannot be read,
-    is not JSON or whose top level is not an object is a ConfigError."""
+    is not JSON, repeats a key or whose top level is not an object is a
+    ConfigError."""
     try:
-        config = json.loads(Path(path).read_text())
+        config = json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(f"--config {path} cannot be read: {exc.strerror}") from exc
     except (ValueError, RecursionError) as exc:
@@ -504,15 +512,12 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p_run = sub.add_parser("run", help="execute one configured run")
-    p_run.add_argument("--config", type=Path, default=None,
-                       help="JSON config (defaults to the bundled canonical run)")
-    p_run.add_argument("--out", type=Path, required=True)
-    p_run.add_argument("--seed", type=int, default=None)
-
     p_sweep = sub.add_parser("sweep", help="eps-ladder and/or alpha-grid fan-out")
-    p_sweep.add_argument("--config", type=Path, default=None)
-    p_sweep.add_argument("--out", type=Path, required=True)
-    p_sweep.add_argument("--seed", type=int, default=None)
+    for p in (p_run, p_sweep):
+        p.add_argument("--config", type=Path, default=None,
+                       help="JSON config (defaults to the bundled canonical run)")
+        p.add_argument("--out", type=Path, required=True)
+        p.add_argument("--seed", type=int, default=None)
     p_sweep.add_argument("--workers", type=int, default=1)
 
     p_ver = sub.add_parser("verify", help="run a property suite")

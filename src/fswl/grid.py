@@ -47,6 +47,10 @@ ZERO_MODE_RTOL = 1e-9
 # peak memory does not grow with the number of rows.
 BLOCK_SAMPLES = 16
 
+# Largest N, eight times the finest grid the docs use (8192).  A stored (u, v)
+# sample is 2 MB at 2**16, so a mistyped N like 2**40 fails here, unallocated.
+MAX_N = 2**16
+
 
 class GridError(ValueError):
     """Invalid grid construction parameters."""
@@ -54,10 +58,6 @@ class GridError(ValueError):
 
 class ZeroModeError(ValueError):
     """Operation undefined on the constant (k = 0) mode."""
-
-
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
 
 
 @dataclass(frozen=True)
@@ -72,9 +72,9 @@ class GridSpec:
             raise GridError(
                 f"half_length must be positive and finite, got {self.half_length}"
             )
-        if not _is_power_of_two(self.n_points) or self.n_points < 8:
+        if self.n_points & (self.n_points - 1) or not 8 <= self.n_points <= MAX_N:
             raise GridError(
-                f"n_points must be a power of two >= 8, got {self.n_points}"
+                f"n_points must be a power of two in [8, {MAX_N}], got {self.n_points}"
             )
 
     @property
@@ -177,7 +177,7 @@ class GridSpec:
 
 
 def make_grid(L: float, N: int) -> GridSpec:
-    """Build the periodic grid on [-L, L) with N a power of two >= 8."""
+    """Build the periodic grid on [-L, L) with N a power of two in [8, MAX_N]."""
     return GridSpec(half_length=float(L), n_points=int(N))
 
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Iterable
 
 import numpy as np
@@ -115,8 +116,6 @@ class NonlinearityG:
         """g_eps(v) = g(v) + eps v: removes the degeneracy, g_eps' >= eps."""
         if eps == 0.0:
             return self
-        from functools import partial
-
         return NonlinearityG(
             fn=partial(_regularized_fn, base=self.fn, eps=eps),
             derivative=partial(_regularized_d, base=self.derivative, eps=eps),
@@ -161,8 +160,6 @@ def g_zero() -> NonlinearityG:
 def g_linear(c: float = 1.0) -> NonlinearityG:
     if c < 0:
         raise ValueError("linear coefficient must be nonnegative")
-    from functools import partial
-
     return NonlinearityG(
         fn=partial(_scale_fn, c=c),
         derivative=partial(_const_fn, c=c),
@@ -176,8 +173,6 @@ def g_tanh_blend(m: float = 0.2, M: float = 1.0) -> NonlinearityG:
     """g(v) = m v + (M - m) tanh v; derivative ranges over (m, M]."""
     if not 0.0 <= m <= M:
         raise ValueError("need 0 <= m <= M")
-    from functools import partial
-
     return NonlinearityG(
         fn=partial(_tanh_blend_fn, m=m, M=M),
         derivative=partial(_tanh_blend_d, m=m, M=M),

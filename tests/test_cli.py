@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
+import re
 import tempfile
 import time
 import weakref
@@ -353,7 +356,9 @@ def _directory(tmp_path: Path) -> Path:
     lambda tmp: _write(tmp / "list.json", b"[1, 2]"),
     lambda tmp: _write(tmp / "number.json", b"7"),
     lambda tmp: _write(tmp / "latin1.json", b'{"seed": "\xe9"}'),
-], ids=["missing", "directory", "malformed", "list", "number", "not-utf8"])
+    lambda tmp: _write(tmp / "duplicate.json",
+                       b'{"grid": {"L": 16, "N": 512}, "grid": {"L": 8, "N": 64}}'),
+], ids=["missing", "directory", "malformed", "list", "number", "not-utf8", "duplicate-key"])
 def test_config_file_faults_are_config_errors(tmp_path, capsys, verb, make):
     config = make(tmp_path)
     assert main([verb, "--config", str(config), "--out", str(tmp_path / "o")]) == 2
@@ -476,6 +481,9 @@ def test_unreachable_contraction_cap_fails_fast(tmp_path):
     (("seed",), 1.5),
     (("seed",), "11"),
     (("seed",), True),
+    # a bool is not a number
+    (("grid", "L"), True),
+    (("system", "gamma"), True),
 ])
 def test_invalid_number_is_config_error(tmp_path, path, value):
     cfg = tiny_config()
@@ -523,3 +531,147 @@ def test_mutated_config_ends_in_documented_exit_code(mutations):
         config = tmp / "cfg.json"
         config.write_text(json.dumps(cfg))
         assert main(["run", "--config", str(config), "--out", str(tmp / "o")]) in {0, 1, 2, 3}
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Config faults the key table catches, each with what its message must say.
+_SCHEMA_FAULTS = {
+    "unknown-key": (lambda c: c["time"].update(picard_tl=1e-10),
+                    "unknown key time.picard_tl"),
+    "misspelled-section": (lambda c: c.update(intial=c.pop("initial")), "unknown key intial"),
+    "g-key-of-other-kind": (lambda c: c["system"].update(g={"kind": "zero", "c": 1.0}),
+                            "unknown key system.g.c"),
+    "amplitude-under-zero": (lambda c: c["initial"].update(u0={"kind": "zero", "amplitude": 0.0}),
+                             "unknown key initial.u0.amplitude"),
+    "width-under-mode": (
+        lambda c: c["initial"].update(u0={"kind": "mode", "amplitude": 0.3, "mode": 2, "width": 1.0}),
+        "unknown key initial.u0.width"),
+    "section-not-object": (lambda c: c.update(diagnostics=5),
+                           "diagnostics must be an object, got int"),
+    "ladder-not-list": (lambda c: c.update(sweep={"eps_ladder": "0.2"}),
+                        "sweep.eps_ladder must be a list"),
+    "gate-changed": (lambda c: c.update(diagnostics={"mass_rtol": 0.5}),
+                     "diagnostics.mass_rtol is fixed at 1e-08"),
+    "missing-required": (lambda c: c["grid"].pop("N"), "missing key grid.N"),
+    "unknown-kind": (lambda c: c["initial"]["v0"].update(kind="bump"),
+                     "initial.v0.kind must be one of"),
+}
+
+
+@pytest.mark.parametrize("edit, named", _SCHEMA_FAULTS.values(), ids=list(_SCHEMA_FAULTS))
+def test_schema_fault_exits_2_naming_the_key(tmp_path, capsys, edit, named):
+    cfg = tiny_config()
+    edit(cfg)
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        parse_config(cfg)
+    assert main(["run", "--config", str(_dump(tmp_path, cfg)),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_duplicate_key_is_named(tmp_path, capsys):
+    config = _write(tmp_path / "cfg.json", b'{"seed": 1, "grid": {"L": 16, "L": 8, "N": 64}}')
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert "duplicate key 'L'" in capsys.readouterr().err
+
+
+def test_gate_keys_accepted_only_at_the_fixed_gates(monkeypatch):
+    cfg = tiny_config(diagnostics={"mass_rtol": 1e-8, "sup_tol": 1e-8})
+    parse_config(cfg)
+    # the table reads the gates when it checks a config, not when it is built
+    monkeypatch.setattr(cli, "SUP_TOL", 1e-6)
+    with pytest.raises(ConfigError, match="diagnostics.sup_tol is fixed at 1e-06"):
+        parse_config(cfg)
+
+
+def test_missing_initial_data_and_kind_share_the_default():
+    # a missing u0 and a u0 without kind are both a gaussian of amplitude 0
+    cfg = tiny_config()
+    del cfg["initial"]["u0"]
+    assert not np.any(parse_config(cfg)[3].values)
+    del cfg["initial"]["v0"]["kind"]
+    cfg["initial"]["u0"] = {"amplitude": 0.35, "mode": 3}
+    _, _, _, u0, v0, _ = parse_config(cfg)
+    _, _, _, u0_gauss, v0_gauss, _ = parse_config(tiny_config())
+    assert np.array_equal(u0.values, u0_gauss.values)
+    assert np.array_equal(v0.values, v0_gauss.values)
+
+
+@pytest.mark.parametrize("path", [
+    ROOT / "src" / "fswl" / "configs" / "canonical.json",
+    ROOT / "bench" / "configs" / "eps_sweep.json",
+], ids=["canonical", "eps_sweep"])
+def test_bundled_configs_parse(path):
+    grid, *_, extras = parse_config(cli._load_config(path))
+    assert grid.n_points in (512, 2048) and extras["seed"] == 1234
+
+
+def test_readme_config_example_parses():
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("A config is a single JSON file", 1)[1]
+    block = block.split("```json\n", 1)[1].split("```", 1)[0]
+    grid, params, run, u0, v0, extras = parse_config(json.loads(block))
+    assert extras["eps_ladder"] and extras["alpha_grid"]
+
+
+def _key_paths(node: dict, path: tuple = ()):
+    for key, value in node.items():
+        yield path + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, path + (key,))
+
+
+def _node(cfg: dict, path: tuple):
+    for key in path:
+        cfg = cfg[key]
+    return cfg
+
+
+@st.composite
+def _structural_edits(draw):
+    """A small canonical config after one to three structural edits, and the
+    dotted paths the edits touched: a key deleted or renamed, an unknown key
+    inserted, or a section replaced by a list, a number or null."""
+    cfg = canonical_config()
+    cfg["grid"]["N"] = 32
+    cfg["time"]["T"] = 0.02
+    touched = []
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["delete", "rename", "insert", "replace"]))
+        sections = [()] + [p for p in _key_paths(cfg) if isinstance(_node(cfg, p), dict)]
+        keys = list(_key_paths(cfg))
+        if op == "insert":
+            path = draw(st.sampled_from(sections)) + ("extra",)
+            _node(cfg, path[:-1])[path[-1]] = 1.0
+        elif op == "replace":
+            path = draw(st.sampled_from(sections[1:]))
+            _node(cfg, path[:-1])[path[-1]] = draw(st.sampled_from([[], [1.0], 7, None]))
+        else:
+            path = draw(st.sampled_from(keys))
+            parent = _node(cfg, path[:-1])
+            value = parent.pop(path[-1])
+            if op == "rename":
+                path = path[:-1] + (path[-1] + "x",)
+                parent[path[-1]] = value
+        touched.append(path)
+    return cfg, touched
+
+
+@given(_structural_edits())
+@settings(max_examples=60)
+def test_structural_edit_ends_in_documented_exit_code(edited):
+    cfg, touched = edited
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        config = tmp / "cfg.json"
+        config.write_text(json.dumps(cfg))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["run", "--config", str(config), "--out", str(tmp / "o")])
+    assert code in {0, 1, 2, 3}
+    if code == 2:
+        # the message names a touched key or the section that holds it
+        named = {".".join(p[:n]) for p in touched for n in (len(p) - 1, len(p)) if n}
+        assert any(name in err.getvalue() for name in named), (err.getvalue(), touched)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fswl.grid import Field, FracOrder, GridError, make_grid
+from fswl.grid import MAX_N, Field, FracOrder, GridError, make_grid
 
 
 def test_make_grid_pi_8():
@@ -23,6 +23,15 @@ def test_make_grid_2pi_16_spacing():
 def test_non_power_of_two_rejected(bad_n):
     with pytest.raises(GridError, match="power of two"):
         make_grid(np.pi, bad_n)
+
+
+def test_n_bound():
+    # the bound leaves headroom over the finest documented grid, 8192
+    assert MAX_N > 8192
+    assert make_grid(np.pi, MAX_N).n_points == MAX_N
+    # a grid spec holds no arrays, so an N above the bound fails unallocated
+    with pytest.raises(GridError, match=f"power of two in \\[8, {MAX_N}\\], got {2**17}"):
+        make_grid(np.pi, 2**17)
 
 
 def test_nonpositive_length_rejected():
