@@ -413,7 +413,7 @@ def test_picard_divergence_signals_halving(grid16):
     big_v = Field.from_function(grid16, lambda x: 2.0 * np.exp(-(x**2)), "real")
     run = PerturbedRun(eps=0.1, T=10.0, dt=5.0)
     stepper = _Stepper(grid16, coupled_params(), run)
-    with pytest.raises((PicardDivergenceError, SolverError)):
+    with pytest.raises(PicardDivergenceError):
         stepper.step(
             (big_u.spectrum * grid16.dealias_mask()).astype(complex),
             (big_v.spectrum * grid16.dealias_mask()).astype(complex),
@@ -421,23 +421,122 @@ def test_picard_divergence_signals_halving(grid16):
         )
 
 
+def _log_substeps(monkeypatch, fail=lambda attempt: False) -> list:
+    """Wrap ``_Stepper.step`` to record ``(dt, accepted)`` per sub-step
+    attempt; attempt n (from 0) diverges without stepping when fail(n)."""
+    log = []
+    step = _Stepper.step
+
+    def logged(self, u_spec, v_spec, dt):
+        try:
+            if fail(len(log)):
+                raise PicardDivergenceError("injected")
+            out = step(self, u_spec, v_spec, dt)
+        except PicardDivergenceError:
+            log.append((dt, False))
+            raise
+        log.append((dt, True))
+        return out
+
+    monkeypatch.setattr(_Stepper, "step", logged)
+    return log
+
+
+def _no_cap(monkeypatch):
+    monkeypatch.setattr(solver, "contraction_time_bound", lambda *args: np.inf)
+
+
+def _check_clock(log: list, run: PerturbedRun) -> tuple[int, int]:
+    """Check a sub-step log against the step-size rules; returns the numbers
+    of halvings and re-doublings.  Every sub-step is dt/2**j and lies inside
+    one base step, a diverged one is retried at half its size, and a
+    re-doubling follows at least eight successes since the last change and
+    starts on a boundary of the doubled size."""
+    ticks = 2**solver.MAX_HALVINGS  # sizes in units of dt/2**MAX_HALVINGS
+    sizes = []
+    for dt, _ in log:
+        j = [j for j in range(solver.MAX_HALVINGS + 1) if dt == run.dt / 2**j]
+        assert j, f"sub-step {dt!r} is not dt/2**j"
+        sizes.append(ticks >> j[0])
+    pos, streak, halvings, redoublings = 0, 0, 0, 0
+    for (_, ok), size, nxt in zip(log, sizes, sizes[1:] + [None]):
+        if not ok:
+            assert nxt == size // 2
+            halvings += 1
+            streak = 0
+            continue
+        assert pos // ticks == (pos + size - 1) // ticks
+        pos += size
+        streak += 1
+        if nxt is not None and nxt != size:
+            assert nxt == 2 * size and streak >= 8 and pos % nxt == 0
+            redoublings += 1
+            streak = 0
+    assert pos == run.n_steps * ticks
+    return halvings, redoublings
+
+
 def test_divergence_triggered_halving_recovers(monkeypatch):
-    # with the a-priori cap effectively disabled, an over-ambitious step must
-    # halve on contraction failure and still land exactly on the sample grid
-    monkeypatch.setattr(solver, "ALGEBRA_CONST", 1e-4)
+    # with the a-priori cap disabled, an over-ambitious step must halve on
+    # contraction failure, re-double after sustained success, and still land
+    # exactly on the sample grid
+    _no_cap(monkeypatch)
+    log = _log_substeps(monkeypatch)
     grid = make_grid(16.0, 128)
-    u0 = Field.from_function(grid, lambda x: 1.6 * np.exp(-(x**2)))
+    u0 = Field.from_function(grid, lambda x: 1.0 * np.exp(-(x**2)))
     v0 = Field.from_function(grid, lambda x: 1.0 * np.exp(-((x / 1.5) ** 2)), "real")
     params = SystemParams(alpha=0.4, beta=0.4, s=0.75, g=g_tanh_blend(0.2, 1.0))
-    run = PerturbedRun(eps=0.1, T=0.4, dt=0.05)
+    run = PerturbedRun(eps=0.1, T=8.0, dt=0.8)
     traj = solve_perturbed(u0, v0, params, run)
-    assert np.allclose(traj.times, np.arange(9) * 0.05)
+    halvings, redoublings = _check_clock(log, run)
+    assert halvings >= 1 and redoublings >= 1
+    assert np.array_equal(traj.times, np.arange(11) * 0.8)
+
     mass = grid.measure * np.sum(np.abs(traj.u_specs) ** 2, axis=1)
     assert np.max(np.abs(mass - mass[0])) <= 1e-10 * mass[0]
-    ref = solve_perturbed(u0, v0, params,
-                          PerturbedRun(eps=0.1, T=0.4, dt=0.00125))
+    ref = solve_perturbed(u0, v0, params, PerturbedRun(eps=0.1, T=8.0, dt=0.025))
     gap = np.sqrt(grid.measure * np.sum(np.abs(traj.u_specs[-1] - ref.u_specs[-1]) ** 2))
-    assert gap < 5e-3
+    assert gap < 1e-2 * np.sqrt(mass[0])
+
+
+def test_persistent_divergence_collapses_after_max_halvings(monkeypatch, grid16, gauss_pair):
+    # three accepted base steps, then every attempt diverges: the step halves
+    # down to dt/2**MAX_HALVINGS and the run stops there
+    _no_cap(monkeypatch)
+    log = _log_substeps(monkeypatch, fail=lambda attempt: attempt >= 3)
+    run = PerturbedRun(eps=0.1, T=0.1, dt=0.01)
+    with pytest.raises(SolverError, match=r"step collapsed below dt/2\^12 near t=0\.03$"):
+        solve_perturbed(*gauss_pair, coupled_params(), run)
+    assert log[:3] == [(run.dt, True)] * 3
+    assert log[3:] == [(run.dt / 2**j, False) for j in range(solver.MAX_HALVINGS + 1)]
+
+
+def test_redoubling_stops_at_the_contraction_cap(monkeypatch, gauss_pair):
+    # the cap admits dt/2; one divergence halves to dt/4, and the re-doubling
+    # after eight successes goes back to dt/2, never to dt
+    run = PerturbedRun(eps=0.1, T=0.2, dt=0.01)
+    monkeypatch.setattr(solver, "contraction_time_bound", lambda *args: run.dt / 2)
+    log = _log_substeps(monkeypatch, fail=lambda attempt: attempt == 0)
+    solve_perturbed(*gauss_pair, coupled_params(), run)
+    assert _check_clock(log, run) == (1, 1)
+    dts = [dt for dt, _ in log]
+    assert dts[:2] == [run.dt / 2, run.dt / 4]
+    assert dts.count(run.dt / 4) == 8
+    assert max(dts) == run.dt / 2 and dts[-1] == run.dt / 2
+
+
+def test_halving_mid_streak_restarts_the_count(monkeypatch, gauss_pair):
+    # divergences after one success at dt/4 and one at dt/8 restart the
+    # success count, and the second re-doubling waits a ninth success for a
+    # boundary of dt/4
+    run = PerturbedRun(eps=0.1, T=0.2, dt=0.01)
+    monkeypatch.setattr(solver, "contraction_time_bound", lambda *args: run.dt / 2)
+    log = _log_substeps(monkeypatch, fail=lambda attempt: attempt in (0, 2, 4))
+    solve_perturbed(*gauss_pair, coupled_params(), run)
+    assert _check_clock(log, run) == (3, 3)
+    sizes = [run.dt / dt for dt, _ in log]
+    assert sizes[:23] == [2, 4, 4, 8, 8] + [16] * 8 + [8] * 9 + [4]
+    assert max(dt for dt, _ in log) == run.dt / 2
 
 
 def test_contraction_bound_rejects_nonpositive_inputs():
