@@ -99,7 +99,7 @@ def _gate(raw, name: str, fixed: float) -> None:
 _INITIAL = {"kind": {
     "gaussian": {"amplitude": (_finite, 0.0), "center": (_finite, 0.0),
                  "width": (_finite, 1.0), "mode": (_integer, 0)},
-    "mode": {"amplitude": (_finite, 0.0), "center": (_finite, 0.0), "mode": (_integer, 1)},
+    "mode": {"amplitude": (_finite, 0.0), "mode": (_integer, 1)},
     "zero": {},
 }}
 _SCHEMA = {
@@ -517,7 +517,9 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--config", type=Path, default=None,
                        help="JSON config (defaults to the bundled canonical run)")
         p.add_argument("--out", type=Path, required=True)
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=int, default=None,
+                       help="replaces the config's seed, which only enters config.json and "
+                            "the config hash: the solver draws no random numbers")
     p_sweep.add_argument("--workers", type=int, default=1)
 
     p_ver = sub.add_parser("verify", help="run a property suite")

@@ -25,8 +25,11 @@ a halving, a re-doubling or on a fresh stepper the history starts empty and
 the first iterate is the free propagation alone.  The first iterate does
 not move the fixed point, so mass stays exact.
 
-Adaptive continuation halves the step on contraction failure and re-doubles
-after sustained success, capped by the contraction-time estimate from the
+Adaptive continuation runs on an integer clock: a base step dt is
+2**MAX_HALVINGS ticks and a sub-step a power-of-two number of them, so every
+sub-step is dt/2**j exactly and samples fall on whole base steps.  A
+diverged sub-step halves, and eight successes re-double it at a boundary of
+the coarser size, never beyond the contraction-time estimate from the
 fixed-point argument.
 """
 
@@ -238,13 +241,14 @@ class PerturbedRun:
             raise ValueError(
                 "picard_tol and blowup_factor must be positive and picard_max_iter >= 1"
             )
-        n = round(self.T / self.dt)
+        steps = self.T / self.dt  # compared before round(), which inf overflows
+        if steps > MAX_STEPS + 0.5:
+            raise ValueError(f"T/dt = {steps:.10g} steps exceeds the limit of {MAX_STEPS}")
+        n = round(steps)
         if n < 1 or abs(n * self.dt - self.T) > 1e-9 * max(self.T, 1.0):
             raise ValueError(
                 f"T = {self.T} is not an integer multiple of dt = {self.dt}"
             )
-        if n > MAX_STEPS:
-            raise ValueError(f"T/dt = {n} steps exceeds the limit of {MAX_STEPS}")
 
     @property
     def g_regularization(self) -> float:
@@ -552,10 +556,10 @@ def solve_perturbed(
     """March the perturbed system on [0, T], storing every
     ``store_every``-th sample of the uniform dt grid.
 
-    Steps are halved (by powers of two within each sample interval) whenever
-    the Picard sweep fails to contract, and re-doubled after eight
-    consecutive successes, never beyond the base dt nor beyond the
-    contraction-time estimate for the initial ball.
+    One loop takes sub-steps of ``size`` ticks of a ``ticks``-tick base
+    step, starting from ``top``, the largest size the contraction-time
+    estimate for the initial ball admits.  A divergence at size 1 is a
+    collapse (SolverError); re-doubling stops at ``top``.
     """
     grid = u0.grid
     if v0.grid != grid:
@@ -579,14 +583,15 @@ def solve_perturbed(
         cap = contraction_time_bound(R, params, m_s, run.eps)
 
     n_steps = run.n_steps
-    n_sub = 1
-    while run.dt / n_sub > cap:
-        n_sub *= 2
-        if n_sub > 2**MAX_HALVINGS:
+    # a sub-step of `size` ticks has length dt / (ticks // size)
+    ticks = top = 2**MAX_HALVINGS
+    while run.dt / (ticks // top) > cap:
+        if top == 1:
             raise SolverError(
                 f"a-priori contraction cap {cap:.3e} (R = {R:.3e}) is below "
-                f"dt/2^{MAX_HALVINGS} = {run.dt / 2**MAX_HALVINGS:.3e}"
+                f"dt/2^{MAX_HALVINGS} = {run.dt / ticks:.3e}"
             )
+        top //= 2
 
     # every store_every-th step and the last one, after the initial sample
     n_samples = 1 + -(-n_steps // run.store_every)
@@ -596,41 +601,29 @@ def solve_perturbed(
     times[0], u_specs[0], v_specs[0] = 0.0, u_spec, v_spec
     stored = 1
 
-    successes = 0
-    for step_idx in range(n_steps):
-        t_target = (step_idx + 1) * run.dt
-        done = 0
-        while done < n_sub:
-            try:
-                u_try, v_try, _ = stepper.step(u_spec, v_spec, run.dt / n_sub)
-            except PicardDivergenceError:
-                if n_sub >= 2**MAX_HALVINGS:
-                    raise SolverError(
-                        f"step collapsed below dt/2^{MAX_HALVINGS} near t="
-                        f"{step_idx * run.dt + done * run.dt / n_sub:.4g}"
-                    )
-                done *= 2
-                n_sub *= 2
-                successes = 0
-                continue
-            u_spec, v_spec = u_try, v_try
-            done += 1
-            successes += 1
-            if stepper._max_h1(u_spec, v_spec) > ceiling:
-                raise BlowupError(
-                    f"norm ceiling {ceiling:.3e} exceeded at t={t_target:.4g}"
+    pos, size, successes = 0, top, 0
+    while pos < n_steps * ticks:
+        try:
+            u_spec, v_spec, _ = stepper.step(u_spec, v_spec, run.dt / (ticks // size))
+        except PicardDivergenceError:
+            if size == 1:
+                raise SolverError(
+                    f"step collapsed below dt/2^{MAX_HALVINGS} near t="
+                    f"{pos // ticks * run.dt + pos % ticks * run.dt / ticks:.4g}"
                 )
-            if (
-                successes >= 8
-                and n_sub > 1
-                and done % 2 == 0
-                and run.dt / (n_sub // 2) <= cap
-            ):
-                done //= 2
-                n_sub //= 2
-                successes = 0
-        if (step_idx + 1) % run.store_every == 0 or step_idx + 1 == n_steps:
-            times[stored], u_specs[stored], v_specs[stored] = t_target, u_spec, v_spec
+            size //= 2
+            successes = 0
+            continue
+        pos += size
+        successes += 1
+        k = -(-pos // ticks)  # the base step under way, counted from 1
+        if stepper._max_h1(u_spec, v_spec) > ceiling:
+            raise BlowupError(f"norm ceiling {ceiling:.3e} exceeded at t={k * run.dt:.4g}")
+        if successes >= 8 and size < top and pos % (2 * size) == 0:
+            size *= 2
+            successes = 0
+        if pos % ticks == 0 and (k % run.store_every == 0 or k == n_steps):
+            times[stored], u_specs[stored], v_specs[stored] = k * run.dt, u_spec, v_spec
             stored += 1
 
     return Trajectory(

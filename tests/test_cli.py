@@ -535,7 +535,7 @@ def test_mutated_config_ends_in_documented_exit_code(mutations):
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# Config faults the key table catches, each with what its message must say.
+# Config faults, each with what its message must say.
 _SCHEMA_FAULTS = {
     "unknown-key": (lambda c: c["time"].update(picard_tl=1e-10),
                     "unknown key time.picard_tl"),
@@ -547,6 +547,10 @@ _SCHEMA_FAULTS = {
     "width-under-mode": (
         lambda c: c["initial"].update(u0={"kind": "mode", "amplitude": 0.3, "mode": 2, "width": 1.0}),
         "unknown key initial.u0.width"),
+    # a mode is not shifted: a center would be stated and not applied
+    "center-under-mode": (
+        lambda c: c["initial"].update(u0={"kind": "mode", "amplitude": 0.3, "mode": 2, "center": 5.0}),
+        "unknown key initial.u0.center"),
     "section-not-object": (lambda c: c.update(diagnostics=5),
                            "diagnostics must be an object, got int"),
     "ladder-not-list": (lambda c: c.update(sweep={"eps_ladder": "0.2"}),
@@ -554,6 +558,9 @@ _SCHEMA_FAULTS = {
     "gate-changed": (lambda c: c.update(diagnostics={"mass_rtol": 0.5}),
                      "diagnostics.mass_rtol is fixed at 1e-08"),
     "missing-required": (lambda c: c["grid"].pop("N"), "missing key grid.N"),
+    # T/dt overflows to inf: the step limit must catch it before round() does
+    "step-count-overflow": (lambda c: c["time"].update(T=1e308, dt=1e-308),
+                            "T/dt = inf steps exceeds the limit of 1000000"),
     "unknown-kind": (lambda c: c["initial"]["v0"].update(kind="bump"),
                      "initial.v0.kind must be one of"),
 }
