@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import diagnose_trajectory, smallness_condition, theta_envelope
+from .diagnostics import smallness_condition, theta_envelope
 from .grid import Field, make_grid
 from .solver import (
     BlowupError,
@@ -319,8 +319,8 @@ def do_run(config: dict, out_dir: Path) -> int:
         print(f"{status}: {exc}", file=sys.stderr)
         return 3
 
-    env = theta_envelope(traj, params, run)
-    recs = diagnose_trajectory(traj, env)
+    series = theta_envelope(traj)
+    recs = series.records()
     small = smallness_condition(params, u0, v0, run.T, run.eps, a=run.a, b=run.b)
 
     mass0 = recs[0].mass
@@ -335,8 +335,8 @@ def do_run(config: dict, out_dir: Path) -> int:
     # the envelope bounds are guaranteed only under the smallness condition;
     # outside it they are reported, not asserted
     if small.satisfied:
-        checks["theta_envelope"] = env.theta_ok
-        checks["H_envelope"] = env.H_ok
+        checks["theta_envelope"] = series.theta_ok
+        checks["H_envelope"] = series.H_ok
 
     summary = {
         "artifact_version": ARTIFACT_VERSION,
@@ -345,8 +345,8 @@ def do_run(config: dict, out_dir: Path) -> int:
         "mass_drift_rel": mass_drift,
         "v_sup_initial": sup0,
         "v_sup_excess": sup_excess,
-        "theta_margin_min": env.theta_margin_min,
-        "H_margin_min": env.H_margin_min,
+        "theta_margin_min": series.theta_margin_min,
+        "H_margin_min": series.H_margin_min,
         "smallness": json.loads(small.to_json()),
         "checks": checks,
         "passed": all(checks.values()),

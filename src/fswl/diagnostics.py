@@ -12,8 +12,11 @@ shrink at second order under dt-refinement flags a genuine identity
 violation rather than discretization noise.
 
 Every per-sample quantity of a trajectory comes from one pass over the
-stored spectra, taken in fixed blocks of samples with batched FFTs; the
-per-sample and per-trajectory functions below are views of that pass.
+stored spectra, taken in fixed blocks of samples with batched FFTs, into
+one ``DiagnosticSeries``; ``theta_envelope`` fills its envelope columns,
+and the per-sample and per-trajectory functions below are views of it.
+An analysis of a stored run takes the ``Trajectory`` alone and reads the
+system parameters and the run from it.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import numpy as np
 
 from .fractional import cns_constant, pair_correlation_integral
 from .grid import BLOCK_SAMPLES, Field, GridSpec, as_order
+from .gronwall import _cumtrapz
 from .sobolev import InequalityReport
 from .solver import NonlinearityG, PerturbedRun, SystemParams, Trajectory
 
@@ -33,7 +37,6 @@ __all__ = [
     "DiagnosticsRecord",
     "DiagnosticSeries",
     "SmallnessReport",
-    "EnvelopeSeries",
     "record_diagnostics",
     "diagnose_trajectory",
     "energy_balance_residual",
@@ -71,11 +74,14 @@ class DiagnosticsRecord:
 
 @dataclass
 class DiagnosticSeries:
-    """Every per-sample scalar of a run of stored samples, from one pass.
+    """Every per-sample scalar of a run of stored samples, from one pass,
+    and the theta/H envelopes with their worst margins.
 
     Fields named like ``DiagnosticsRecord`` fields are the columns of those
     records.  The residuals are NaN at both ends and the difference
-    quotients at the first sample, where a neighbor is missing.
+    quotients at the first sample, where a neighbor is missing.  The
+    envelope columns and margins are NaN until ``theta_envelope`` fills
+    them.
     """
 
     t: np.ndarray
@@ -91,14 +97,23 @@ class DiagnosticSeries:
     v_balance_residual: np.ndarray
     dtu_hminus1: np.ndarray
     dtv_hminus1: np.ndarray
+    theta: np.ndarray
+    lhs_theta: np.ndarray       # 1 + frac_grad^2 + eps^a grad^2 + ||u||_4^4 / 4
+    H_bound: np.ndarray
+    theta_margin_min: float = math.nan
+    H_margin_min: float = math.nan
 
-    def records(self, envelope: EnvelopeSeries | None = None) -> list[DiagnosticsRecord]:
-        """One record per sample; theta and H_bound come from ``envelope``."""
-        cols = {f.name: getattr(self, f.name).tolist()
-                for f in fields(DiagnosticsRecord) if hasattr(self, f.name)}
-        if envelope is not None:
-            cols["theta"] = envelope.theta.tolist()
-            cols["H_bound"] = envelope.H_bound.tolist()
+    @property
+    def theta_ok(self) -> bool:
+        return bool(self.theta_margin_min >= -1e-9)
+
+    @property
+    def H_ok(self) -> bool:
+        return bool(self.H_margin_min >= -1e-9)
+
+    def records(self) -> list[DiagnosticsRecord]:
+        """One record per sample."""
+        cols = {f.name: getattr(self, f.name).tolist() for f in fields(DiagnosticsRecord)}
         return [DiagnosticsRecord(**{k: c[i] for k, c in cols.items()})
                 for i in range(len(self.t))]
 
@@ -134,8 +149,10 @@ def _series(
     alpha, beta = params.alpha, params.beta
     eps_a, eps_b = run.eps**run.a, run.eps**run.b
 
-    names = [f.name for f in fields(DiagnosticSeries) if f.name != "t"]
-    col = {name: np.full(n, np.nan) for name in names + ["energy_rhs", "v_terms"]}
+    # the record columns, lhs_theta and two temporaries; the envelope
+    # columns theta, lhs_theta and H_bound stay NaN for theta_envelope
+    names = [f.name for f in fields(DiagnosticsRecord) if f.name != "t"]
+    col = {name: np.full(n, np.nan) for name in names + ["lhs_theta", "energy_rhs", "v_terms"]}
     for lo in range(0, n, BLOCK_SAMPLES):
         blk = slice(lo, min(lo + BLOCK_SAMPLES, n))
         u_spec = u_specs[blk]
@@ -227,18 +244,10 @@ def v_balance_residual(traj: Trajectory, i: int) -> float:
     return float(_window(traj, i - 1, i + 2).v_balance_residual[1])
 
 
-def diagnose_trajectory(
-    traj: Trajectory, envelope: EnvelopeSeries | None = None
-) -> list[DiagnosticsRecord]:
-    """Records at every stored sample, residual and negative-norm fields
-    filled where neighbors exist.
-
-    ``envelope`` is ``theta_envelope``'s result for this trajectory; passing
-    it reuses that call's diagnostics pass instead of running another.
-    """
-    if envelope is None:
-        envelope = theta_envelope(traj, traj.params, traj.run)
-    return envelope.series.records(envelope)
+def diagnose_trajectory(traj: Trajectory) -> list[DiagnosticsRecord]:
+    """Records at every stored sample: residual and negative-norm fields
+    filled where neighbors exist, envelope fields everywhere."""
+    return theta_envelope(traj).records()
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +280,6 @@ def coercivity_report(v: Field, G: NonlinearityG, s) -> InequalityReport:
         lhs=G.m * quarter,
         rhs=lhs,
         constant_used=G.m,
-        margin=lhs - G.m * quarter,
         witness=f"G={G.label}, {v!r}",
     )
 
@@ -280,40 +288,16 @@ def coercivity_report(v: Field, G: NonlinearityG, s) -> InequalityReport:
 # Growth envelopes
 # ---------------------------------------------------------------------------
 
-@dataclass
-class EnvelopeSeries:
-    """theta/H envelopes along a trajectory and the tracked inequalities."""
-
-    theta: np.ndarray
-    lhs_theta: np.ndarray       # 1 + frac_grad^2 + eps^a grad^2 + ||u||_4^4 / 4
-    H_bound: np.ndarray
-    theta_margin_min: float
-    H_margin_min: float
-    series: DiagnosticSeries    # the diagnostics pass the envelope was built from
-
-    @property
-    def theta_ok(self) -> bool:
-        return bool(self.theta_margin_min >= -1e-9)
-
-    @property
-    def H_ok(self) -> bool:
-        return bool(self.H_margin_min >= -1e-9)
-
-
-def _cumtrapz(y: np.ndarray, t: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(y)
-    out[1:] = np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(t))
-    return out
-
-
-def theta_envelope(traj: Trajectory, params: SystemParams, run: PerturbedRun) -> EnvelopeSeries:
-    """Evaluate the theta(t) majorant (initial-data block plus the four
-    accumulated coupling integrals) and the induced H(t) bound for ||v||^2.
+def theta_envelope(traj: Trajectory) -> DiagnosticSeries:
+    """The diagnostics pass over a trajectory with its envelope fields
+    filled: the theta(t) majorant (initial-data block plus the four
+    accumulated coupling integrals), the induced H(t) bound for ||v||^2 and
+    the worst margin of each.
 
     h(t) is not available in closed form, so the measured left side of the
-    short-wave estimate serves as the operational h inside H(t); both
-    envelope inequalities are reported with their worst margins.
+    short-wave estimate serves as the operational h inside H(t).
     """
+    params, run = traj.params, traj.run
     grid = traj.grid
     s = as_order(params.s).s
     eps_a = run.eps**run.a
@@ -323,7 +307,7 @@ def theta_envelope(traj: Trajectory, params: SystemParams, run: PerturbedRun) ->
     aa = abs(params.alpha)
     T = run.T
 
-    sr = _series(grid, params, run, traj.times, traj.u_specs, traj.v_specs)
+    sr = _window(traj, 0, len(traj))
     times = sr.t
     frac = sr.frac_grad_u_sq
     grad = sr.grad_u_sq
@@ -362,14 +346,10 @@ def theta_envelope(traj: Trajectory, params: SystemParams, run: PerturbedRun) ->
     cH = 16.0 * params.beta**2 * np.exp(T) / pi2s * u0_l2 ** (2.0 - 1.0 / s)
     H = np.exp(T) * v0_l2**2 + cH * _cumtrapz(h_meas ** (1.0 + 0.5 / s), times)
 
-    return EnvelopeSeries(
-        theta=theta,
-        lhs_theta=lhs,
-        H_bound=H,
-        theta_margin_min=float(np.min(theta - lhs)),
-        H_margin_min=float(np.min(H - v_l2**2)),
-        series=sr,
-    )
+    sr.theta, sr.lhs_theta, sr.H_bound = theta, lhs, H
+    sr.theta_margin_min = float(np.min(theta - lhs))
+    sr.H_margin_min = float(np.min(H - v_l2**2))
+    return sr
 
 
 # ---------------------------------------------------------------------------

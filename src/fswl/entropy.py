@@ -15,9 +15,11 @@ pairing for the right, level-set arc integration for R_k).
 Weak residuals pair stored trajectories against separable polynomial-bump
 test functions whose time factors are differentiated in closed form, so an
 exactly known solution drives the residual to time-quadrature accuracy.
-The three pairings take only the live samples, where the time factor or
-its derivative is nonzero, BLOCK_SAMPLES at a time; each term is then a
-row-wise product with the sampled spatial factor.
+Each pairing takes the ``Trajectory`` alone and reads the system
+parameters and the run from it.  The three pairings take only the live
+samples, where the time factor or its derivative is nonzero, BLOCK_SAMPLES
+at a time; each term is then a row-wise product with the sampled spatial
+factor.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .fractional import (
     special_jacobi,
 )
 from .grid import BLOCK_SAMPLES, Field, GridSpec, as_order
-from .solver import NonlinearityG, PerturbedRun, SystemParams, Trajectory
+from .solver import NonlinearityG, Trajectory
 
 __all__ = [
     "EntropySpec",
@@ -69,6 +71,9 @@ ANTIDERIVATIVE_NODES = 48
 # Relative distance of v(x) to the level k (against max |v - k|) below which
 # the sign of v(x) - k counts as undefined.
 SIGN_TOL = 1e-9
+
+# Exponent p of the test-function bump (1 - z^2)_+^p, in time and in space.
+BUMP_POWER = 8
 
 
 class UndefinedSignError(ValueError):
@@ -350,17 +355,19 @@ def remainder_Rk(v: Field, g: NonlinearityG, k: float, s, x: float) -> float:
 # Test functions
 # ---------------------------------------------------------------------------
 
-def _bump(z: np.ndarray, p: int) -> np.ndarray:
+def _bump(z: np.ndarray) -> np.ndarray:
     core = np.maximum(1.0 - z**2, 0.0)
-    return core**p
+    return core**BUMP_POWER
 
 
-def _bump_d1(z: np.ndarray, p: int) -> np.ndarray:
+def _bump_d1(z: np.ndarray) -> np.ndarray:
+    p = BUMP_POWER
     core = np.maximum(1.0 - z**2, 0.0)
     return -2.0 * p * z * core ** (p - 1)
 
 
-def _bump_d2(z: np.ndarray, p: int) -> np.ndarray:
+def _bump_d2(z: np.ndarray) -> np.ndarray:
+    p = BUMP_POWER
     core = np.maximum(1.0 - z**2, 0.0)
     return -2.0 * p * core ** (p - 1) + 4.0 * p * (p - 1) * z**2 * core ** (p - 2)
 
@@ -381,7 +388,6 @@ class TestFunction:
     x_center: float
     x_width: float
     amplitude: complex
-    power: int = 8
     flavor: str = "complex"
 
     __test__ = False  # the name collides with pytest's collection heuristic
@@ -417,19 +423,19 @@ class TestFunction:
         return (np.atleast_1d(t) - mid) / half
 
     def time_value(self, t) -> np.ndarray:
-        return _bump(self._zt(t), self.power)
+        return _bump(self._zt(t))
 
     def time_derivative(self, t) -> np.ndarray:
         half = 0.5 * (self.t_hi - self.t_lo)
-        return _bump_d1(self._zt(t), self.power) / half
+        return _bump_d1(self._zt(t)) / half
 
     # space factor --------------------------------------------------------
 
     def space_values(self) -> np.ndarray:
-        return self.amplitude * _bump(self._z(self.grid.x), self.power)
+        return self.amplitude * _bump(self._z(self.grid.x))
 
     def space_d2(self) -> np.ndarray:
-        return self.amplitude * _bump_d2(self._z(self.grid.x), self.power) / self.x_width**2
+        return self.amplitude * _bump_d2(self._z(self.grid.x)) / self.x_width**2
 
     def space_frac(self, s: float) -> np.ndarray:
         """(-D)^{s/2} of the spatial profile, from the sampled spectrum."""
@@ -484,13 +490,7 @@ def _live_blocks(traj: Trajectory, P: np.ndarray, Pd: np.ndarray):
                grid.from_spectrum(traj.v_specs[rows]).real)
 
 
-def weak_residual_u(
-    traj: Trajectory,
-    params: SystemParams,
-    run: PerturbedRun,
-    tf: TestFunction,
-    perturbed: bool = True,
-) -> complex:
+def weak_residual_u(traj: Trajectory, tf: TestFunction, perturbed: bool = True) -> complex:
     """Space-time pairing of the short-wave equation against a complex test
     function:
 
@@ -502,6 +502,7 @@ def weak_residual_u(
     dispersive pairing is real-symmetric).  The eps^a term is included only
     under the ``perturbed`` flag.
     """
+    params, run = traj.params, traj.run
     if tf.t_hi >= run.T:
         raise ValueError("test support leaks past the time horizon")
     grid = traj.grid
@@ -533,13 +534,7 @@ def weak_residual_u(
     return complex(total)
 
 
-def weak_residual_v(
-    traj: Trajectory,
-    params: SystemParams,
-    run: PerturbedRun,
-    tf: TestFunction,
-    perturbed: bool = True,
-) -> float:
+def weak_residual_v(traj: Trajectory, tf: TestFunction, perturbed: bool = True) -> float:
     """Space-time pairing of the long-wave equation against a real test
     function:
 
@@ -550,6 +545,7 @@ def weak_residual_v(
     """
     if tf.flavor != "real":
         raise ValueError("long-wave residual needs a real-flavored test function")
+    params, run = traj.params, traj.run
     if tf.t_hi >= run.T:
         raise ValueError("test support leaks past the time horizon")
     grid = traj.grid
@@ -624,13 +620,7 @@ def _remainder_superposition(
     return c_half * dx * np.einsum("ij,ij->i", kernel, phi)
 
 
-def entropy_balance_residual(
-    traj: Trajectory,
-    eta: EntropySpec,
-    params: SystemParams,
-    run: PerturbedRun,
-    tf: TestFunction,
-) -> float:
+def entropy_balance_residual(traj: Trajectory, eta: EntropySpec, tf: TestFunction) -> float:
     """Residual of the regularized entropy balance paired against a real
     test function supported strictly inside (0, T) x window.
 
@@ -643,6 +633,7 @@ def entropy_balance_residual(
         raise ValueError("balance pairing needs a smooth entropy density")
     if tf.flavor != "real":
         raise ValueError("entropy balance pairs against real test functions")
+    params, run = traj.params, traj.run
     if tf.t_lo <= 0.0 or tf.t_hi >= run.T:
         raise ValueError("test support must sit strictly inside (0, T)")
     grid = traj.grid

@@ -85,7 +85,8 @@ class GronwallSpec:
 
 
 def _cumtrapz(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Cumulative integral, composite-trapezoid on a fine uniform grid."""
+    """Cumulative composite-trapezoid integral of samples y at increasing
+    x, zero at x[0]."""
     out = np.zeros_like(y)
     out[1:] = np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x))
     return out

@@ -90,6 +90,5 @@ def check_heat_smoothing(v: Field, t: float, p: PropagatorSpec) -> InequalityRep
         lhs=lhs,
         rhs=rhs,
         constant_used=const,
-        margin=rhs - lhs,
         witness=f"t={t:.4g}, {v!r}",
     )

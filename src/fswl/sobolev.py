@@ -18,8 +18,7 @@ blocks of ``BLOCK_SAMPLES``, which bounds the padded sup buffers.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable
 
@@ -46,6 +45,9 @@ __all__ = [
 # floating point data.
 DEFAULT_SLACK = 1e-10
 
+# Empirical ensemble cap on the H^s algebra ratio of ``check_algebra``.
+ALGEBRA_CAP = 2.0
+
 
 @dataclass
 class NormReport:
@@ -65,11 +67,13 @@ class InequalityReport:
     lhs: float
     rhs: float
     constant_used: float
-    margin: float
     witness: str
-    seed: int | None = None
     kind: str = "upper_bound"  # or "identity"
     tolerance: float = DEFAULT_SLACK
+
+    @property
+    def margin(self) -> float:
+        return self.rhs - self.lhs
 
     @property
     def passed(self) -> bool:
@@ -77,14 +81,6 @@ class InequalityReport:
             scale = max(abs(self.lhs), abs(self.rhs), 1.0)
             return bool(abs(self.margin) <= self.tolerance * scale)
         return bool(_passes(self.margin, self.tolerance))
-
-    def to_json(self) -> str:
-        d = asdict(self)
-        d["passed"] = self.passed
-        return json.dumps(
-            d, sort_keys=True,
-            default=lambda o: float(o) if isinstance(o, np.floating) else o,
-        )
 
 
 class _Rows:
@@ -179,7 +175,6 @@ def check_equivalence(f: Field, s) -> InequalityReport:
         lhs=gag,
         rhs=rhs,
         constant_used=2.0 / cns_constant(s),
-        margin=rhs - gag,
         witness=repr(f),
         kind="identity",
         tolerance=1e-6,
@@ -224,7 +219,6 @@ def check_linf_interp(f: Field, s) -> InequalityReport:
         lhs=lhs,
         rhs=rhs,
         constant_used=sup_interp_constant(s),
-        margin=rhs - lhs,
         witness=repr(f),
     )
 
@@ -246,7 +240,6 @@ def check_product_bound(f: Field, s) -> InequalityReport:
         lhs=lhs,
         rhs=rhs,
         constant_used=2.0,
-        margin=rhs - lhs,
         witness=repr(f),
     )
 
@@ -256,7 +249,6 @@ def check_chain_rule(
     fprime_sup: float,
     f: Field,
     s,
-    name: str = "chain_rule",
 ) -> InequalityReport:
     """||(-D)^{s/2} F(f)||_2 <= ||F'||_inf ||(-D)^{s/2} f||_2, F(0) = 0.
 
@@ -265,18 +257,17 @@ def check_chain_rule(
     s = as_order(s).s
     lhs, rhs = (float(a[0]) for a in _chain_rule_rows(F, fprime_sup, _Rows.of(f), s))
     return InequalityReport(
-        name=name,
+        name="chain_rule",
         s=s,
         lhs=lhs,
         rhs=rhs,
         constant_used=fprime_sup,
-        margin=rhs - lhs,
         witness=repr(f),
     )
 
 
-def check_algebra(f: Field, g: Field, s, ensemble_const: float = 2.0) -> InequalityReport:
-    """Ratio ||fg||_{H^s} / (||f||_{H^s} ||g||_{H^s}) against a configured cap.
+def check_algebra(f: Field, g: Field, s) -> InequalityReport:
+    """Ratio ||fg||_{H^s} / (||f||_{H^s} ||g||_{H^s}) against ALGEBRA_CAP.
 
     The sharp constant is not available analytically; the cap is an
     empirical ensemble constant, and the report carries the realized ratio.
@@ -289,9 +280,8 @@ def check_algebra(f: Field, g: Field, s, ensemble_const: float = 2.0) -> Inequal
         name="hs_algebra",
         s=s,
         lhs=ratio,
-        rhs=ensemble_const,
-        constant_used=ensemble_const,
-        margin=ensemble_const - ratio,
+        rhs=ALGEBRA_CAP,
+        constant_used=ALGEBRA_CAP,
         witness=f"{f!r} * {g!r}",
     )
 

@@ -320,8 +320,8 @@ def _suite_weakform(seed: int) -> list[dict]:
                        amplitude=0.8 + 0.5j)
     tfr = TestFunction(grid=grid, t_lo=-0.1, t_hi=0.8, x_center=-1.0, x_width=6.0,
                        amplitude=1.1 + 0j, flavor="real")
-    ru = abs(weak_residual_u(traj, params, run, tfc))
-    rv = abs(weak_residual_v(traj, params, run, tfr))
+    ru = abs(weak_residual_u(traj, tfc))
+    rv = abs(weak_residual_v(traj, tfr))
     checks.append(_check("linear_exact_u", ru <= 1e-8, residual=ru))
     checks.append(_check("linear_exact_v", rv <= 1e-8, residual=rv))
     del traj  # not held through the second solve: it sets the suite's peak memory
@@ -330,7 +330,7 @@ def _suite_weakform(seed: int) -> list[dict]:
     traj2 = solve_perturbed(u0, v0, params, run_long)
     tf_late = TestFunction(grid=grid, t_lo=1.2, t_hi=1.6, x_center=0.0, x_width=4.0,
                            amplitude=1 + 0j)
-    r_disj = abs(weak_residual_u(traj2, params, run_long, tf_late))
+    r_disj = abs(weak_residual_u(traj2, tf_late))
     checks.append(_check("disjoint_support_zero", r_disj <= 1e-10, residual=r_disj))
 
     sp = SystemParams(alpha=0.1, beta=0.1, s=0.75, g=g_tanh_blend(0.2, 1.0))
@@ -339,12 +339,10 @@ def _suite_weakform(seed: int) -> list[dict]:
     for dt in (4e-3, 2e-3, 1e-3):
         rn = PerturbedRun(eps=0.1, T=0.5, dt=dt)
         tj = solve_perturbed(u0, v0, sp, rn)
-        ru = abs(weak_residual_u(tj, sp, rn,
-                                 TestFunction(grid=grid, t_lo=-0.1, t_hi=0.4, x_center=0.5,
-                                              x_width=6.0, amplitude=1.0 + 0.3j)))
-        rv = abs(weak_residual_v(tj, sp, rn,
-                                 TestFunction(grid=grid, t_lo=-0.1, t_hi=0.4, x_center=-0.5,
-                                              x_width=6.0, amplitude=0.9 + 0j, flavor="real")))
+        ru = abs(weak_residual_u(tj, TestFunction(grid=grid, t_lo=-0.1, t_hi=0.4, x_center=0.5,
+                                                  x_width=6.0, amplitude=1.0 + 0.3j)))
+        rv = abs(weak_residual_v(tj, TestFunction(grid=grid, t_lo=-0.1, t_hi=0.4, x_center=-0.5,
+                                                  x_width=6.0, amplitude=0.9 + 0j, flavor="real")))
         dec &= ru < prev_u and rv < prev_v
         prev_u, prev_v = ru, rv
     checks.append(_check("nonlinear_residual_refinement", dec,

@@ -329,8 +329,8 @@ def test_criterion_11_weak_residuals():
                        amplitude=0.8 + 0.5j)
     tfr = TestFunction(grid=grid, t_lo=-0.1, t_hi=0.8, x_center=-1.0, x_width=6.0,
                        amplitude=1.1 + 0j, flavor="real")
-    lin_u = abs(weak_residual_u(traj, lin, run, tfc))
-    lin_v = abs(weak_residual_v(traj, lin, run, tfr))
+    lin_u = abs(weak_residual_u(traj, tfc))
+    lin_v = abs(weak_residual_v(traj, tfr))
 
     params = canonical_params()
     tfc2 = TestFunction(grid=grid, t_lo=-0.1, t_hi=0.42, x_center=0.5, x_width=6.0,
@@ -342,8 +342,8 @@ def test_criterion_11_weak_residuals():
     for dt in dts:
         rn = PerturbedRun(eps=0.1, T=0.5, dt=dt)
         tj = solve_perturbed(u0, v0, params, rn)
-        ru.append(abs(weak_residual_u(tj, params, rn, tfc2)))
-        rv.append(abs(weak_residual_v(tj, params, rn, tfr2)))
+        ru.append(abs(weak_residual_u(tj, tfc2)))
+        rv.append(abs(weak_residual_v(tj, tfr2)))
     su, sv = fit_slope(dts, ru), fit_slope(dts, rv)
     _report(11, "weak-formulation residuals",
             lin_u <= 1e-8 and lin_v <= 1e-8 and su >= 1.8 and sv >= 1.8,

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fswl import diagnostics
 from fswl.diagnostics import (
     bilinear_form,
     coercivity_report,
@@ -172,7 +173,7 @@ class TestThetaEnvelope:
         run = PerturbedRun(eps=0.1, T=0.1, dt=5e-3)
         traj = solve_perturbed(Field.zero(grid16), Field.zero(grid16, "real"),
                                coupled_params(), run)
-        env = theta_envelope(traj, coupled_params(), run)
+        env = theta_envelope(traj)
         assert np.allclose(env.theta, 1.0)
         assert np.allclose(env.lhs_theta, 1.0)
         assert env.theta_ok
@@ -182,7 +183,7 @@ class TestThetaEnvelope:
         params = SystemParams(alpha=0.0, beta=0.1, s=0.75, g=g_tanh_blend(0.2, 1.0))
         run = PerturbedRun(eps=0.1, T=0.3, dt=2e-3)
         traj = solve_perturbed(u0, v0, params, run)
-        env = theta_envelope(traj, params, run)
+        env = theta_envelope(traj)
         assert np.allclose(env.theta, env.theta[0], rtol=1e-12)
         assert env.theta_ok and env.H_ok
 
@@ -191,9 +192,32 @@ class TestThetaEnvelope:
         params = coupled_params()
         run = PerturbedRun(eps=0.1, T=0.5, dt=2e-3)
         traj = solve_perturbed(u0, v0, params, run)
-        env = theta_envelope(traj, params, run)
+        env = theta_envelope(traj)
         assert env.theta_margin_min > 0
         assert env.H_margin_min > 0
+
+    def test_envelope_fills_the_one_diagnostics_result(self, grid16, gauss_pair):
+        # only theta_envelope fills the envelope fields of the diagnostics
+        # pass; the per-sample record and a balance residual's window leave
+        # them NaN
+        u0, v0 = gauss_pair
+        params = coupled_params()
+        run = PerturbedRun(eps=0.1, T=0.1, dt=5e-3)
+        traj = solve_perturbed(u0, v0, params, run)
+        single = record_diagnostics(sample_fields(traj, 3), traj.times[3], params, run)
+        assert np.isnan(single.theta) and np.isnan(single.H_bound)
+        window = diagnostics._window(traj, 2, 5)  # energy_balance_residual(traj, 3)
+        for col in (window.theta, window.lhs_theta, window.H_bound):
+            assert np.isnan(col).all()
+        assert np.isnan(window.theta_margin_min) and np.isnan(window.H_margin_min)
+
+        series = theta_envelope(traj)
+        for col in (series.theta, series.lhs_theta, series.H_bound):
+            assert np.isfinite(col).all()
+        assert series.theta_margin_min == np.min(series.theta - series.lhs_theta)
+        assert series.H_margin_min == np.min(series.H_bound - series.v_l2**2)
+        recs = diagnose_trajectory(traj)
+        assert [r.to_json() for r in recs] == [r.to_json() for r in series.records()]
 
 
 class TestSmallness:

@@ -2,7 +2,8 @@
 
 Every name in a ``fswl`` module's ``__all__`` must be referenced somewhere in
 the package outside its own top-level definition (a re-export in
-``__init__.py`` or an import alone does not count), or be named by the
+``__init__.py``, an import alone or a dataclass field declared under the
+same name does not count), or be named by the
 benchmark under ``bench/``.  The same holds for each public method and
 property of a class in an ``__all__``, outside its own definition.  A few
 names are exempt, each for a stated reason; an exemption that is no longer
@@ -27,6 +28,10 @@ EXEMPT = {
         "paper-facing regularized entropy balance, waiting for its verify row",
     ("entropy", "smooth_capped_entropy"):
         "the C^1 entropy the balance pairing needs, waiting with it",
+    ("diagnostics", "energy_balance_residual"):
+        "acceptance criterion 6 drives the balance identities through them",
+    ("diagnostics", "v_balance_residual"):
+        "acceptance criterion 6 drives the balance identities through them",
 }
 
 
@@ -47,8 +52,13 @@ def _references() -> dict[tuple[str, str | None, str | None], set[str]]:
             for item in items:
                 member = getattr(item, "name", None) if item is not node else None
                 names = refs.setdefault((path.stem, owner, member), set())
+                declared = set()  # a field declaration ``name: type`` reads nothing
                 for sub in ast.walk(item):
-                    if isinstance(sub, ast.Name):
+                    if isinstance(sub, ast.AnnAssign):
+                        declared.add(sub.target)
+                    elif sub in declared:
+                        continue
+                    elif isinstance(sub, ast.Name):
                         names.add(sub.id)
                     elif isinstance(sub, ast.Attribute):
                         names.add(sub.attr)

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pytest
 
@@ -262,15 +260,6 @@ class TestInvariances:
             assert other.l2 == pytest.approx(base.l2, rel=1e-12)
             assert other.hs_fourier == pytest.approx(base.hs_fourier, rel=1e-12)
             assert other.frac_grad_l2 == pytest.approx(base.frac_grad_l2, rel=1e-12)
-
-    def test_report_serializes(self):
-        g = make_grid(16.0, 128)
-        f = Field.from_function(g, lambda x: np.exp(-(x**2)), flavor="real")
-        rep = check_linf_interp(f, 0.75)
-        row = json.loads(rep.to_json())
-        for key in ("name", "s", "lhs", "rhs", "constant_used", "margin", "witness",
-                    "seed", "passed"):
-            assert key in row
 
 
 ENSEMBLE_FLAVORS = ("complex", "real", "complex")  # f, fr, g2 of one member

@@ -89,8 +89,8 @@ class TestWeakResiduals:
         for eps in (0.4, 0.2, 0.1):
             run = PerturbedRun(eps=eps, T=0.5, dt=2e-3)
             traj = solve_perturbed(u0, v0, params, run)
-            ru.append(abs(weak_residual_u(traj, params, run, tf, perturbed=False)))
-            rv.append(abs(weak_residual_v(traj, params, run, tfr, perturbed=False)))
+            ru.append(abs(weak_residual_u(traj, tf, perturbed=False)))
+            rv.append(abs(weak_residual_v(traj, tfr, perturbed=False)))
         assert ru[2] < ru[1] < ru[0]
         assert rv[2] < rv[1] < rv[0]
 
@@ -106,8 +106,8 @@ class TestWeakResiduals:
         for dt in dts:
             run = PerturbedRun(eps=0.1, T=0.5, dt=dt)
             traj = solve_perturbed(u0, v0, params, run)
-            ru.append(abs(weak_residual_u(traj, params, run, tfc)))
-            rv.append(abs(weak_residual_v(traj, params, run, tfr)))
+            ru.append(abs(weak_residual_u(traj, tfc)))
+            rv.append(abs(weak_residual_v(traj, tfr)))
         from oracles import fit_slope
 
         assert fit_slope(dts, ru) >= 1.8
@@ -135,21 +135,21 @@ class TestBlockPassMatchesLoops:
     @pytest.mark.parametrize("perturbed", [True, False])
     def test_short_wave(self, case, perturbed):
         traj, params, run, tfc, _ = case
-        got = weak_residual_u(traj, params, run, tfc, perturbed=perturbed)
+        got = weak_residual_u(traj, tfc, perturbed=perturbed)
         want = oracles.weak_residual_u_loop(traj, params, run, tfc, perturbed=perturbed)
         assert abs(got - want) <= 1e-14
 
     @pytest.mark.parametrize("perturbed", [True, False])
     def test_long_wave(self, case, perturbed):
         traj, params, run, _, tfr = case
-        got = weak_residual_v(traj, params, run, tfr, perturbed=perturbed)
+        got = weak_residual_v(traj, tfr, perturbed=perturbed)
         want = oracles.weak_residual_v_loop(traj, params, run, tfr, perturbed=perturbed)
         assert abs(got - want) <= 1e-14
 
     def test_entropy_balance(self, case):
         traj, params, run, _, tfr = case
         eta = smooth_capped_entropy(0.6)
-        got = entropy_balance_residual(traj, eta, params, run, tfr)
+        got = entropy_balance_residual(traj, eta, tfr)
         want = oracles.entropy_balance_residual_loop(traj, eta, params, run, tfr)
         assert abs(got - want) <= 1e-14
 
@@ -174,7 +174,7 @@ class TestEntropyBalance:
         )
         tf = TestFunction(grid=grid128, t_lo=0.1, t_hi=0.4, x_center=0.0, x_width=5.0,
                           amplitude=1 + 0j, flavor="real")
-        res = entropy_balance_residual(traj, eta_lin, params, run, tf)
+        res = entropy_balance_residual(traj, eta_lin, tf)
         assert res < 5e-7
 
     def test_dissipation_term_sign(self, grid128):
@@ -214,7 +214,7 @@ class TestEntropyBalance:
             traj = solve_perturbed(u0, v0, params, run)
             tf = TestFunction(grid=grid, t_lo=0.08, t_hi=0.32, x_center=0.0, x_width=5.0,
                               amplitude=1 + 0j, flavor="real")
-            residuals.append(entropy_balance_residual(traj, eta, params, run, tf))
+            residuals.append(entropy_balance_residual(traj, eta, tf))
         assert residuals[2] < residuals[1] < residuals[0]
 
 
@@ -225,11 +225,10 @@ def test_support_leak_rejected(grid128, data):
     leaky = TestFunction(grid=grid128, t_lo=0.2, t_hi=0.6, x_center=0.0, x_width=4.0,
                          amplitude=1 + 0j)
     with pytest.raises(ValueError, match="horizon"):
-        weak_residual_u(traj, coupled_params(), run, leaky)
+        weak_residual_u(traj, leaky)
     from fswl.entropy import smooth_capped_entropy, entropy_balance_residual
 
     bad_entropy_tf = TestFunction(grid=grid128, t_lo=-0.1, t_hi=0.3, x_center=0.0,
                                   x_width=4.0, amplitude=1 + 0j, flavor="real")
     with pytest.raises(ValueError, match="strictly inside"):
-        entropy_balance_residual(traj, smooth_capped_entropy(0.5),
-                                 coupled_params(), run, bad_entropy_tf)
+        entropy_balance_residual(traj, smooth_capped_entropy(0.5), bad_entropy_tf)
