@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import math
 import sys
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import smallness_condition, theta_envelope
-from .grid import Field, make_grid
+from .grid import BLOCK_SAMPLES, Field, make_grid
 from .solver import (
     BlowupError,
     ConvergenceTable,
@@ -39,7 +40,7 @@ from .solver import (
 from .verify import SUITES, run_suite
 
 ARTIFACT_VERSION = "fswl-0.1.0"
-TRAJECTORY_SCHEMA = 2
+TRAJECTORY_SCHEMA = 3
 
 # The paper-facing gates of ``fswl run``: the largest relative mass drift
 # and the largest rise of sup|v| over its initial value.  Fixed, so that no
@@ -200,51 +201,72 @@ def _dump_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n")
 
 
-def _sha256_file(path: Path) -> str:
-    """Hex sha256 of a file's bytes, read 1 MB at a time."""
-    digest = hashlib.sha256()
-    with path.open("rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+def _band(grid) -> tuple[np.ndarray, int]:
+    """FFT-order indices of the 2/3-rule band, j = 0..K then -K..-1, and K."""
+    band = np.flatnonzero(grid.dealias_mask())
+    return band, len(band) // 2
 
 
 def write_trajectory(path: Path, traj: Trajectory, chash: str) -> None:
-    """A one-line JSON header at ``path`` and the spectra in a binary
-    sidecar next to it (``path`` with suffix ``.npy``): one complex128
-    array of shape [n_samples, 2, N], u then v, in FFT order, whose file
-    bytes the header pins by sha256."""
+    """A one-line JSON header at ``path`` and the resolved band of the
+    spectra in a binary sidecar next to it (``path`` with suffix ``.npy``):
+    one complex128 array of shape [n_samples, 3K+2], each row u_j for
+    j = 0..K, -K..-1, then v_j for j = 0..K, whose file bytes the header
+    pins by sha256.
+
+    Raises ValueError, before writing anything, unless every coefficient
+    outside the band is zero and every v spectrum is exactly Hermitian, so
+    that the sidecar holds the whole trajectory."""
     path = Path(path)
     sidecar = path.with_suffix(".npy")
-    # row by row, so no stacked copy of the spectra is held in memory
-    shape = (len(traj), 2, traj.grid.n_points)
+    grid = traj.grid
+    band, K = _band(grid)
+    outside = ~grid.dealias_mask()
+    mirror = -np.arange(grid.n_points) % grid.n_points  # index of -j
+    blocks = [slice(lo, lo + BLOCK_SAMPLES) for lo in range(0, len(traj), BLOCK_SAMPLES)]
+    for rows in blocks:
+        u, v = traj.u_specs[rows], traj.v_specs[rows]
+        if u[:, outside].any() or v[:, outside].any():
+            raise ValueError(f"{sidecar}: a coefficient outside the 2/3-rule band is nonzero")
+        if not np.array_equal(v, np.conj(v[:, mirror])):
+            raise ValueError(f"{sidecar}: a v spectrum is not exactly Hermitian")
+    head = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        head, {"descr": "<c16", "fortran_order": False, "shape": (len(traj), 3 * K + 2)})
+    digest = hashlib.sha256(head.getvalue())
+    # block by block, so no compact copy of the whole trajectory is held
     with sidecar.open("wb") as fh:
-        np.lib.format.write_array_header_1_0(
-            fh, {"descr": "<c16", "fortran_order": False, "shape": shape})
-        for u_spec, v_spec in zip(traj.u_specs, traj.v_specs):
-            fh.write(np.asarray(u_spec, dtype="<c16").tobytes())
-            fh.write(np.asarray(v_spec, dtype="<c16").tobytes())
+        fh.write(head.getvalue())
+        for rows in blocks:
+            blob = np.concatenate(
+                (traj.u_specs[rows, band], traj.v_specs[rows, : K + 1]), axis=1,
+            ).astype("<c16", copy=False).tobytes()
+            digest.update(blob)
+            fh.write(blob)
     header = {
         "artifact_version": ARTIFACT_VERSION,
         "config_hash": chash,
         "schema": TRAJECTORY_SCHEMA,
         "kind": "trajectory_header",
-        "grid": {"L": traj.grid.half_length, "N": traj.grid.n_points},
+        "grid": {"L": grid.half_length, "N": grid.n_points},
         "eps": traj.run.eps,
         "n_samples": len(traj),
         "times": traj.times.tolist(),
         "spectra_file": sidecar.name,
-        "spectra_sha256": _sha256_file(sidecar),
-        "spectra_layout": "complex128 [n_samples, 2 (u, v), N], fft_order",
+        "spectra_sha256": digest.hexdigest(),
+        "spectra_layout": f"complex128 [n_samples, 3K+2], K = {K}: "
+                          "u_j for j = 0..K, -K..-1, then v_j for j = 0..K",
     }
     path.write_text(json.dumps(header, sort_keys=True) + "\n")
 
 
 def read_trajectory(path: Path, params: SystemParams, run: PerturbedRun) -> Trajectory:
-    """Load what ``write_trajectory`` wrote, the spectra memory-mapped
-    read-only from the sidecar.  Raises ValueError when the header is not
-    schema 2 or the sidecar's hash, dtype or shape does not match the
-    header."""
+    """Load what ``write_trajectory`` wrote: the sidecar is read
+    BLOCK_SAMPLES rows at a time, hashed from the same bytes and scattered
+    into full FFT-ordered spectra, returned read-only.  Raises ValueError
+    when the header is not this schema, or when the sidecar's npy header or
+    size does not match the JSON header (checked before anything is
+    allocated) or its hash does not."""
     path = Path(path)
     with path.open() as fh:
         header = json.loads(fh.readline())
@@ -261,19 +283,42 @@ def read_trajectory(path: Path, params: SystemParams, run: PerturbedRun) -> Traj
         raise ValueError(f"{path}: malformed trajectory header: {exc!r}") from exc
     if Path(name).name != name:
         raise ValueError(f"{path}: spectra_file must be a file name, got {name!r}")
+    if times.shape != (n,):
+        raise ValueError(f"{path}: {times.size} times for {n} samples")
     sidecar = path.parent / name
-    if _sha256_file(sidecar) != digest:
+    N = grid.n_points
+    band, K = _band(grid)
+    width = 3 * K + 2
+    with sidecar.open("rb") as fh:
+        if np.lib.format.read_magic(fh) != (1, 0):
+            raise ValueError(f"{sidecar}: not a version 1.0 npy file")
+        layout = np.lib.format.read_array_header_1_0(fh)
+        expected = ((n, width), False, np.dtype("<c16"))
+        if layout != expected:
+            raise ValueError(f"{sidecar}: shape, fortran_order and dtype {layout}, "
+                             f"expected {expected}")
+        offset = fh.tell()
+        size, expected = sidecar.stat().st_size, offset + n * width * 16
+        if size != expected:
+            raise ValueError(f"{sidecar}: {size} bytes, expected {expected}")
+        fh.seek(0)
+        sha = hashlib.sha256(fh.read(offset))
+        u_specs = np.zeros((n, N), dtype=np.complex128)
+        v_specs = np.zeros((n, N), dtype=np.complex128)
+        for lo in range(0, n, BLOCK_SAMPLES):
+            rows = slice(lo, lo + BLOCK_SAMPLES)
+            blob = fh.read(len(u_specs[rows]) * width * 16)
+            sha.update(blob)
+            block = np.frombuffer(blob, dtype="<c16").reshape(-1, width)
+            u_specs[rows, band] = block[:, : 2 * K + 1]
+            v_specs[rows, : K + 1] = block[:, 2 * K + 1 :]
+            v_specs[rows, N - K :] = np.conj(block[:, : 2 * K + 1 : -1])
+    if sha.hexdigest() != digest:
         raise ValueError(f"{sidecar}: sha256 does not match the header")
-    spectra = np.load(sidecar, mmap_mode="r", allow_pickle=False)
-    shape = (n, 2, grid.n_points)
-    if spectra.dtype != np.complex128 or spectra.shape != shape or times.shape != (n,):
-        raise ValueError(
-            f"{path}: spectra {spectra.dtype} {spectra.shape} and {times.shape[0]} times, "
-            f"expected complex128 {shape} and {n} times"
-        )
+    u_specs.setflags(write=False)
+    v_specs.setflags(write=False)
     return Trajectory(
-        grid=grid, params=params, run=run,
-        times=times, u_specs=spectra[:, 0], v_specs=spectra[:, 1],
+        grid=grid, params=params, run=run, times=times, u_specs=u_specs, v_specs=v_specs,
     )
 
 

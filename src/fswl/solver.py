@@ -568,6 +568,8 @@ def solve_perturbed(
 
     u_spec = _prepare_initial(u0, grid)
     v_spec = _prepare_initial(v0, grid)
+    # the stepper reads only the half spectrum of v: store that, exactly Hermitian
+    v_spec = _hermitian_full(v_spec[: grid.n_points // 2 + 1], grid.n_points)
 
     h1_u0, h1_v0 = stepper._h1(u_spec), stepper._h1(v_spec)
     ceiling = run.blowup_factor * max(h1_u0, h1_v0, 1e-12)

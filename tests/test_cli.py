@@ -7,6 +7,7 @@ import math
 import re
 import tempfile
 import time
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -28,7 +29,8 @@ from fswl.cli import (
     parse_config,
     read_trajectory,
 )
-from fswl.solver import SolverError, solve_perturbed
+from fswl.grid import BLOCK_SAMPLES, make_grid
+from fswl.solver import SolverError, Trajectory, solve_perturbed
 
 
 def tiny_config(**overrides) -> dict:
@@ -112,16 +114,21 @@ class TestRunVerb:
         assert header["artifact_version"].startswith("fswl-")
 
     def test_trajectory_round_trip(self, tmp_path):
-        cfg = tiny_config()
-        do_run(cfg, tmp_path / "out")
-        grid, params, run, u0, v0, extras = parse_config(cfg)
-        solved = solve_perturbed(u0, v0, params, run)
-        traj = read_trajectory(tmp_path / "out" / "trajectory.jsonl", params, run)
-        assert len(traj) >= 2
-        assert traj.grid == grid
-        assert np.array_equal(traj.times, solved.times)
-        assert np.array_equal(traj.u_specs, solved.u_specs)
-        assert np.array_equal(traj.v_specs, solved.v_specs)
+        # at N = 256 the row width 3K+2 = 257 differs from N
+        for N in (64, 256):
+            cfg = tiny_config(grid={"L": 16.0, "N": N})
+            do_run(cfg, tmp_path / str(N))
+            grid, params, run, u0, v0, extras = parse_config(cfg)
+            solved = solve_perturbed(u0, v0, params, run)
+            traj = read_trajectory(tmp_path / str(N) / "trajectory.jsonl", params, run)
+            assert len(traj) >= 2
+            assert traj.grid == grid
+            assert np.array_equal(traj.times, solved.times)
+            assert np.array_equal(traj.u_specs, solved.u_specs)
+            assert np.array_equal(traj.v_specs, solved.v_specs)
+            assert not traj.u_specs.flags.writeable and not traj.v_specs.flags.writeable
+            sidecar = tmp_path / str(N) / "trajectory.npy"
+            assert sidecar.stat().st_size == 128 + len(traj) * (3 * (N // 3) + 2) * 16
 
     def test_read_trajectory_rejects_flipped_byte(self, tmp_path):
         cfg = tiny_config()
@@ -181,6 +188,121 @@ class TestRunVerb:
         assert code == 3
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["status"] == "blowup"
+
+
+def _banded_trajectory(N: int, n: int) -> Trajectory:
+    """n random samples at N points, zero outside the 2/3-rule band |j| <= N/3,
+    with v exactly Hermitian: what ``write_trajectory`` accepts."""
+    grid = make_grid(16.0, N)
+    _, params, run, *_ = parse_config(tiny_config())
+    rng = np.random.default_rng(N + n)
+    K = N // 3
+    band = np.r_[0 : K + 1, N - K : N]
+    u = np.zeros((n, N), dtype=complex)
+    u[:, band] = rng.standard_normal((n, 2 * K + 1)) + 1j * rng.standard_normal((n, 2 * K + 1))
+    half = rng.standard_normal((n, K + 1)) + 1j * rng.standard_normal((n, K + 1))
+    half[:, 0] = half[:, 0].real
+    v = np.zeros((n, N), dtype=complex)
+    v[:, : K + 1] = half
+    v[:, N - K :] = np.conj(half[:, K:0:-1])
+    return Trajectory(grid=grid, params=params, run=run,
+                      times=0.01 * np.arange(n), u_specs=u, v_specs=v)
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes traced by tracemalloc while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestTrajectorySidecar:
+    @pytest.mark.parametrize("channel, row, j", [
+        ("u", 0, 22),       # first mode above the band at N = 64
+        ("u", 3, -22),
+        ("u", 5, 32),       # the Nyquist mode
+        ("v", 2, 40),
+    ])
+    def test_writer_refuses_a_coefficient_outside_the_band(self, tmp_path, channel, row, j):
+        traj = _banded_trajectory(64, 8)
+        getattr(traj, f"{channel}_specs")[row, j] = 1e-300
+        with pytest.raises(ValueError, match="outside the 2/3-rule band"):
+            cli.write_trajectory(tmp_path / "t.jsonl", traj, "h")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("row, j, delta", [(1, 5, 1e-15j), (6, -3, 1e-15), (4, 0, 1e-15j)])
+    def test_writer_refuses_a_non_hermitian_v(self, tmp_path, row, j, delta):
+        traj = _banded_trajectory(64, 8)
+        traj.v_specs[row, j] += delta * abs(traj.v_specs[row, j])
+        with pytest.raises(ValueError, match="not exactly Hermitian"):
+            cli.write_trajectory(tmp_path / "t.jsonl", traj, "h")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_round_trip_of_a_multi_block_trajectory(self, tmp_path):
+        n = 2 * BLOCK_SAMPLES + 3
+        traj = _banded_trajectory(256, n)
+        cli.write_trajectory(tmp_path / "t.jsonl", traj, "h")
+        assert (tmp_path / "t.npy").stat().st_size == 128 + n * 257 * 16
+        back = read_trajectory(tmp_path / "t.jsonl", traj.params, traj.run)
+        assert np.array_equal(back.times, traj.times)
+        assert np.array_equal(back.u_specs, traj.u_specs)
+        assert np.array_equal(back.v_specs, traj.v_specs)
+
+    def test_read_holds_at_most_a_few_blocks_beyond_its_result(self, tmp_path):
+        traj = _banded_trajectory(512, 10 * BLOCK_SAMPLES)
+        cli.write_trajectory(tmp_path / "t.jsonl", traj, "h")
+        got = []
+        peak = _traced_peak(lambda: got.append(
+            read_trajectory(tmp_path / "t.jsonl", traj.params, traj.run)))
+        result = got[0].u_specs.nbytes + got[0].v_specs.nbytes
+        block = BLOCK_SAMPLES * (3 * (512 // 3) + 2) * 16
+        assert peak - result <= 3 * block
+
+    def _written(self, tmp_path) -> tuple[Path, Trajectory]:
+        traj = _banded_trajectory(64, 8)
+        cli.write_trajectory(tmp_path / "t.jsonl", traj, "h")
+        return tmp_path / "t.jsonl", traj
+
+    def _assert_refused_cheaply(self, path, traj, match):
+        def refused():
+            with pytest.raises(ValueError, match=match):
+                read_trajectory(path, traj.params, traj.run)
+
+        start = time.perf_counter()
+        assert _traced_peak(refused) < 1 << 20
+        assert time.perf_counter() - start < 1.0
+
+    def test_forged_sample_count_is_refused_unallocated(self, tmp_path):
+        path, traj = self._written(tmp_path)
+        header = json.loads(path.read_text())
+        header["n_samples"] = 10**9
+        path.write_text(json.dumps(header) + "\n")
+        self._assert_refused_cheaply(path, traj, "times for 1000000000 samples")
+
+    @pytest.mark.parametrize("layout", [
+        {"descr": "<c16", "fortran_order": False, "shape": (10**9, 23)},
+        {"descr": "<c16", "fortran_order": False, "shape": (8, 64)},
+        {"descr": "<c8", "fortran_order": False, "shape": (8, 23)},
+        {"descr": "<c16", "fortran_order": True, "shape": (8, 23)},
+    ])
+    def test_forged_npy_header_is_refused_unallocated(self, tmp_path, layout):
+        path, traj = self._written(tmp_path)
+        head = io.BytesIO()
+        np.lib.format.write_array_header_1_0(head, layout)
+        sidecar = path.with_suffix(".npy")
+        blob = sidecar.read_bytes()
+        assert len(head.getvalue()) == 128
+        sidecar.write_bytes(head.getvalue() + blob[128:])
+        self._assert_refused_cheaply(path, traj, "expected")
+
+    def test_truncated_sidecar_is_refused_unallocated(self, tmp_path):
+        path, traj = self._written(tmp_path)
+        sidecar = path.with_suffix(".npy")
+        sidecar.write_bytes(sidecar.read_bytes()[:-16])
+        self._assert_refused_cheaply(path, traj, "bytes, expected")
 
 
 class TestSweepVerb:

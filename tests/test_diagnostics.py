@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import json
 import sys
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -362,6 +364,8 @@ def test_diagnose_trajectory_fills_residuals(grid16, gauss_pair):
     assert np.isfinite(recs[-1].dtu_hminus1)
     row = recs[1].to_json()
     assert "energy_balance_residual" in row
+    # the plain field dict serializes exactly as the deep-copying asdict
+    assert row == json.dumps(asdict(recs[1]), sort_keys=True)
 
 
 def test_block_pass_matches_per_sample_oracle(grid16, gauss_pair):

@@ -254,6 +254,15 @@ class TestSolvePerturbed:
         mass = grid16.measure * np.sum(np.abs(traj.u_specs) ** 2, axis=1)
         assert np.max(np.abs(mass - mass[0])) <= 1e-10 * mass[0]
 
+    def test_every_stored_v_sample_is_exactly_hermitian(self, grid16, gauss_pair):
+        u0, v0 = gauss_pair
+        traj = solve_perturbed(u0, v0, coupled_params(), PerturbedRun(eps=0.1, T=0.05, dt=0.01))
+        N = grid16.n_points
+        j = np.arange(1, N // 2)
+        for v in traj.v_specs:
+            assert np.array_equal(v[N - j], np.conj(v[j]))
+            assert v[N // 2] == 0.0
+
     def test_canonical_style_run_mass_and_sup(self, grid16, gauss_pair):
         u0, v0 = gauss_pair
         run = PerturbedRun(eps=0.1, T=1.0, dt=1e-3, store_every=10)
