@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import smallness_condition, theta_envelope
-from .grid import BLOCK_SAMPLES, Field, make_grid
+from .grid import Field, make_grid
 from .solver import (
     BlowupError,
     ConvergenceTable,
@@ -32,6 +32,7 @@ from .solver import (
     SolverError,
     SystemParams,
     Trajectory,
+    _band,
     g_linear,
     g_tanh_blend,
     g_zero,
@@ -110,8 +111,9 @@ _SCHEMA = {
                "g": {"kind": {"zero": {}, "linear": {"c": (_finite, None)},
                               "tanh_blend": {"m": (_finite, None), "M": (_finite, None)}}}},
     "perturbation": {"eps": (_finite, 0.1), "a": (_integer, None), "b": (_integer, None)},
-    "time": {"T": (_finite, ...), "dt": (_finite, ...),
-             "picard_tol": (_finite, None), "picard_max_iter": (_integer, None)},
+    "time": {"T": (_finite, ...), "dt": (_finite, ...), "picard_tol": (_finite, None),
+             "picard_max_iter": (lambda raw, name: PerturbedRun.check_picard_max_iter(
+                 _integer(raw, name), name), None)},
     "diagnostics": {"store_every": (_integer, None), "blowup_factor": (_finite, None),
                     # configs may restate the fixed gates, never change them
                     "mass_rtol": (lambda raw, name: _gate(raw, name, MASS_RTOL), None),
@@ -201,48 +203,34 @@ def _dump_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n")
 
 
-def _band(grid) -> tuple[np.ndarray, int]:
-    """FFT-order indices of the 2/3-rule band, j = 0..K then -K..-1, and K."""
-    band = np.flatnonzero(grid.dealias_mask())
-    return band, len(band) // 2
-
-
 def write_trajectory(path: Path, traj: Trajectory, chash: str) -> None:
-    """A one-line JSON header at ``path`` and the resolved band of the
-    spectra in a binary sidecar next to it (``path`` with suffix ``.npy``):
-    one complex128 array of shape [n_samples, 3K+2], each row u_j for
+    """A one-line JSON header at ``path`` and the band rows ``traj.bands``
+    in a binary sidecar next to it (``path`` with suffix ``.npy``): one
+    complex128 array of shape [n_samples, 3K+2], each row u_j for
     j = 0..K, -K..-1, then v_j for j = 0..K, whose file bytes the header
     pins by sha256.
 
-    Raises ValueError, before writing anything, unless every coefficient
-    outside the band is zero and every v spectrum is exactly Hermitian, so
-    that the sidecar holds the whole trajectory."""
+    Raises ValueError, before writing anything, when the rows are not one
+    per sample of width 3K+2 (a wider row holds a coefficient outside the
+    band) or a v_0 is not real (the one way a row holds a non-Hermitian v)."""
     path = Path(path)
     sidecar = path.with_suffix(".npy")
     grid = traj.grid
-    band, K = _band(grid)
-    outside = ~grid.dealias_mask()
-    mirror = -np.arange(grid.n_points) % grid.n_points  # index of -j
-    blocks = [slice(lo, lo + BLOCK_SAMPLES) for lo in range(0, len(traj), BLOCK_SAMPLES)]
-    for rows in blocks:
-        u, v = traj.u_specs[rows], traj.v_specs[rows]
-        if u[:, outside].any() or v[:, outside].any():
-            raise ValueError(f"{sidecar}: a coefficient outside the 2/3-rule band is nonzero")
-        if not np.array_equal(v, np.conj(v[:, mirror])):
-            raise ValueError(f"{sidecar}: a v spectrum is not exactly Hermitian")
+    K = _band(grid)[1]
+    bands = np.ascontiguousarray(traj.bands, dtype="<c16")
+    if bands.shape != (len(traj), 3 * K + 2):
+        raise ValueError(f"{sidecar}: band rows of shape {bands.shape}, expected "
+                         f"{(len(traj), 3 * K + 2)}, the 2/3-rule band at N = {grid.n_points}")
+    if bands[:, 2 * K + 1].imag.any():
+        raise ValueError(f"{sidecar}: a v_0 is not real, so v is not exactly Hermitian")
     head = io.BytesIO()
     np.lib.format.write_array_header_1_0(
-        head, {"descr": "<c16", "fortran_order": False, "shape": (len(traj), 3 * K + 2)})
+        head, {"descr": "<c16", "fortran_order": False, "shape": bands.shape})
     digest = hashlib.sha256(head.getvalue())
-    # block by block, so no compact copy of the whole trajectory is held
+    digest.update(bands)
     with sidecar.open("wb") as fh:
         fh.write(head.getvalue())
-        for rows in blocks:
-            blob = np.concatenate(
-                (traj.u_specs[rows, band], traj.v_specs[rows, : K + 1]), axis=1,
-            ).astype("<c16", copy=False).tobytes()
-            digest.update(blob)
-            fh.write(blob)
+        fh.write(bands)
     header = {
         "artifact_version": ARTIFACT_VERSION,
         "config_hash": chash,
@@ -261,12 +249,12 @@ def write_trajectory(path: Path, traj: Trajectory, chash: str) -> None:
 
 
 def read_trajectory(path: Path, params: SystemParams, run: PerturbedRun) -> Trajectory:
-    """Load what ``write_trajectory`` wrote: the sidecar is read
-    BLOCK_SAMPLES rows at a time, hashed from the same bytes and scattered
-    into full FFT-ordered spectra, returned read-only.  Raises ValueError
-    when the header is not this schema, or when the sidecar's npy header or
-    size does not match the JSON header (checked before anything is
-    allocated) or its hash does not."""
+    """Load what ``write_trajectory`` wrote for the run ``run`` of the system
+    ``params``: the sidecar is read into the trajectory's band rows, returned
+    read-only, and hashed from the same bytes.  Raises ValueError when the
+    header is not this schema or its eps or sample count is not ``run``'s,
+    when the sidecar's npy header or size does not match the JSON header
+    (checked before anything is allocated), or when its hash does not."""
     path = Path(path)
     with path.open() as fh:
         header = json.loads(fh.readline())
@@ -275,6 +263,7 @@ def read_trajectory(path: Path, params: SystemParams, run: PerturbedRun) -> Traj
         raise ValueError(f"{path}: trajectory schema {schema!r}, expected {TRAJECTORY_SCHEMA}")
     try:
         grid = make_grid(header["grid"]["L"], header["grid"]["N"])
+        eps = header["eps"]
         n = int(header["n_samples"])
         times = np.array(header["times"], dtype=np.float64)
         name = header["spectra_file"]
@@ -285,10 +274,12 @@ def read_trajectory(path: Path, params: SystemParams, run: PerturbedRun) -> Traj
         raise ValueError(f"{path}: spectra_file must be a file name, got {name!r}")
     if times.shape != (n,):
         raise ValueError(f"{path}: {times.size} times for {n} samples")
+    if eps != run.eps:
+        raise ValueError(f"{path}: eps {eps!r} in the header, {run.eps!r} in the run")
+    if n != run.n_samples:
+        raise ValueError(f"{path}: n_samples {n} in the header, {run.n_samples} for the run")
     sidecar = path.parent / name
-    N = grid.n_points
-    band, K = _band(grid)
-    width = 3 * K + 2
+    width = 3 * _band(grid)[1] + 2
     with sidecar.open("rb") as fh:
         if np.lib.format.read_magic(fh) != (1, 0):
             raise ValueError(f"{sidecar}: not a version 1.0 npy file")
@@ -303,23 +294,14 @@ def read_trajectory(path: Path, params: SystemParams, run: PerturbedRun) -> Traj
             raise ValueError(f"{sidecar}: {size} bytes, expected {expected}")
         fh.seek(0)
         sha = hashlib.sha256(fh.read(offset))
-        u_specs = np.zeros((n, N), dtype=np.complex128)
-        v_specs = np.zeros((n, N), dtype=np.complex128)
-        for lo in range(0, n, BLOCK_SAMPLES):
-            rows = slice(lo, lo + BLOCK_SAMPLES)
-            blob = fh.read(len(u_specs[rows]) * width * 16)
-            sha.update(blob)
-            block = np.frombuffer(blob, dtype="<c16").reshape(-1, width)
-            u_specs[rows, band] = block[:, : 2 * K + 1]
-            v_specs[rows, : K + 1] = block[:, 2 * K + 1 :]
-            v_specs[rows, N - K :] = np.conj(block[:, : 2 * K + 1 : -1])
+        bands = np.empty((n, width), dtype="<c16")
+        if fh.readinto(memoryview(bands).cast("B")) != bands.nbytes:
+            raise ValueError(f"{sidecar}: shorter than {expected} bytes")
+    sha.update(bands)
     if sha.hexdigest() != digest:
         raise ValueError(f"{sidecar}: sha256 does not match the header")
-    u_specs.setflags(write=False)
-    v_specs.setflags(write=False)
-    return Trajectory(
-        grid=grid, params=params, run=run, times=times, u_specs=u_specs, v_specs=v_specs,
-    )
+    bands.setflags(write=False)
+    return Trajectory(grid=grid, params=params, run=run, times=times, bands=bands)
 
 
 def _write_timeseries_csv(path: Path, recs, chash: str) -> None:

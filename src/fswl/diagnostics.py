@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
+from typing import Callable
 
 import numpy as np
 
@@ -123,14 +124,17 @@ def _series(
     params: SystemParams,
     run: PerturbedRun,
     times: np.ndarray,
-    u_specs: np.ndarray,
-    v_specs: np.ndarray,
+    spectra: Callable[[slice], tuple[np.ndarray, np.ndarray]],
 ) -> DiagnosticSeries:
-    """The diagnostics pass over stored spectra [n_samples, N].
+    """The diagnostics pass over stored samples at ``times``, whose full
+    u and v spectra [n_rows, N] ``spectra(rows)`` gives for a slice of
+    sample indices.
 
     Samples are taken BLOCK_SAMPLES at a time with the FFTs batched along
-    axis 1.  The scalar series are joined before any time difference is
-    taken, so the residuals at block edges see both neighbors.
+    axis 1; each block's spectra also hold the sample before it, which the
+    backward difference quotients need.  The scalar series are joined
+    before any time difference is taken, so the residuals at block edges
+    see both neighbors.
 
     Energy balance right side:
         alpha beta int (-D)^{s/2}(|u|^2) |u|^2
@@ -155,9 +159,11 @@ def _series(
     col = {name: np.full(n, np.nan) for name in names + ["lhs_theta", "energy_rhs", "v_terms"]}
     for lo in range(0, n, BLOCK_SAMPLES):
         blk = slice(lo, min(lo + BLOCK_SAMPLES, n))
-        u_spec = u_specs[blk]
+        first = max(lo - 1, 0)
+        u_specs, v_specs = spectra(slice(first, blk.stop))
+        u_spec = u_specs[lo - first :]
         u = grid.from_spectrum(u_spec)
-        v = grid.from_spectrum(v_specs[blk]).real
+        v = grid.from_spectrum(v_specs[lo - first :]).real
         v_spec = grid.to_spectrum(v)
         dens = np.abs(u) ** 2
         dens_spec = grid.to_spectrum(dens)
@@ -189,12 +195,11 @@ def _series(
             + eps_b * grad_v
             - beta * grid.integral(frac_dens * v)
         )
-        # backward difference quotients reach one sample before the block
-        back = slice(max(lo, 1), blk.stop)
-        prev = slice(back.start - 1, back.stop - 1)
-        dts = (times[back] - times[prev])[:, None]
+        # backward difference quotients of samples first+1 .. blk.stop-1
+        back = slice(first + 1, blk.stop)
+        dts = (times[back] - times[first : blk.stop - 1])[:, None]
         for name, specs in (("dtu_hminus1", u_specs), ("dtv_hminus1", v_specs)):
-            quotient = (specs[back] - specs[prev]) / dts
+            quotient = (specs[1:] - specs[:-1]) / dts
             col[name][back] = np.sqrt(grid.weighted_sq(quotient, hminus1_w))
 
     energy, v_l2_sq = col["energy"], col["v_l2"] ** 2
@@ -210,7 +215,7 @@ def _series(
 def _window(traj: Trajectory, lo: int, hi: int) -> DiagnosticSeries:
     """The diagnostics pass over stored samples lo..hi-1 of a trajectory."""
     return _series(traj.grid, traj.params, traj.run, traj.times[lo:hi],
-                   traj.u_specs[lo:hi], traj.v_specs[lo:hi])
+                   lambda rows: traj.spectra(slice(lo + rows.start, lo + rows.stop)))
 
 
 def record_diagnostics(
@@ -223,7 +228,7 @@ def record_diagnostics(
     are filled by the windowed operations."""
     u, v = state
     sr = _series(u.grid, params, run, np.array([t], dtype=np.float64),
-                 u.spectrum[None], v.spectrum[None])
+                 lambda rows: (u.spectrum[None][rows], v.spectrum[None][rows]))
     return sr.records()[0]
 
 
@@ -324,7 +329,7 @@ def theta_envelope(traj: Trajectory) -> DiagnosticSeries:
         + frac[0]
         + eps_a * grad[0]
         + 0.5 * u4[0]
-        + grid.sup_norm(traj.u_specs[0]) * v0_l2 * u0_l2
+        + grid.sup_norm(traj.spectra(0)[0]) * v0_l2 * u0_l2
         + aa**2 * np.exp(T) * v0_l2**2
     )
 

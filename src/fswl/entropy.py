@@ -480,14 +480,14 @@ def _simpson(y: np.ndarray, t: np.ndarray):
 def _live_blocks(traj: Trajectory, P: np.ndarray, Pd: np.ndarray):
     """The live samples of a trajectory, those where the time factor P or its
     derivative Pd is nonzero, BLOCK_SAMPLES at a time: their row indices,
-    u spectra, and u and v in physical space."""
+    u and v spectra, and u and v in physical space."""
     grid = traj.grid
     live = np.flatnonzero((P != 0.0) | (Pd != 0.0))
     for lo in range(0, live.size, BLOCK_SAMPLES):
         rows = live[lo:lo + BLOCK_SAMPLES]
-        u_spec = traj.u_specs[rows]
-        yield (rows, u_spec, grid.from_spectrum(u_spec),
-               grid.from_spectrum(traj.v_specs[rows]).real)
+        u_spec, v_spec = traj.spectra(rows)
+        yield (rows, u_spec, v_spec, grid.from_spectrum(u_spec),
+               grid.from_spectrum(v_spec).real)
 
 
 def weak_residual_u(traj: Trajectory, tf: TestFunction, perturbed: bool = True) -> complex:
@@ -517,7 +517,7 @@ def weak_residual_u(traj: Trajectory, tf: TestFunction, perturbed: bool = True) 
 
     half_sym = grid.frac_symbol(0.5 * s)
     vals = np.zeros(len(traj), dtype=np.complex128)
-    for rows, u_spec, u, v in _live_blocks(traj, P, Pd):
+    for rows, u_spec, _, u, v in _live_blocks(traj, P, Pd):
         frac_u = grid.from_spectrum(half_sym * u_spec)
         term = 1j * Pd[rows] * (u @ Q) + P[rows] * (
             frac_u @ Qf + params.alpha * ((v * u) @ Q)
@@ -529,7 +529,7 @@ def weak_residual_u(traj: Trajectory, tf: TestFunction, perturbed: bool = True) 
     total = _simpson(vals, times)
     P0 = float(tf.time_value(0.0)[0])
     if P0 != 0.0:
-        u0 = grid.from_spectrum(traj.u_specs[0])
+        u0 = grid.from_spectrum(traj.spectra(0)[0])
         total += 1j * P0 * dx * np.sum(u0 * Q)
     return complex(total)
 
@@ -560,7 +560,7 @@ def weak_residual_v(traj: Trajectory, tf: TestFunction, perturbed: bool = True) 
 
     g_eff = params.g.regularized(run.g_regularization) if perturbed else params.g
     vals = np.zeros(len(traj))
-    for rows, _, u, v in _live_blocks(traj, P, Pd):
+    for rows, _, _, u, v in _live_blocks(traj, P, Pd):
         term = Pd[rows] * (v @ Q) + P[rows] * (
             (params.beta * np.abs(u) ** 2 - g_eff.fn(v)) @ Qf
         )
@@ -570,7 +570,7 @@ def weak_residual_v(traj: Trajectory, tf: TestFunction, perturbed: bool = True) 
     total = _simpson(vals, times)
     P0 = float(tf.time_value(0.0)[0])
     if P0 != 0.0:
-        v0 = grid.from_spectrum(traj.v_specs[0]).real
+        v0 = grid.from_spectrum(traj.spectra(0)[1]).real
         total += P0 * dx * np.sum(v0 * Q)
     return float(total)
 
@@ -663,8 +663,8 @@ def entropy_balance_residual(traj: Trajectory, eta: EntropySpec, tf: TestFunctio
     deriv = grid.deriv_symbol()
     half_sym = grid.frac_symbol(0.5 * s)
     vals = np.zeros(len(traj))
-    for rows, _, u, v in _live_blocks(traj, P, Pd):
-        dvdx = grid.from_spectrum(deriv * traj.v_specs[rows]).real
+    for rows, _, v_spec, u, v in _live_blocks(traj, P, Pd):
+        dvdx = grid.from_spectrum(deriv * v_spec).real
         dens_frac = grid.from_spectrum(
             half_sym * grid.to_spectrum(np.abs(u) ** 2)
         ).real

@@ -15,7 +15,7 @@ integrator's order.  The dealiasing mask keeps the identity intact because
 every state stays inside the retained band.
 
 A sweep takes the real channels v, |u|^2 and g(v) through real-to-complex
-transforms, v living as its half spectrum inside a step, and the two
+transforms, v living as its half spectrum throughout, and the two
 products with u, alpha v u + gamma rho u (rho the dealiased |u|^2), through
 one complex transform: two complex and three real transform calls a sweep.
 Each step's iteration starts from the free propagation plus a Newton
@@ -63,10 +63,14 @@ __all__ = [
 ]
 
 
-# Base steps one run may request: a thousand times the canonical run.  It
-# keeps a mistyped dt (say 1e-300) from asking for a practically endless
-# march.
+# Base steps one run may request, and sub-steps it may take: a thousand
+# times the canonical run.  It keeps a mistyped dt (say 1e-300) or data whose
+# contraction cap is tiny from asking for a practically endless march.
 MAX_STEPS = 10**6
+
+# Picard sweeps one step may take: a contracting iteration reaches roundoff
+# in well under a hundred.
+MAX_PICARD_ITER = 1000
 
 # The algebra constant C of the contraction-time estimate, and the most
 # halvings of dt a run may take: a step below dt/2**MAX_HALVINGS is a
@@ -237,10 +241,9 @@ class PerturbedRun:
             raise ValueError("T and dt must be positive")
         if self.store_every < 1:
             raise ValueError("store_every must be >= 1")
-        if not (self.picard_tol > 0 and self.picard_max_iter >= 1 and self.blowup_factor > 0):
-            raise ValueError(
-                "picard_tol and blowup_factor must be positive and picard_max_iter >= 1"
-            )
+        if not (self.picard_tol > 0 and self.blowup_factor > 0):
+            raise ValueError("picard_tol and blowup_factor must be positive")
+        self.check_picard_max_iter(self.picard_max_iter)
         steps = self.T / self.dt  # compared before round(), which inf overflows
         if steps > MAX_STEPS + 0.5:
             raise ValueError(f"T/dt = {steps:.10g} steps exceeds the limit of {MAX_STEPS}")
@@ -250,6 +253,14 @@ class PerturbedRun:
                 f"T = {self.T} is not an integer multiple of dt = {self.dt}"
             )
 
+    @staticmethod
+    def check_picard_max_iter(value: int, name: str = "picard_max_iter") -> int:
+        """``value`` unless it lies outside [1, MAX_PICARD_ITER]; ``name``
+        is what the ValueError calls it."""
+        if not 1 <= value <= MAX_PICARD_ITER:
+            raise ValueError(f"{name} must lie in [1, {MAX_PICARD_ITER}], got {value!r}")
+        return value
+
     @property
     def g_regularization(self) -> float:
         return self.eps if self.eps_g is None else self.eps_g
@@ -258,20 +269,67 @@ class PerturbedRun:
     def n_steps(self) -> int:
         return int(round(self.T / self.dt))
 
+    @property
+    def n_samples(self) -> int:
+        """Samples stored: the initial one, every store_every-th step and
+        the last one."""
+        return 1 + -(-self.n_steps // self.store_every)
+
+
+def _band(grid: GridSpec) -> tuple[np.ndarray, int]:
+    """FFT-order indices of the 2/3-rule band, j = 0..K then -K..-1, and K."""
+    band = np.flatnonzero(grid.dealias_mask())
+    return band, len(band) // 2
+
+
+def _expand(grid: GridSpec, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Full FFT-ordered u and v spectra [..., N] of band rows [..., 3K+2],
+    read-only: zero outside the band, v_{-j} = conj(v_j) and a zero Nyquist
+    mode."""
+    band, K = _band(grid)
+    N = grid.n_points
+    u = np.zeros(rows.shape[:-1] + (N,), dtype=np.complex128)
+    v = np.zeros_like(u)
+    u[..., band] = rows[..., : 2 * K + 1]
+    v[..., : K + 1] = rows[..., 2 * K + 1 :]
+    v[..., N - K :] = np.conj(rows[..., : 2 * K + 1 : -1])
+    u.setflags(write=False)
+    v.setflags(write=False)
+    return u, v
+
 
 @dataclass
 class Trajectory:
-    """Stored samples of one run: spectra of (u, v) on the sample time grid."""
+    """Stored samples of one run on the sample time grid, each the resolved
+    band of the spectra of (u, v): row i of ``bands`` holds u_j for
+    j = 0..K, -K..-1, then v_j for j = 0..K, K = N // 3.  Every u mode
+    outside the band is zero and v is a real field with a zero Nyquist mode,
+    so the row holds the whole sample; ``spectra`` expands rows."""
 
     grid: GridSpec
     params: SystemParams
     run: PerturbedRun
     times: np.ndarray
-    u_specs: np.ndarray  # [n_samples, N] complex
-    v_specs: np.ndarray  # [n_samples, N] complex
+    bands: np.ndarray  # [n_samples, 3K+2] complex
 
     def __len__(self) -> int:
         return len(self.times)
+
+    def spectra(self, rows) -> tuple[np.ndarray, np.ndarray]:
+        """Full FFT-ordered u and v spectra of the samples ``rows``: an int,
+        a slice or an index array, [N] or [n_rows, N] each."""
+        return _expand(self.grid, self.bands[rows])
+
+    @property
+    def u_specs(self) -> np.ndarray:
+        """Every u spectrum [n_samples, N], expanded on each access; a pass
+        over the samples expands blocks with ``spectra`` instead."""
+        return self.spectra(slice(None))[0]
+
+    @property
+    def v_specs(self) -> np.ndarray:
+        """Every v spectrum [n_samples, N], like ``u_specs``."""
+        return self.spectra(slice(None))[1]
 
 
 class ConvergenceTable:
@@ -445,19 +503,21 @@ class _Stepper:
         root = self._pair_h1()
         return float(root[0] + root[1])
 
-    def _max_h1(self, u_spec: np.ndarray, v_spec: np.ndarray) -> float:
-        """``max(_h1(u_spec), _h1(v_spec))`` for a full u spectrum and a
-        Hermitian full v spectrum, in one reduction."""
+    def _max_h1(self, u_spec: np.ndarray, v_half: np.ndarray) -> float:
+        """The larger H1 norm of a u spectrum and a v half spectrum, both
+        in one reduction."""
         N = self.grid.n_points
         self._diff[:N] = u_spec
-        self._diff[N:] = v_spec[: N // 2 + 1]
+        self._diff[N:] = v_half
         return float(np.max(self._pair_h1()))
 
     def step(
         self, u_spec: np.ndarray, v_spec: np.ndarray, dt: float
     ) -> tuple[np.ndarray, np.ndarray, int]:
-        """One midpoint-Duhamel step of size dt; returns new spectra and the
-        number of Picard sweeps used.
+        """One midpoint-Duhamel step of size dt from the u spectrum and the v
+        half spectrum (of a longer v spectrum only j = 0..N/2 is read);
+        returns the new u spectrum and v half spectrum and the number of
+        Picard sweeps used.
 
         The iteration starts from the free propagation plus the extrapolated
         Duhamel increment of the last steps of the same dt (see
@@ -515,7 +575,7 @@ class _Stepper:
             u_new, v_new = u_next, v_next
             if dist < run.picard_tol:
                 history.appendleft((u_new - au, v_new - av))
-                return u_new, _hermitian_full(v_new, grid.n_points), sweep
+                return u_new, v_new, sweep
             if dist >= prev_dist:
                 nondecreasing += 1
                 if nondecreasing >= 3:
@@ -528,16 +588,6 @@ class _Stepper:
         raise SolverError(
             f"Picard iteration exceeded {run.picard_max_iter} sweeps at dt={dt:.3e}"
         )
-
-
-def _hermitian_full(half: np.ndarray, N: int) -> np.ndarray:
-    """Full FFT-ordered spectrum of a real field from its half spectrum,
-    c_{-k} = conj(c_k) exactly, with the Nyquist mode set to zero."""
-    full = np.empty(N, dtype=np.complex128)
-    full[: N // 2] = half[: N // 2]
-    full[N // 2] = 0.0
-    full[N // 2 + 1 :] = np.conj(half[N // 2 - 1 : 0 : -1])
-    return full
 
 
 def _prepare_initial(f: Field, grid: GridSpec) -> np.ndarray:
@@ -566,12 +616,13 @@ def solve_perturbed(
         raise ValueError("u0 and v0 must share a grid")
     stepper = _Stepper(grid, params, run)
 
+    band, K = _band(grid)
     u_spec = _prepare_initial(u0, grid)
-    v_spec = _prepare_initial(v0, grid)
-    # the stepper reads only the half spectrum of v: store that, exactly Hermitian
-    v_spec = _hermitian_full(v_spec[: grid.n_points // 2 + 1], grid.n_points)
+    # v steps as its half spectrum; a sample stores the band of both
+    v_spec = _prepare_initial(v0, grid)[: grid.n_points // 2 + 1]
+    row = np.concatenate((u_spec[band], v_spec[: K + 1]))
 
-    h1_u0, h1_v0 = stepper._h1(u_spec), stepper._h1(v_spec)
+    h1_u0, h1_v0 = (stepper._h1(spec) for spec in _expand(grid, row))
     ceiling = run.blowup_factor * max(h1_u0, h1_v0, 1e-12)
 
     # Contraction-time cap for the ball of radius 2.5 max of the data norms
@@ -594,13 +645,16 @@ def solve_perturbed(
                 f"dt/2^{MAX_HALVINGS} = {run.dt / ticks:.3e}"
             )
         top //= 2
+    substeps = n_steps * (ticks // top)
+    if substeps > MAX_STEPS:
+        raise SolverError(
+            f"{substeps} sub-steps ({n_steps} base steps of dt/{ticks // top} under the "
+            f"a-priori contraction cap {cap:.3e}, R = {R:.3e}) exceed the limit of {MAX_STEPS}"
+        )
 
-    # every store_every-th step and the last one, after the initial sample
-    n_samples = 1 + -(-n_steps // run.store_every)
-    times = np.empty(n_samples)
-    u_specs = np.empty((n_samples, grid.n_points), dtype=np.complex128)
-    v_specs = np.empty_like(u_specs)
-    times[0], u_specs[0], v_specs[0] = 0.0, u_spec, v_spec
+    times = np.empty(run.n_samples)
+    bands = np.empty((run.n_samples, len(row)), dtype=np.complex128)
+    times[0], bands[0] = 0.0, row
     stored = 1
 
     pos, size, successes = 0, top, 0
@@ -625,12 +679,11 @@ def solve_perturbed(
             size *= 2
             successes = 0
         if pos % ticks == 0 and (k % run.store_every == 0 or k == n_steps):
-            times[stored], u_specs[stored], v_specs[stored] = k * run.dt, u_spec, v_spec
+            times[stored] = k * run.dt
+            np.concatenate((u_spec[band], v_spec[: K + 1]), out=bands[stored])
             stored += 1
 
-    return Trajectory(
-        grid=grid, params=params, run=run, times=times, u_specs=u_specs, v_specs=v_specs,
-    )
+    return Trajectory(grid=grid, params=params, run=run, times=times, bands=bands)
 
 
 # ---------------------------------------------------------------------------
@@ -639,8 +692,9 @@ def solve_perturbed(
 
 def l2_spacetime_diff(t1: Trajectory, t2: Trajectory) -> tuple[float, float]:
     """L^2((0,T) x window) distances between two runs on the same grids.
-    The differences are formed BLOCK_SAMPLES samples at a time, so no
-    temporary of a whole trajectory's size is made."""
+    The band differences are expanded BLOCK_SAMPLES samples at a time (the
+    expansion commutes with the subtraction), so no temporary of a whole
+    trajectory's size is made."""
     if len(t1) != len(t2) or not np.allclose(t1.times, t2.times):
         raise ValueError("trajectories must share the sample time grid")
     trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -648,8 +702,9 @@ def l2_spacetime_diff(t1: Trajectory, t2: Trajectory) -> tuple[float, float]:
     dv2 = np.empty(len(t1))
     for lo in range(0, len(t1), BLOCK_SAMPLES):
         rows = slice(lo, lo + BLOCK_SAMPLES)
-        du2[rows] = t1.grid.weighted_sq(t1.u_specs[rows] - t2.u_specs[rows], 1.0)
-        dv2[rows] = t1.grid.weighted_sq(t1.v_specs[rows] - t2.v_specs[rows], 1.0)
+        du, dv = _expand(t1.grid, t1.bands[rows] - t2.bands[rows])
+        du2[rows] = t1.grid.weighted_sq(du, 1.0)
+        dv2[rows] = t1.grid.weighted_sq(dv, 1.0)
     return (
         float(np.sqrt(trapezoid(du2, t1.times))),
         float(np.sqrt(trapezoid(dv2, t1.times))),

@@ -107,8 +107,9 @@ def sample_fields(traj, i):
     """(u, v) Fields of stored sample i: u from its spectrum, v the real part
     of the samples of its spectrum."""
     grid = traj.grid
-    u = Field.from_spectrum(grid, traj.u_specs[i], flavor="complex")
-    v = Field(grid, grid.from_spectrum(traj.v_specs[i]).real, flavor="real")
+    u_spec, v_spec = traj.spectra(i)
+    u = Field.from_spectrum(grid, u_spec, flavor="complex")
+    v = Field(grid, grid.from_spectrum(v_spec).real, flavor="real")
     return u, v
 
 
@@ -194,8 +195,9 @@ def dt_negative_norm(traj, i) -> tuple[float, float]:
     grid = traj.grid
     dt = traj.times[i] - traj.times[i - 1]
     w = 1.0 / (1.0 + grid.k**2)
-    du = (traj.u_specs[i] - traj.u_specs[i - 1]) / dt
-    dv = (traj.v_specs[i] - traj.v_specs[i - 1]) / dt
+    u_specs, v_specs = traj.spectra(slice(i - 1, i + 1))
+    du = (u_specs[1] - u_specs[0]) / dt
+    dv = (v_specs[1] - v_specs[0]) / dt
     return np.sqrt(_weighted_sq(grid, du, w)), np.sqrt(_weighted_sq(grid, dv, w))
 
 
@@ -323,6 +325,7 @@ def pair_correlation_integral_loop(v, w, s):
 # ---------------------------------------------------------------------------
 
 def weak_residual_u_loop(traj, params, run, tf, perturbed=True) -> complex:
+    u_specs, v_specs = traj.u_specs, traj.v_specs  # expanded once
     grid = traj.grid
     s = as_order(params.s).s
     dx = grid.dx
@@ -338,9 +341,9 @@ def weak_residual_u_loop(traj, params, run, tf, perturbed=True) -> complex:
     for i in range(len(traj)):
         if P[i] == 0.0 and Pd[i] == 0.0:
             continue
-        u = grid.from_spectrum(traj.u_specs[i])
-        v = grid.from_spectrum(traj.v_specs[i]).real
-        frac_u = grid.from_spectrum(half_sym * traj.u_specs[i])
+        u = grid.from_spectrum(u_specs[i])
+        v = grid.from_spectrum(v_specs[i]).real
+        frac_u = grid.from_spectrum(half_sym * u_specs[i])
         a_u = dx * np.sum(u * Q)
         a_frac = dx * np.sum(frac_u * Qf)
         a_lap = dx * np.sum(u * Q2)
@@ -355,12 +358,13 @@ def weak_residual_u_loop(traj, params, run, tf, perturbed=True) -> complex:
     total = en._simpson(vals, times)
     P0 = float(tf.time_value(0.0)[0])
     if P0 != 0.0:
-        u0 = grid.from_spectrum(traj.u_specs[0])
+        u0 = grid.from_spectrum(u_specs[0])
         total += 1j * P0 * dx * np.sum(u0 * Q)
     return complex(total)
 
 
 def weak_residual_v_loop(traj, params, run, tf, perturbed=True) -> float:
+    u_specs, v_specs = traj.u_specs, traj.v_specs  # expanded once
     grid = traj.grid
     s = as_order(params.s).s
     dx = grid.dx
@@ -376,8 +380,8 @@ def weak_residual_v_loop(traj, params, run, tf, perturbed=True) -> float:
     for i in range(len(traj)):
         if P[i] == 0.0 and Pd[i] == 0.0:
             continue
-        u = grid.from_spectrum(traj.u_specs[i])
-        v = grid.from_spectrum(traj.v_specs[i]).real
+        u = grid.from_spectrum(u_specs[i])
+        v = grid.from_spectrum(v_specs[i]).real
         term = Pd[i] * dx * np.sum(v * Q)
         term -= P[i] * dx * np.sum(g_eff.fn(v) * Qf)
         term += params.beta * P[i] * dx * np.sum(np.abs(u) ** 2 * Qf)
@@ -387,12 +391,13 @@ def weak_residual_v_loop(traj, params, run, tf, perturbed=True) -> float:
     total = en._simpson(vals, times)
     P0 = float(tf.time_value(0.0)[0])
     if P0 != 0.0:
-        v0 = grid.from_spectrum(traj.v_specs[0]).real
+        v0 = grid.from_spectrum(v_specs[0]).real
         total += P0 * dx * np.sum(v0 * Q)
     return float(total)
 
 
 def entropy_balance_residual_loop(traj, eta, params, run, tf) -> float:
+    u_specs, v_specs = traj.u_specs, traj.v_specs  # expanded once
     grid = traj.grid
     s = as_order(params.s).s
     dx = grid.dx
@@ -422,9 +427,9 @@ def entropy_balance_residual_loop(traj, eta, params, run, tf) -> float:
     for i in range(len(traj)):
         if P[i] == 0.0 and Pd[i] == 0.0:
             continue
-        u = grid.from_spectrum(traj.u_specs[i])
-        v = grid.from_spectrum(traj.v_specs[i]).real
-        dvdx = grid.from_spectrum(deriv * traj.v_specs[i]).real
+        u = grid.from_spectrum(u_specs[i])
+        v = grid.from_spectrum(v_specs[i]).real
+        dvdx = grid.from_spectrum(deriv * v_specs[i]).real
         dens_frac = grid.from_spectrum(
             half_sym * grid.to_spectrum(np.abs(u) ** 2)
         ).real

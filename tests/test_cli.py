@@ -9,6 +9,7 @@ import tempfile
 import time
 import tracemalloc
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 from types import SimpleNamespace
@@ -30,7 +31,9 @@ from fswl.cli import (
     read_trajectory,
 )
 from fswl.grid import BLOCK_SAMPLES, make_grid
-from fswl.solver import SolverError, Trajectory, solve_perturbed
+from fswl.solver import (
+    MAX_PICARD_ITER, PerturbedRun, SolverError, Trajectory, _Stepper, solve_perturbed,
+)
 
 
 def tiny_config(**overrides) -> dict:
@@ -191,22 +194,16 @@ class TestRunVerb:
 
 
 def _banded_trajectory(N: int, n: int) -> Trajectory:
-    """n random samples at N points, zero outside the 2/3-rule band |j| <= N/3,
-    with v exactly Hermitian: what ``write_trajectory`` accepts."""
+    """n random band rows at N points, v_0 real, stored as a run with a
+    matching sample count."""
     grid = make_grid(16.0, N)
     _, params, run, *_ = parse_config(tiny_config())
+    run = replace(run, T=0.01 * (n - 1), dt=0.01, store_every=1)
     rng = np.random.default_rng(N + n)
-    K = N // 3
-    band = np.r_[0 : K + 1, N - K : N]
-    u = np.zeros((n, N), dtype=complex)
-    u[:, band] = rng.standard_normal((n, 2 * K + 1)) + 1j * rng.standard_normal((n, 2 * K + 1))
-    half = rng.standard_normal((n, K + 1)) + 1j * rng.standard_normal((n, K + 1))
-    half[:, 0] = half[:, 0].real
-    v = np.zeros((n, N), dtype=complex)
-    v[:, : K + 1] = half
-    v[:, N - K :] = np.conj(half[:, K:0:-1])
-    return Trajectory(grid=grid, params=params, run=run,
-                      times=0.01 * np.arange(n), u_specs=u, v_specs=v)
+    width = 3 * (N // 3) + 2
+    bands = rng.standard_normal((n, width)) + 1j * rng.standard_normal((n, width))
+    bands[:, 2 * (N // 3) + 1] = bands[:, 2 * (N // 3) + 1].real
+    return Trajectory(grid=grid, params=params, run=run, times=0.01 * np.arange(n), bands=bands)
 
 
 def _traced_peak(fn) -> int:
@@ -227,16 +224,29 @@ class TestTrajectorySidecar:
         ("v", 2, 40),
     ])
     def test_writer_refuses_a_coefficient_outside_the_band(self, tmp_path, channel, row, j):
+        # the expanded spectra are read-only, so the coefficient cannot be
+        # set there; a row one slot wider than the band is the only way to
+        # hand the writer one, and it is refused before anything is written
         traj = _banded_trajectory(64, 8)
-        getattr(traj, f"{channel}_specs")[row, j] = 1e-300
-        with pytest.raises(ValueError, match="outside the 2/3-rule band"):
-            cli.write_trajectory(tmp_path / "t.jsonl", traj, "h")
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(traj, f"{channel}_specs")[row, j] = 1e-300
+        wide = np.zeros((len(traj), traj.bands.shape[1] + 1), dtype=complex)
+        wide[:, :-1] = traj.bands
+        wide[row, -1] = 1e-300
+        with pytest.raises(ValueError, match=r"expected \(8, 65\), the 2/3-rule band"):
+            cli.write_trajectory(tmp_path / "t.jsonl", replace(traj, bands=wide), "h")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("row, j, delta", [(1, 5, 1e-15j), (6, -3, 1e-15), (4, 0, 1e-15j)])
     def test_writer_refuses_a_non_hermitian_v(self, tmp_path, row, j, delta):
+        # a row stores v_j for j >= 0 only, so v_{-j} = conj(v_j) holds for
+        # j != 0 by construction and the expanded v is read-only; what a row
+        # can hold wrongly is a v_0 that is not real, and the writer refuses it
         traj = _banded_trajectory(64, 8)
-        traj.v_specs[row, j] += delta * abs(traj.v_specs[row, j])
+        with pytest.raises(ValueError, match="read-only"):
+            traj.v_specs[row, j] += delta * abs(traj.v_specs[row, j])
+        v0 = 2 * (64 // 3) + 1
+        traj.bands[row, v0] += 1j * abs(delta) * abs(traj.bands[row, v0])
         with pytest.raises(ValueError, match="not exactly Hermitian"):
             cli.write_trajectory(tmp_path / "t.jsonl", traj, "h")
         assert list(tmp_path.iterdir()) == []
@@ -248,8 +258,8 @@ class TestTrajectorySidecar:
         assert (tmp_path / "t.npy").stat().st_size == 128 + n * 257 * 16
         back = read_trajectory(tmp_path / "t.jsonl", traj.params, traj.run)
         assert np.array_equal(back.times, traj.times)
-        assert np.array_equal(back.u_specs, traj.u_specs)
-        assert np.array_equal(back.v_specs, traj.v_specs)
+        assert np.array_equal(back.bands, traj.bands)
+        assert not back.bands.flags.writeable
 
     def test_read_holds_at_most_a_few_blocks_beyond_its_result(self, tmp_path):
         traj = _banded_trajectory(512, 10 * BLOCK_SAMPLES)
@@ -257,9 +267,20 @@ class TestTrajectorySidecar:
         got = []
         peak = _traced_peak(lambda: got.append(
             read_trajectory(tmp_path / "t.jsonl", traj.params, traj.run)))
-        result = got[0].u_specs.nbytes + got[0].v_specs.nbytes
+        result = got[0].bands.nbytes
         block = BLOCK_SAMPLES * (3 * (512 // 3) + 2) * 16
         assert peak - result <= 3 * block
+
+    @pytest.mark.parametrize("field, change", [
+        ("eps", {"eps": 0.5}),
+        ("n_samples", {"store_every": 1}),
+    ])
+    def test_reader_refuses_another_run(self, tmp_path, field, change):
+        cfg = canonical_config()
+        do_run(cfg, tmp_path / "out")
+        _, params, run, *_ = parse_config(cfg)
+        with pytest.raises(ValueError, match=f"{field} .* in the header"):
+            read_trajectory(tmp_path / "out" / "trajectory.jsonl", params, replace(run, **change))
 
     def _written(self, tmp_path) -> tuple[Path, Trajectory]:
         traj = _banded_trajectory(64, 8)
@@ -570,6 +591,31 @@ def test_unreachable_contraction_cap_fails_fast(tmp_path):
     assert "contraction cap" in summary["detail"]
 
 
+def test_unaffordable_substep_count_fails_fast(tmp_path, monkeypatch):
+    # amplitude 64 gets a contraction cap of dt/512; T = 100 would take
+    # 10^5 base steps of 512 sub-steps each, hours of work, so the run must
+    # stop before its first step
+    monkeypatch.setattr(_Stepper, "step", lambda *args: pytest.fail("a step was taken"))
+    cfg = canonical_config()
+    cfg["initial"]["u0"]["amplitude"] = 64.0
+    cfg["time"]["T"] = 100.0
+    start = time.perf_counter()
+    assert main(["run", "--config", str(_dump(tmp_path, cfg)), "--out", str(tmp_path / "o")]) == 3
+    assert time.perf_counter() - start < 1.0
+    detail = json.loads((tmp_path / "o" / "summary.json").read_text())["detail"]
+    assert detail.startswith("51200000 sub-steps (100000 base steps of dt/512 under the "
+                             "a-priori contraction cap ")
+    assert "R = 2.7" in detail and detail.endswith("exceed the limit of 1000000")
+
+
+def test_picard_max_iter_bound_is_inclusive():
+    cfg = tiny_config()
+    cfg["time"]["picard_max_iter"] = MAX_PICARD_ITER
+    assert parse_config(cfg)[2].picard_max_iter == MAX_PICARD_ITER
+    with pytest.raises(ValueError, match=f"picard_max_iter must lie in \\[1, {MAX_PICARD_ITER}\\]"):
+        PerturbedRun(eps=0.1, T=0.1, dt=0.01, picard_max_iter=MAX_PICARD_ITER + 1)
+
+
 @pytest.mark.parametrize("path, value", [
     (("grid", "L"), math.nan),
     (("grid", "N"), math.inf),
@@ -685,6 +731,8 @@ _SCHEMA_FAULTS = {
                             "T/dt = inf steps exceeds the limit of 1000000"),
     "unknown-kind": (lambda c: c["initial"]["v0"].update(kind="bump"),
                      "initial.v0.kind must be one of"),
+    "picard-max-iter-above-bound": (lambda c: c["time"].update(picard_max_iter=1001),
+                                    "time.picard_max_iter must lie in [1, 1000], got 1001"),
 }
 
 

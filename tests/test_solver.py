@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
 import fswl.solver as solver
-from fswl.grid import Field, as_order, make_grid
+from fswl.grid import BLOCK_SAMPLES, Field, as_order, make_grid
 from fswl.propagators import PropagatorSpec, heat_semigroup_apply, schrodinger_group_apply
 from fswl.solver import (
     BlowupError,
@@ -15,6 +16,7 @@ from fswl.solver import (
     NonlinearityG,
     PerturbedRun,
     SystemParams,
+    Trajectory,
     _Stepper,
     contraction_time_bound,
     g_linear,
@@ -116,7 +118,7 @@ class TestPicardStep:
         exact_u = schrodinger_group_apply(u0, 0.01, p)
         exact_v = heat_semigroup_apply(v0, 0.01, p)
         assert np.allclose(grid16.from_spectrum(un), exact_u.values, atol=1e-14)
-        assert np.allclose(grid16.from_spectrum(vn).real, exact_v.values, atol=1e-14)
+        assert np.allclose(grid16.from_half_spectrum(vn), exact_v.values, atol=1e-14)
 
     def test_contraction_factor_below_one(self, grid16, gauss_pair):
         u0, v0 = gauss_pair
@@ -148,18 +150,19 @@ class TestRealChannels:
             got = stepper._distance(du, zero_u, dv[:65], zero_v)
             assert got == pytest.approx(expected, rel=1e-14, abs=0.0)
             larger = max(stepper._h1(du), stepper._h1(dv))
-            assert stepper._max_h1(du, dv) == pytest.approx(larger, rel=1e-14, abs=0.0)
+            assert stepper._max_h1(du, dv[:65]) == pytest.approx(larger, rel=1e-14, abs=0.0)
 
     def test_returned_v_spectrum_is_exactly_hermitian(self, grid16, gauss_pair):
+        # the returned v is a half spectrum; with a real zero mode and a zero
+        # Nyquist mode it is the half of an exactly Hermitian spectrum
         u0, v0 = gauss_pair
         stepper = _Stepper(grid16, coupled_params(), PerturbedRun(eps=0.1, T=0.1, dt=0.01))
         mask = grid16.dealias_mask()
         _, v, _ = stepper.step((u0.spectrum * mask).astype(complex),
                                (v0.spectrum * mask).astype(complex), 0.01)
         N = grid16.n_points
-        j = np.arange(1, N // 2)
-        assert np.array_equal(v[N - j], np.conj(v[j]))
-        assert v[N // 2] == 0.0
+        assert v.shape == (N // 2 + 1,)
+        assert v[0].imag == 0.0 and v[N // 2] == 0.0
 
 
 class TestIncrementPredictor:
@@ -318,11 +321,104 @@ class TestSolvePerturbed:
         assert np.array_equal(traj.u_specs, every.u_specs[rows])
         assert np.array_equal(traj.v_specs, every.v_specs[rows])
 
+    @pytest.mark.parametrize("N", [64, 256])
+    def test_every_stored_row_expands_to_the_stepped_state(self, N, monkeypatch):
+        # the stepper's u is zero outside the band and its v half spectrum
+        # beyond K, with a real zero mode, so a band row loses nothing: each
+        # stored row expands to the state the stepper returned, band-only
+        # and exactly Hermitian
+        grid = make_grid(16.0, N)
+        u0 = Field.from_function(
+            grid, lambda x: 0.35 * np.exp(-(x**2)) * np.exp(1j * 3 * np.pi / 16 * x))
+        v0 = Field.from_function(grid, lambda x: 0.4 * np.exp(-((x / 1.5) ** 2)), "real")
+        states = []
+        step = _Stepper.step
+
+        def recording_step(self, u_spec, v_spec, dt):
+            out = step(self, u_spec, v_spec, dt)
+            states.append(out[:2])
+            return out
+
+        monkeypatch.setattr(_Stepper, "step", recording_step)
+        run = PerturbedRun(eps=0.1, T=0.05, dt=0.005, store_every=2)
+        traj = solve_perturbed(u0, v0, coupled_params(), run)
+        K = N // 3
+        outside = ~grid.dealias_mask()
+        for u, v_half in states:
+            assert not u[outside].any() and not v_half[K + 1 :].any()
+            assert v_half[0].imag == 0.0
+        assert len(states) == 10 and traj.bands.shape == (6, 3 * K + 2)
+        j = np.arange(1, N // 2)
+        for i in range(len(traj)):
+            u, v = traj.spectra(i)
+            assert not u[outside].any() and not v[outside].any()
+            assert v[0].imag == 0.0 and v[N // 2] == 0.0
+            assert np.array_equal(v[N - j], np.conj(v[j]))
+            if i > 0:
+                assert np.array_equal(u, states[2 * i - 1][0])
+                assert np.array_equal(v[: N // 2 + 1], states[2 * i - 1][1])
+
     def test_invalid_run_parameters(self):
         with pytest.raises(ValueError):
             PerturbedRun(eps=1.5, T=1.0, dt=0.1)
         with pytest.raises(ValueError, match="integer multiple"):
             PerturbedRun(eps=0.1, T=1.0, dt=0.3)  # not a divisor
+
+
+def _random_trajectory(N: int, n: int, seed: int = 0) -> Trajectory:
+    """n random band rows at N points with a real v_0."""
+    rng = np.random.default_rng(seed)
+    K = N // 3
+    bands = rng.standard_normal((n, 3 * K + 2)) + 1j * rng.standard_normal((n, 3 * K + 2))
+    bands[:, 2 * K + 1] = bands[:, 2 * K + 1].real
+    run = PerturbedRun(eps=0.1, T=0.01 * (n - 1), dt=0.01)
+    return Trajectory(grid=make_grid(16.0, N), params=coupled_params(), run=run,
+                      times=0.01 * np.arange(n), bands=bands)
+
+
+class TestTrajectoryBands:
+    @pytest.mark.parametrize("N", [64, 256])  # at N = 256, 3K+2 = 257 != N
+    @pytest.mark.parametrize("rows", [slice(3, 9), np.array([7, 0, 4]), 5],
+                             ids=["slice", "index-array", "single-row"])
+    def test_spectra_round_trip(self, N, rows):
+        traj = _random_trajectory(N, 10)
+        u, v = traj.spectra(rows)
+        block = traj.bands[rows]
+        assert u.shape == v.shape == block.shape[:-1] + (N,)
+        K = N // 3
+        band = np.flatnonzero(traj.grid.dealias_mask())
+        assert np.array_equal(np.concatenate((u[..., band], v[..., : K + 1]), axis=-1), block)
+        assert not u[..., ~traj.grid.dealias_mask()].any()
+        j = np.arange(1, N // 2)
+        assert np.array_equal(v[..., N - j], np.conj(v[..., j]))
+        assert not v[..., N // 2].any() and not v[..., 0].imag.any()
+
+    def test_whole_trajectory_properties_are_read_only_expansions(self):
+        traj = _random_trajectory(64, 5)
+        u, v = traj.spectra(slice(None))
+        assert np.array_equal(traj.u_specs, u) and np.array_equal(traj.v_specs, v)
+        assert not traj.u_specs.flags.writeable and not traj.v_specs.flags.writeable
+
+    def test_l2_spacetime_diff_holds_blocks_not_rungs(self):
+        # two sweep-sized rungs: the difference is expanded a block at a
+        # time and matches the difference of the whole expanded rungs
+        t1, t2 = _random_trajectory(2048, 201, 1), _random_trajectory(2048, 201, 2)
+        got = []
+        tracemalloc.start()
+        try:
+            got.append(solver.l2_spacetime_diff(t1, t2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a block of one full-width spectrum; a rung is 12.6 of them
+        block = BLOCK_SAMPLES * 2048 * 16
+        assert peak <= 8 * block < t1.bands.nbytes
+        trapezoid = getattr(np, "trapezoid", None) or np.trapz
+        grid = t1.grid
+        expected = tuple(
+            float(np.sqrt(trapezoid(grid.weighted_sq(a - b, 1.0), t1.times)))
+            for a, b in ((t1.u_specs, t2.u_specs), (t1.v_specs, t2.v_specs)))
+        assert got[0] == expected
 
 
 class TestViscositySweep:

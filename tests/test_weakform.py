@@ -194,8 +194,9 @@ class TestEntropyBalance:
         for i in range(len(traj)):
             if P[i] == 0.0:
                 continue
-            dvdx = grid128.from_spectrum(grid128.deriv_symbol() * traj.v_specs[i]).real
-            v = grid128.from_spectrum(traj.v_specs[i]).real
+            v_spec = traj.spectra(i)[1]
+            dvdx = grid128.from_spectrum(grid128.deriv_symbol() * v_spec).real
+            v = grid128.from_spectrum(v_spec).real
             total += P[i] * grid128.dx * np.sum(eps_b * dvdx**2 * eta.eta_pp(v) * Q)
         assert total >= 0.0
 
