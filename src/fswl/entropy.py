@@ -16,10 +16,10 @@ Weak residuals pair stored trajectories against separable polynomial-bump
 test functions whose time factors are differentiated in closed form, so an
 exactly known solution drives the residual to time-quadrature accuracy.
 Each pairing takes the ``Trajectory`` alone and reads the system
-parameters and the run from it.  The three pairings take only the live
-samples, where the time factor or its derivative is nonzero, BLOCK_SAMPLES
-at a time; each term is then a row-wise product with the sampled spatial
-factor.
+parameters and the run from it.  All three share one space-time pairing
+over the live samples (where the time factor or its derivative is
+nonzero), BLOCK_SAMPLES at a time, and supply only a row-wise integrand
+of products with the sampled spatial factors, plus an initial-data term.
 """
 
 from __future__ import annotations
@@ -411,8 +411,7 @@ class TestFunction:
 
     def _spectral_tail(self) -> float:
         spec = np.abs(self.grid.to_spectrum(self.space_values())) ** 2
-        j = np.abs(np.fft.fftfreq(self.grid.n_points, d=1.0 / self.grid.n_points))
-        top = spec[j > self.grid.n_points // 3].sum()
+        top = spec[~self.grid.dealias_mask()].sum()
         return float(top / max(spec.sum(), 1e-300))
 
     # time factor ---------------------------------------------------------
@@ -477,17 +476,34 @@ def _simpson(y: np.ndarray, t: np.ndarray):
     return total
 
 
-def _live_blocks(traj: Trajectory, P: np.ndarray, Pd: np.ndarray):
-    """The live samples of a trajectory, those where the time factor P or its
-    derivative Pd is nonzero, BLOCK_SAMPLES at a time: their row indices,
-    u and v spectra, and u and v in physical space."""
-    grid = traj.grid
+def _pairing(traj: Trajectory, tf: TestFunction, term, initial=None):
+    """Simpson time integral of dx * term(P, Pd, u_spec, v_spec, u, v), one
+    value per row of a block of live samples (P or Pd nonzero), plus
+    P(0) dx initial(u0, v0) when P(0) != 0; u and v are in physical space.
+    Without ``initial`` the test support must sit strictly inside (0, T);
+    with it, it need only end before T."""
+    if initial is None:
+        if tf.t_lo <= 0.0 or tf.t_hi >= traj.run.T:
+            raise ValueError("test support must sit strictly inside (0, T)")
+    elif tf.t_hi >= traj.run.T:
+        raise ValueError("test support leaks past the time horizon")
+    grid, times = traj.grid, traj.times
+    P, Pd = tf.time_value(times), tf.time_derivative(times)
     live = np.flatnonzero((P != 0.0) | (Pd != 0.0))
+    vals = np.zeros(len(traj))
     for lo in range(0, live.size, BLOCK_SAMPLES):
         rows = live[lo:lo + BLOCK_SAMPLES]
         u_spec, v_spec = traj.spectra(rows)
-        yield (rows, u_spec, v_spec, grid.from_spectrum(u_spec),
-               grid.from_spectrum(v_spec).real)
+        row = term(P[rows], Pd[rows], u_spec, v_spec,
+                   grid.from_spectrum(u_spec), grid.from_spectrum(v_spec).real)
+        vals = vals.astype(np.result_type(vals, row), copy=False)  # complex terms promote
+        vals[rows] = grid.dx * row
+    total = _simpson(vals, times)
+    P0 = float(tf.time_value(0.0)[0])
+    if P0 != 0.0:
+        u0, v0 = traj.spectra(0)
+        total += P0 * grid.dx * initial(grid.from_spectrum(u0), grid.from_spectrum(v0).real)
+    return total
 
 
 def weak_residual_u(traj: Trajectory, tf: TestFunction, perturbed: bool = True) -> complex:
@@ -502,36 +518,24 @@ def weak_residual_u(traj: Trajectory, tf: TestFunction, perturbed: bool = True) 
     dispersive pairing is real-symmetric).  The eps^a term is included only
     under the ``perturbed`` flag.
     """
-    params, run = traj.params, traj.run
-    if tf.t_hi >= run.T:
-        raise ValueError("test support leaks past the time horizon")
-    grid = traj.grid
+    params, run, grid = traj.params, traj.run, traj.grid
     s = as_order(params.s).s
-    dx = grid.dx
     Q = np.conj(tf.space_values())
     Q2 = np.conj(tf.space_d2())
     Qf = np.conj(tf.space_frac(s))
-    times = traj.times
-    P = tf.time_value(times)
-    Pd = tf.time_derivative(times)
-
     half_sym = grid.frac_symbol(0.5 * s)
-    vals = np.zeros(len(traj), dtype=np.complex128)
-    for rows, u_spec, _, u, v in _live_blocks(traj, P, Pd):
+
+    def term(P, Pd, u_spec, _, u, v):
         frac_u = grid.from_spectrum(half_sym * u_spec)
-        term = 1j * Pd[rows] * (u @ Q) + P[rows] * (
+        row = 1j * Pd * (u @ Q) + P * (
             frac_u @ Qf + params.alpha * ((v * u) @ Q)
             + params.gamma * ((np.abs(u) ** 2 * u) @ Q)
         )
         if perturbed:
-            term -= run.eps**run.a * P[rows] * (u @ Q2)
-        vals[rows] = dx * term
-    total = _simpson(vals, times)
-    P0 = float(tf.time_value(0.0)[0])
-    if P0 != 0.0:
-        u0 = grid.from_spectrum(traj.spectra(0)[0])
-        total += 1j * P0 * dx * np.sum(u0 * Q)
-    return complex(total)
+            row -= run.eps**run.a * P * (u @ Q2)
+        return row
+
+    return complex(_pairing(traj, tf, term, lambda u0, _: 1j * np.sum(u0 * Q)))
 
 
 def weak_residual_v(traj: Trajectory, tf: TestFunction, perturbed: bool = True) -> float:
@@ -546,33 +550,19 @@ def weak_residual_v(traj: Trajectory, tf: TestFunction, perturbed: bool = True) 
     if tf.flavor != "real":
         raise ValueError("long-wave residual needs a real-flavored test function")
     params, run = traj.params, traj.run
-    if tf.t_hi >= run.T:
-        raise ValueError("test support leaks past the time horizon")
-    grid = traj.grid
     s = as_order(params.s).s
-    dx = grid.dx
     Q = tf.space_values().real
     Q2 = tf.space_d2().real
     Qf = tf.space_frac(s).real
-    times = traj.times
-    P = tf.time_value(times)
-    Pd = tf.time_derivative(times)
-
     g_eff = params.g.regularized(run.g_regularization) if perturbed else params.g
-    vals = np.zeros(len(traj))
-    for rows, _, _, u, v in _live_blocks(traj, P, Pd):
-        term = Pd[rows] * (v @ Q) + P[rows] * (
-            (params.beta * np.abs(u) ** 2 - g_eff.fn(v)) @ Qf
-        )
+
+    def term(P, Pd, _u_spec, _v_spec, u, v):
+        row = Pd * (v @ Q) + P * ((params.beta * np.abs(u) ** 2 - g_eff.fn(v)) @ Qf)
         if perturbed:
-            term += run.eps**run.b * P[rows] * (v @ Q2)
-        vals[rows] = dx * term
-    total = _simpson(vals, times)
-    P0 = float(tf.time_value(0.0)[0])
-    if P0 != 0.0:
-        v0 = grid.from_spectrum(traj.spectra(0)[1]).real
-        total += P0 * dx * np.sum(v0 * Q)
-    return float(total)
+            row += run.eps**run.b * P * (v @ Q2)
+        return row
+
+    return float(_pairing(traj, tf, term, lambda _, v0: np.sum(v0 * Q)))
 
 
 # ---------------------------------------------------------------------------
@@ -633,10 +623,7 @@ def entropy_balance_residual(traj: Trajectory, eta: EntropySpec, tf: TestFunctio
         raise ValueError("balance pairing needs a smooth entropy density")
     if tf.flavor != "real":
         raise ValueError("entropy balance pairs against real test functions")
-    params, run = traj.params, traj.run
-    if tf.t_lo <= 0.0 or tf.t_hi >= run.T:
-        raise ValueError("test support must sit strictly inside (0, T)")
-    grid = traj.grid
+    params, run, grid = traj.params, traj.run, traj.grid
     s = as_order(params.s).s
     dx = grid.dx
     L = grid.half_length
@@ -647,9 +634,6 @@ def entropy_balance_residual(traj: Trajectory, eta: EntropySpec, tf: TestFunctio
     Q = tf.space_values().real
     Q2 = tf.space_d2().real
     Qf = tf.space_frac(s).real
-    times = traj.times
-    P = tf.time_value(times)
-    Pd = tf.time_derivative(times)
 
     # Periodized kernel matrix at order s/2 (kernel exponent 1 + s).
     x = grid.x
@@ -662,8 +646,8 @@ def entropy_balance_residual(traj: Trajectory, eta: EntropySpec, tf: TestFunctio
 
     deriv = grid.deriv_symbol()
     half_sym = grid.frac_symbol(0.5 * s)
-    vals = np.zeros(len(traj))
-    for rows, _, v_spec, u, v in _live_blocks(traj, P, Pd):
+
+    def term(P, Pd, _, v_spec, u, v):
         dvdx = grid.from_spectrum(deriv * v_spec).real
         dens_frac = grid.from_spectrum(
             half_sym * grid.to_spectrum(np.abs(u) ** 2)
@@ -671,12 +655,13 @@ def entropy_balance_residual(traj: Trajectory, eta: EntropySpec, tf: TestFunctio
         eta_v = eta.eta(v)
         q_v = _flux_on_values(eta, params.g, v)
         R = np.array([_remainder_superposition(vi, g_eff, eta, kernel, dx, c_half) for vi in v])
-        vals[rows] = dx * (-Pd[rows] * (eta_v @ Q) + P[rows] * (
+        return -Pd * (eta_v @ Q) + P * (
             q_v @ Qf
             - params.beta * ((eta.eta_prime(v) * dens_frac) @ Q)
             - eps_b * (eta_v @ Q2)
             + eps_g * (eta_v @ Qf)
             + eps_b * ((dvdx**2 * eta.eta_pp(v)) @ Q)
             + R @ Q
-        ))
-    return float(abs(_simpson(vals, times)))
+        )
+
+    return float(abs(_pairing(traj, tf, term)))

@@ -312,6 +312,12 @@ class Trajectory:
     times: np.ndarray
     bands: np.ndarray  # [n_samples, 3K+2] complex
 
+    def __post_init__(self):
+        expected = (len(self.times), 3 * _band(self.grid)[1] + 2)
+        if np.shape(self.bands) != expected:
+            raise ValueError(f"band rows of shape {np.shape(self.bands)}, expected {expected}: "
+                             f"one row per sample time, the 2/3-rule band at N = {self.grid.n_points}")
+
     def __len__(self) -> int:
         return len(self.times)
 
@@ -663,7 +669,11 @@ def solve_perturbed(
             u_spec, v_spec, _ = stepper.step(u_spec, v_spec, run.dt / (ticks // size))
         except PicardDivergenceError:
             if size == 1:
+                dists = stepper.last_distances
+                last = (f"last distance {dists[-1]:.3e} after {len(dists)} sweeps"
+                        if dists else "no sweep recorded")
                 raise SolverError(
+                    f"Picard stalled ({last}, picard_tol = {run.picard_tol:g}); "
                     f"step collapsed below dt/2^{MAX_HALVINGS} near t="
                     f"{pos // ticks * run.dt + pos % ticks * run.dt / ticks:.4g}"
                 )

@@ -226,15 +226,17 @@ class TestTrajectorySidecar:
     def test_writer_refuses_a_coefficient_outside_the_band(self, tmp_path, channel, row, j):
         # the expanded spectra are read-only, so the coefficient cannot be
         # set there; a row one slot wider than the band is the only way to
-        # hand the writer one, and it is refused before anything is written
+        # hand the writer one (the constructor refuses it, so the rows are
+        # reassigned), and it is refused before anything is written
         traj = _banded_trajectory(64, 8)
         with pytest.raises(ValueError, match="read-only"):
             getattr(traj, f"{channel}_specs")[row, j] = 1e-300
         wide = np.zeros((len(traj), traj.bands.shape[1] + 1), dtype=complex)
         wide[:, :-1] = traj.bands
         wide[row, -1] = 1e-300
+        traj.bands = wide
         with pytest.raises(ValueError, match=r"expected \(8, 65\), the 2/3-rule band"):
-            cli.write_trajectory(tmp_path / "t.jsonl", replace(traj, bands=wide), "h")
+            cli.write_trajectory(tmp_path / "t.jsonl", traj, "h")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("row, j, delta", [(1, 5, 1e-15j), (6, -3, 1e-15), (4, 0, 1e-15j)])
@@ -606,6 +608,20 @@ def test_unaffordable_substep_count_fails_fast(tmp_path, monkeypatch):
     assert detail.startswith("51200000 sub-steps (100000 base steps of dt/512 under the "
                              "a-priori contraction cap ")
     assert "R = 2.7" in detail and detail.endswith("exceed the limit of 1000000")
+
+
+def test_tolerance_below_roundoff_collapse_names_picard_tol(tmp_path, capsys):
+    # the Picard distances stall at roundoff, far above 1e-300, so every
+    # step diverges and halves down to a collapse; the message must name the
+    # stall and the tolerance, not only the step size
+    cfg = canonical_config()
+    cfg["time"].update(T=0.01, picard_tol=1e-300)
+    start = time.perf_counter()
+    assert main(["run", "--config", str(_dump(tmp_path, cfg)), "--out", str(tmp_path / "o")]) == 3
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert re.search(r"Picard stalled \(last distance \S+ after \d+ sweeps, "
+                     r"picard_tol = 1e-300\); step collapsed below dt/2\^12 near t=", err)
 
 
 def test_picard_max_iter_bound_is_inclusive():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 import tracemalloc
 import weakref
 
@@ -392,6 +393,15 @@ class TestTrajectoryBands:
         j = np.arange(1, N // 2)
         assert np.array_equal(v[..., N - j], np.conj(v[..., j]))
         assert not v[..., N // 2].any() and not v[..., 0].imag.any()
+
+    @pytest.mark.parametrize("shape", [(3, 64), (2, 65)], ids=["narrow-row", "missing-row"])
+    def test_constructor_refuses_rows_off_the_band(self, shape):
+        # at N = 64 a row is 3K+2 = 65 wide, and there is one per sample time
+        grid = make_grid(16.0, 64)
+        run = PerturbedRun(eps=0.1, T=0.02, dt=0.01)
+        with pytest.raises(ValueError, match=re.escape(f"shape {shape}, expected (3, 65)")):
+            Trajectory(grid=grid, params=coupled_params(), run=run,
+                       times=0.01 * np.arange(3), bands=np.zeros(shape, dtype=complex))
 
     def test_whole_trajectory_properties_are_read_only_expansions(self):
         traj = _random_trajectory(64, 5)

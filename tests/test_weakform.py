@@ -219,17 +219,36 @@ class TestEntropyBalance:
         assert residuals[2] < residuals[1] < residuals[0]
 
 
-def test_support_leak_rejected(grid128, data):
+@pytest.fixture(scope="module")
+def short_run(grid128, data):
     u0, v0 = data
-    run = PerturbedRun(eps=0.1, T=0.5, dt=5e-3)
-    traj = solve_perturbed(u0, v0, coupled_params(), run)
-    leaky = TestFunction(grid=grid128, t_lo=0.2, t_hi=0.6, x_center=0.0, x_width=4.0,
-                         amplitude=1 + 0j)
-    with pytest.raises(ValueError, match="horizon"):
-        weak_residual_u(traj, leaky)
-    from fswl.entropy import smooth_capped_entropy, entropy_balance_residual
+    return solve_perturbed(u0, v0, coupled_params(), PerturbedRun(eps=0.1, T=0.5, dt=5e-3))
 
-    bad_entropy_tf = TestFunction(grid=grid128, t_lo=-0.1, t_hi=0.3, x_center=0.0,
-                                  x_width=4.0, amplitude=1 + 0j, flavor="real")
-    with pytest.raises(ValueError, match="strictly inside"):
-        entropy_balance_residual(traj, smooth_capped_entropy(0.5), bad_entropy_tf)
+
+_RESIDUALS = {
+    "u": weak_residual_u,
+    "v": weak_residual_v,
+    "entropy": lambda traj, tf: entropy_balance_residual(traj, smooth_capped_entropy(0.5), tf),
+}
+
+
+@pytest.mark.parametrize("residual, end, message", [
+    ("u", "late", "test support leaks past the time horizon"),
+    ("v", "late", "test support leaks past the time horizon"),
+    ("entropy", "late", r"test support must sit strictly inside \(0, T\)"),
+    # the u and v pairings carry an initial-data term, so their support may
+    # start at (or before) 0; the entropy balance has none
+    ("u", "early", None),
+    ("v", "early", None),
+    ("entropy", "early", r"test support must sit strictly inside \(0, T\)"),
+], ids=["u-late", "v-late", "entropy-late", "u-early", "v-early", "entropy-early"])
+def test_support_leak_rejected(grid128, short_run, residual, end, message):
+    # the support touches the horizon T = 0.5 or the initial time exactly
+    t_lo, t_hi = {"late": (0.2, 0.5), "early": (0.0, 0.3)}[end]
+    tf = TestFunction(grid=grid128, t_lo=t_lo, t_hi=t_hi, x_center=0.0, x_width=4.0,
+                      amplitude=1 + 0j, flavor="real")
+    if message is None:
+        assert np.isfinite(_RESIDUALS[residual](short_run, tf))
+    else:
+        with pytest.raises(ValueError, match=message):
+            _RESIDUALS[residual](short_run, tf)
