@@ -10,7 +10,7 @@ generalized Gronwall bounds, level-set entropy identities, and the weak
 formulations of both the regularized and the limit systems.
 """
 
-from .grid import Field, FracOrder, GridSpec, make_grid, as_order
+from .grid import Field, GridSpec, make_grid, as_order
 from .fractional import (
     cns_constant,
     frac_laplacian_singular,

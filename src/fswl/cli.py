@@ -208,29 +208,19 @@ def write_trajectory(path: Path, traj: Trajectory, chash: str) -> None:
     in a binary sidecar next to it (``path`` with suffix ``.npy``): one
     complex128 array of shape [n_samples, 3K+2], each row u_j for
     j = 0..K, -K..-1, then v_j for j = 0..K, whose file bytes the header
-    pins by sha256.
-
-    Raises ValueError, before writing anything, when the rows are not one
-    per sample of width 3K+2 (a wider row holds a coefficient outside the
-    band) or a v_0 is not real (the one way a row holds a non-Hermitian v)."""
+    pins by sha256.  The rows were checked when ``traj`` was built."""
     path = Path(path)
     sidecar = path.with_suffix(".npy")
     grid = traj.grid
     K = _band(grid)[1]
-    bands = np.ascontiguousarray(traj.bands, dtype="<c16")
-    if bands.shape != (len(traj), 3 * K + 2):
-        raise ValueError(f"{sidecar}: band rows of shape {bands.shape}, expected "
-                         f"{(len(traj), 3 * K + 2)}, the 2/3-rule band at N = {grid.n_points}")
-    if bands[:, 2 * K + 1].imag.any():
-        raise ValueError(f"{sidecar}: a v_0 is not real, so v is not exactly Hermitian")
     head = io.BytesIO()
     np.lib.format.write_array_header_1_0(
-        head, {"descr": "<c16", "fortran_order": False, "shape": bands.shape})
+        head, {"descr": "<c16", "fortran_order": False, "shape": traj.bands.shape})
     digest = hashlib.sha256(head.getvalue())
-    digest.update(bands)
+    digest.update(traj.bands)
     with sidecar.open("wb") as fh:
         fh.write(head.getvalue())
-        fh.write(bands)
+        fh.write(traj.bands)
     header = {
         "artifact_version": ARTIFACT_VERSION,
         "config_hash": chash,
@@ -300,7 +290,6 @@ def read_trajectory(path: Path, params: SystemParams, run: PerturbedRun) -> Traj
     sha.update(bands)
     if sha.hexdigest() != digest:
         raise ValueError(f"{sidecar}: sha256 does not match the header")
-    bands.setflags(write=False)
     return Trajectory(grid=grid, params=params, run=run, times=times, bands=bands)
 
 

@@ -143,7 +143,7 @@ def _series(
         int (-D)^{s/2} g_eps(v) v + eps^b ||d_x v||^2 - beta int (-D)^{s/2}(|u|^2) v.
     """
     n = len(times)
-    s = as_order(params.s).s
+    s = params.s
     k2 = grid.k**2
     frac_w = grid.frac_symbol(s)
     half = grid.frac_symbol(0.5 * s)
@@ -261,7 +261,7 @@ def diagnose_trajectory(traj: Trajectory) -> list[DiagnosticsRecord]:
 
 def bilinear_form(v: Field, w: Field, s) -> float:
     """B_s(v, w) = C_{1,s} double-integral of paired differences."""
-    s = as_order(s).s
+    s = as_order(s)
     return cns_constant(s) * pair_correlation_integral(v, w, s)
 
 
@@ -273,7 +273,7 @@ def coercivity_report(v: Field, G: NonlinearityG, s) -> InequalityReport:
     C_{1,s}^{-1} factor fails numerically already for linear G, so the clean
     constant is what this check asserts.
     """
-    s = as_order(s).s
+    s = as_order(s)
     grid = v.grid
     Gv_spec = grid.to_spectrum(G.fn(v.values))
     frac_Gv = grid.from_spectrum(grid.frac_symbol(0.5 * s) * Gv_spec).real
@@ -304,7 +304,7 @@ def theta_envelope(traj: Trajectory) -> DiagnosticSeries:
     """
     params, run = traj.params, traj.run
     grid = traj.grid
-    s = as_order(params.s).s
+    s = params.s
     eps_a = run.eps**run.a
     eps_b = run.eps**run.b
     g_eff = params.g.regularized(run.g_regularization)
@@ -429,7 +429,7 @@ def smallness_condition(
     is beyond the float range, and 0.0 only where a zero factor (alpha,
     beta or the data; log 0 = -inf) kills them.
     """
-    s = as_order(params.s).require_system_range().s
+    s = params.s
     grid = u0.grid
     mask = grid.dealias_mask()
     u0p, log_su = _unit_scaled(Field.from_spectrum(grid, u0.spectrum * mask, flavor="complex"))

@@ -305,7 +305,7 @@ def remainder_Rk(v: Field, g: NonlinearityG, k: float, s, x: float) -> float:
 
     Nonnegative by monotonicity of g; undefined when v(x) sits on the level.
     """
-    s = as_order(s).s
+    s = as_order(s)
     grid = v.grid
     L = grid.half_length
     period = 2.0 * L
@@ -490,6 +490,9 @@ def _pairing(traj: Trajectory, tf: TestFunction, term, initial=None):
     grid, times = traj.grid, traj.times
     P, Pd = tf.time_value(times), tf.time_derivative(times)
     live = np.flatnonzero((P != 0.0) | (Pd != 0.0))
+    if live.size < 3:
+        raise ValueError(f"{live.size} stored samples in the time support ({tf.t_lo:g}, "
+                         f"{tf.t_hi:g}), fewer than the 3 of one Simpson panel")
     vals = np.zeros(len(traj))
     for lo in range(0, live.size, BLOCK_SAMPLES):
         rows = live[lo:lo + BLOCK_SAMPLES]
@@ -519,7 +522,7 @@ def weak_residual_u(traj: Trajectory, tf: TestFunction, perturbed: bool = True) 
     under the ``perturbed`` flag.
     """
     params, run, grid = traj.params, traj.run, traj.grid
-    s = as_order(params.s).s
+    s = params.s
     Q = np.conj(tf.space_values())
     Q2 = np.conj(tf.space_d2())
     Qf = np.conj(tf.space_frac(s))
@@ -550,7 +553,7 @@ def weak_residual_v(traj: Trajectory, tf: TestFunction, perturbed: bool = True) 
     if tf.flavor != "real":
         raise ValueError("long-wave residual needs a real-flavored test function")
     params, run = traj.params, traj.run
-    s = as_order(params.s).s
+    s = params.s
     Q = tf.space_values().real
     Q2 = tf.space_d2().real
     Qf = tf.space_frac(s).real
@@ -624,7 +627,7 @@ def entropy_balance_residual(traj: Trajectory, eta: EntropySpec, tf: TestFunctio
     if tf.flavor != "real":
         raise ValueError("entropy balance pairs against real test functions")
     params, run, grid = traj.params, traj.run, traj.grid
-    s = as_order(params.s).s
+    s = params.s
     dx = grid.dx
     L = grid.half_length
     g_eff = params.g.regularized(run.g_regularization)

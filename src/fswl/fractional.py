@@ -64,7 +64,7 @@ def cns_constant(s) -> float:
     (sqrt(pi) Gamma(1 - s)) (Di Nezza, Palatucci & Valdinoci, Bull. Sci.
     Math. 136 (2012), eq. (3.2)).
     """
-    s = as_order(s).s
+    s = as_order(s)
     return s * 4.0**s * math.gamma(0.5 + s) / (math.sqrt(math.pi) * math.gamma(1.0 - s))
 
 
@@ -74,8 +74,7 @@ def cns_constant(s) -> float:
 
 def frac_laplacian_spectral(f: Field, s) -> Field:
     """Apply |k|^(2s) to the spectrum; zero mode annihilated."""
-    s = as_order(s)
-    sym = f.grid.frac_symbol(s.s)
+    sym = f.grid.frac_symbol(as_order(s))
     return f.with_spectrum(f.spectrum * sym)
 
 
@@ -90,7 +89,7 @@ def riesz_inverse(f: Field, s) -> Field:
             "inverse undefined: input carries a nonzero constant mode "
             f"(c0 = {f.spectrum[0]:.3e})"
         )
-    sym = f.grid.frac_symbol(s.s)
+    sym = f.grid.frac_symbol(s)
     out = np.zeros_like(f.spectrum)
     nz = sym != 0.0
     out[nz] = f.spectrum[nz] / sym[nz]
@@ -396,7 +395,7 @@ def frac_laplacian_singular(f: Field, s) -> Field:
     fractional symbol).  The outer region takes the fixed cell-aligned rule
     of ``_outer_cells``.
     """
-    s = as_order(s).s
+    s = as_order(s)
     grid = f.grid
     L = grid.half_length
     n = grid.n_points
@@ -432,7 +431,7 @@ def pair_correlation_integral(v: Field, w: Field, s) -> float:
     diagonal singularity is handled by the same Taylor-in-h treatment as the
     pointwise operator, with cross inner products of spectral derivatives.
     """
-    s = as_order(s).s
+    s = as_order(s)
     if v.grid is not w.grid and v.grid != w.grid:
         raise ValueError("fields must share a grid")
     grid = v.grid

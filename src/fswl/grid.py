@@ -28,7 +28,6 @@ __all__ = [
     "GridError",
     "ZeroModeError",
     "GridSpec",
-    "FracOrder",
     "Field",
     "make_grid",
     "as_order",
@@ -181,33 +180,13 @@ def make_grid(L: float, N: int) -> GridSpec:
     return GridSpec(half_length=float(L), n_points=int(N))
 
 
-@dataclass(frozen=True)
-class FracOrder:
-    """Fractional order s of the nonlocal operator; valid range (0, 1).
-
-    The coupled system additionally requires s > 1/2, which is enforced by
-    the system-level constructors, not here.
-    """
-
-    s: float
-
-    def __post_init__(self):
-        if not 0.0 < self.s < 1.0:
-            raise ValueError(f"fractional order must lie in (0, 1), got {self.s}")
-
-    def require_system_range(self) -> "FracOrder":
-        if self.s <= 0.5:
-            raise ValueError(
-                f"coupled system requires 1/2 < s < 1, got s = {self.s}"
-            )
-        return self
-
-
-def as_order(s) -> FracOrder:
-    """Coerce a float or FracOrder to FracOrder."""
-    if isinstance(s, FracOrder):
-        return s
-    return FracOrder(float(s))
+def as_order(s) -> float:
+    """The fractional order s as a float; ValueError outside (0, 1).  The
+    coupled system's further s > 1/2 is checked by SystemParams."""
+    s = float(s)
+    if not 0.0 < s < 1.0:
+        raise ValueError(f"fractional order must lie in (0, 1), got {s}")
+    return s
 
 
 class Field:

@@ -159,13 +159,13 @@ def _algebra_rows(f: _Rows, g: _Rows, s: float) -> np.ndarray:
 
 def hs_norm(f: Field, s) -> NormReport:
     """L^2, Bessel H^s, and fractional-gradient norms of a field."""
-    l2, hs, frac = _hs_rows(_Rows.of(f), as_order(s).s)
+    l2, hs, frac = _hs_rows(_Rows.of(f), as_order(s))
     return NormReport(l2=float(l2[0]), hs_fourier=float(hs[0]), frac_grad_l2=float(frac[0]))
 
 
 def check_equivalence(f: Field, s) -> InequalityReport:
     """Identity: Gagliardo seminorm = 2 C_{1,s}^{-1} ||(-D)^{s/2} f||_2^2."""
-    s = as_order(s).s
+    s = as_order(s)
     gag = pair_correlation_integral(f, f, s)
     frac = hs_norm(f, s).frac_grad_l2
     rhs = 2.0 / cns_constant(s) * frac**2
@@ -189,7 +189,7 @@ def norm_equivalence_constants(grid: GridSpec, s) -> tuple[float, float]:
 
         m_s (l2 + frac_grad) <= hs_fourier <= M_s (l2 + frac_grad).
     """
-    s = as_order(s).s
+    s = as_order(s)
     kappa = np.abs(grid.k)
     ratio = (1.0 + kappa**2) ** s / (1.0 + kappa ** (2.0 * s))
     m_s = float(np.sqrt(ratio.min() / 2.0))
@@ -199,7 +199,7 @@ def norm_equivalence_constants(grid: GridSpec, s) -> tuple[float, float]:
 
 def sup_interp_constant(s) -> float:
     """The constant 2/sqrt(pi(2s-1)) of the sup-norm interpolation bound."""
-    s = as_order(s).s
+    s = as_order(s)
     if not 0.5 < s < 1.0:
         raise ValueError(f"interpolation bound requires 1/2 < s < 1, got {s}")
     return 2.0 / np.sqrt(np.pi * (2.0 * s - 1.0))
@@ -211,7 +211,7 @@ def check_linf_interp(f: Field, s) -> InequalityReport:
     Requires a mean-free field: the constant mode carries no fractional
     energy, so the bound cannot hold for it on the torus.
     """
-    s = as_order(s).s
+    s = as_order(s)
     lhs, rhs = (float(a[0]) for a in _linf_interp_rows(_Rows.of(f), s))
     return InequalityReport(
         name="sup_interpolation",
@@ -230,7 +230,7 @@ def check_product_bound(f: Field, s) -> InequalityReport:
     with the left side squared is dimensionally inconsistent (it fails for
     any rescaled witness) and is deliberately not asserted.
     """
-    s = as_order(s).s
+    s = as_order(s)
     if not 0.5 < s < 1.0:
         raise ValueError(f"product bound requires 1/2 < s < 1, got {s}")
     lhs, rhs = (float(a[0]) for a in _product_bound_rows(_Rows.of(f), s))
@@ -254,7 +254,7 @@ def check_chain_rule(
 
     F acts elementwise on sample arrays of any shape.
     """
-    s = as_order(s).s
+    s = as_order(s)
     lhs, rhs = (float(a[0]) for a in _chain_rule_rows(F, fprime_sup, _Rows.of(f), s))
     return InequalityReport(
         name="chain_rule",
@@ -272,7 +272,7 @@ def check_algebra(f: Field, g: Field, s) -> InequalityReport:
     The sharp constant is not available analytically; the cap is an
     empirical ensemble constant, and the report carries the realized ratio.
     """
-    s = as_order(s).s
+    s = as_order(s)
     if s <= 0.5:
         raise ValueError(f"algebra property requires s > 1/2, got {s}")
     ratio = float(_algebra_rows(_Rows.of(f), _Rows.of(g), s)[0])

@@ -209,7 +209,10 @@ class SystemParams:
     gamma: float = 1.0
 
     def __post_init__(self):
-        as_order(self.s).require_system_range()
+        s = as_order(self.s)
+        if s <= 0.5:
+            raise ValueError(f"coupled system requires 1/2 < s < 1, got s = {s}")
+        object.__setattr__(self, "s", s)
 
 
 @dataclass(frozen=True)
@@ -298,13 +301,18 @@ def _expand(grid: GridSpec, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, v
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trajectory:
     """Stored samples of one run on the sample time grid, each the resolved
     band of the spectra of (u, v): row i of ``bands`` holds u_j for
     j = 0..K, -K..-1, then v_j for j = 0..K, K = N // 3.  Every u mode
     outside the band is zero and v is a real field with a zero Nyquist mode,
-    so the row holds the whole sample; ``spectra`` expands rows."""
+    so the row holds the whole sample; ``spectra`` expands rows.
+
+    The constructor takes over ``times`` and ``bands`` as read-only
+    C-contiguous float64 and little-endian complex128 arrays, the sidecar's
+    dtype (no copy when they already are), and refuses rows off the band or
+    a v_0 that is not real (the one way a row holds a non-Hermitian v)."""
 
     grid: GridSpec
     params: SystemParams
@@ -313,10 +321,17 @@ class Trajectory:
     bands: np.ndarray  # [n_samples, 3K+2] complex
 
     def __post_init__(self):
-        expected = (len(self.times), 3 * _band(self.grid)[1] + 2)
-        if np.shape(self.bands) != expected:
-            raise ValueError(f"band rows of shape {np.shape(self.bands)}, expected {expected}: "
+        for name, dtype in (("times", np.float64), ("bands", "<c16")):
+            arr = np.ascontiguousarray(getattr(self, name), dtype=dtype)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        K = _band(self.grid)[1]
+        expected = (len(self.times), 3 * K + 2)
+        if self.bands.shape != expected:
+            raise ValueError(f"band rows of shape {self.bands.shape}, expected {expected}: "
                              f"one row per sample time, the 2/3-rule band at N = {self.grid.n_points}")
+        if self.bands[:, 2 * K + 1].imag.any():
+            raise ValueError("a v_0 is not real, so v is not exactly Hermitian")
 
     def __len__(self) -> int:
         return len(self.times)
@@ -440,7 +455,7 @@ class _Stepper:
         self.grid = grid
         self.params = params
         self.run = run
-        s = as_order(params.s).s
+        s = params.s
         N, nh = grid.n_points, grid.n_points // 2 + 1
         k2 = grid.k**2
         self.omega = grid.frac_symbol(s) + run.eps**run.a * k2

@@ -55,7 +55,6 @@ from .solver import (
     g_zero,
     solve_perturbed,
 )
-from .grid import as_order
 
 __all__ = ["SUITES", "run_suite"]
 
@@ -185,7 +184,7 @@ def _suite_propagators(seed: int) -> list[dict]:
     checks = []
     rng = np.random.default_rng(seed)
     grid = make_grid(16.0, 256)
-    p = PropagatorSpec(eps=0.1, s=as_order(0.75))
+    p = PropagatorSpec(eps=0.1, s=0.75)
     u = random_band_limited(grid, rng)
     worst_iso = 0.0
     for t in np.linspace(-2.0, 2.0, 9):

@@ -26,7 +26,7 @@ from scipy.special import gamma as sp_gamma
 from fswl import entropy as en
 from fswl import fractional as fr
 from fswl import sobolev as sb
-from fswl.grid import Field, as_order
+from fswl.grid import Field
 
 
 def cns_closed_form(s: float) -> float:
@@ -327,7 +327,7 @@ def pair_correlation_integral_loop(v, w, s):
 def weak_residual_u_loop(traj, params, run, tf, perturbed=True) -> complex:
     u_specs, v_specs = traj.u_specs, traj.v_specs  # expanded once
     grid = traj.grid
-    s = as_order(params.s).s
+    s = params.s
     dx = grid.dx
     Q = np.conj(tf.space_values())
     Q2 = np.conj(tf.space_d2())
@@ -366,7 +366,7 @@ def weak_residual_u_loop(traj, params, run, tf, perturbed=True) -> complex:
 def weak_residual_v_loop(traj, params, run, tf, perturbed=True) -> float:
     u_specs, v_specs = traj.u_specs, traj.v_specs  # expanded once
     grid = traj.grid
-    s = as_order(params.s).s
+    s = params.s
     dx = grid.dx
     Q = tf.space_values().real
     Q2 = tf.space_d2().real
@@ -399,7 +399,7 @@ def weak_residual_v_loop(traj, params, run, tf, perturbed=True) -> float:
 def entropy_balance_residual_loop(traj, eta, params, run, tf) -> float:
     u_specs, v_specs = traj.u_specs, traj.v_specs  # expanded once
     grid = traj.grid
-    s = as_order(params.s).s
+    s = params.s
     dx = grid.dx
     L = grid.half_length
     g_eff = params.g.regularized(run.g_regularization)

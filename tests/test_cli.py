@@ -9,7 +9,7 @@ import tempfile
 import time
 import tracemalloc
 import weakref
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 from types import SimpleNamespace
@@ -224,33 +224,40 @@ class TestTrajectorySidecar:
         ("v", 2, 40),
     ])
     def test_writer_refuses_a_coefficient_outside_the_band(self, tmp_path, channel, row, j):
-        # the expanded spectra are read-only, so the coefficient cannot be
-        # set there; a row one slot wider than the band is the only way to
-        # hand the writer one (the constructor refuses it, so the rows are
-        # reassigned), and it is refused before anything is written
+        # a trajectory is frozen and its expanded spectra and band rows are
+        # read-only, so once built it cannot take a coefficient outside the
+        # band; one built with a row one slot wider is refused by the
+        # constructor, before the writer is reached
         traj = _banded_trajectory(64, 8)
         with pytest.raises(ValueError, match="read-only"):
             getattr(traj, f"{channel}_specs")[row, j] = 1e-300
         wide = np.zeros((len(traj), traj.bands.shape[1] + 1), dtype=complex)
         wide[:, :-1] = traj.bands
         wide[row, -1] = 1e-300
-        traj.bands = wide
-        with pytest.raises(ValueError, match=r"expected \(8, 65\), the 2/3-rule band"):
-            cli.write_trajectory(tmp_path / "t.jsonl", traj, "h")
+        with pytest.raises(FrozenInstanceError):
+            traj.bands = wide
+        with pytest.raises(ValueError, match="read-only"):
+            traj.bands[row, -1] = 1e-300
+        with pytest.raises(ValueError, match=r"expected \(8, 65\): one row per sample time"):
+            cli.write_trajectory(tmp_path / "t.jsonl", replace(traj, bands=wide), "h")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("row, j, delta", [(1, 5, 1e-15j), (6, -3, 1e-15), (4, 0, 1e-15j)])
     def test_writer_refuses_a_non_hermitian_v(self, tmp_path, row, j, delta):
         # a row stores v_j for j >= 0 only, so v_{-j} = conj(v_j) holds for
         # j != 0 by construction and the expanded v is read-only; what a row
-        # can hold wrongly is a v_0 that is not real, and the writer refuses it
+        # can hold wrongly is a v_0 that is not real, and the constructor
+        # refuses it, before the writer is reached
         traj = _banded_trajectory(64, 8)
         with pytest.raises(ValueError, match="read-only"):
             traj.v_specs[row, j] += delta * abs(traj.v_specs[row, j])
         v0 = 2 * (64 // 3) + 1
-        traj.bands[row, v0] += 1j * abs(delta) * abs(traj.bands[row, v0])
-        with pytest.raises(ValueError, match="not exactly Hermitian"):
-            cli.write_trajectory(tmp_path / "t.jsonl", traj, "h")
+        with pytest.raises(ValueError, match="read-only"):
+            traj.bands[row, v0] += 1j * abs(delta) * abs(traj.bands[row, v0])
+        bands = traj.bands.copy()
+        bands[row, v0] += 1j * abs(delta) * abs(bands[row, v0])
+        with pytest.raises(ValueError, match="^a v_0 is not real, so v is not exactly Hermitian$"):
+            cli.write_trajectory(tmp_path / "t.jsonl", replace(traj, bands=bands), "h")
         assert list(tmp_path.iterdir()) == []
 
     def test_round_trip_of_a_multi_block_trajectory(self, tmp_path):

@@ -9,6 +9,7 @@ from fswl.entropy import (
     EntropySpec,
     UndefinedSignError,
     _crossings,
+    _flux_on_values,
     _kink_radii,
     _level_set,
     _simpson,
@@ -76,6 +77,21 @@ class TestFlux:
                 lambda w: eta.eta_prime(w) * float(g.derivative(np.array([w]))[0]),
                 0.0, v, limit=200)
             assert got == pytest.approx(want, abs=1e-8)
+
+
+    @pytest.mark.parametrize("eta", [smooth_capped_entropy(0.8), quadratic_capped_entropy(1.0)],
+                             ids=lambda eta: eta.label)
+    @pytest.mark.parametrize("g", [g_tanh_blend(0.2, 1.0), g_linear(0.7), g_tanh_blend(0.0, 1.0)],
+                             ids=lambda g: g.label)
+    def test_vectorized_flux_matches_panel_quadrature(self, eta, g):
+        # the closed-form split of the entropy balance's flux against the
+        # panel quadrature with a node at the kink, inside and outside the
+        # density support, its ends included
+        lo, hi = eta.pp_support
+        vs = np.concatenate((np.linspace(-2.5, 2.5, 51), [lo, hi]))
+        want = np.array([entropy_flux(eta, g, v) for v in vs])
+        got = _flux_on_values(eta, g, vs)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
 
 
 @pytest.fixture(scope="module")

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fswl.grid import MAX_N, Field, FracOrder, GridError, make_grid
+from fswl.grid import MAX_N, Field, GridError, as_order, make_grid
+from fswl.propagators import PropagatorSpec
+from fswl.solver import SystemParams, g_zero
 
 
 def test_make_grid_pi_8():
@@ -64,14 +66,20 @@ def test_grid_invariants(log_n, L):
 
 
 def test_frac_order_ranges():
-    FracOrder(0.3)
-    with pytest.raises(ValueError):
-        FracOrder(0.0)
-    with pytest.raises(ValueError):
-        FracOrder(1.0)
-    with pytest.raises(ValueError):
-        FracOrder(0.4).require_system_range()
-    FracOrder(0.75).require_system_range()
+    # as_order is the one range check and returns a float; each holder of s
+    # checks it once when built, and the coupled system also refuses s <= 1/2
+    assert as_order(0.3) == 0.3 and type(as_order(np.float32(0.5))) is float
+    for bad in (0.0, 1.0):
+        with pytest.raises(ValueError, match=r"fractional order must lie in \(0, 1\)"):
+            as_order(bad)
+        with pytest.raises(ValueError, match=r"fractional order must lie in \(0, 1\)"):
+            SystemParams(alpha=1.0, beta=1.0, s=bad, g=g_zero())
+        with pytest.raises(ValueError, match=r"fractional order must lie in \(0, 1\)"):
+            PropagatorSpec(eps=0.1, s=bad)
+    with pytest.raises(ValueError, match=r"coupled system requires 1/2 < s < 1, got s = 0\.4$"):
+        SystemParams(alpha=1.0, beta=1.0, s=0.4, g=g_zero())
+    assert type(SystemParams(alpha=1.0, beta=1.0, s=np.float32(0.75), g=g_zero()).s) is float
+    assert type(PropagatorSpec(eps=0.1, s=np.float32(0.75)).s) is float
 
 
 def test_parseval_and_norms():

@@ -654,6 +654,42 @@ def test_halving_mid_streak_restarts_the_count(monkeypatch, gauss_pair):
     assert max(dt for dt, _ in log) == run.dt / 2
 
 
+class _FirstStep(Exception):
+    """Raised in place of the first sub-step."""
+
+
+@pytest.mark.parametrize("n_steps, admitted", [
+    (solver.MAX_STEPS // 2, True),
+    # sub-steps of dt/2 come in pairs, so the least count above the cap is
+    # MAX_STEPS + 2 (an odd count needs dt itself, and PerturbedRun caps the
+    # base steps at MAX_STEPS)
+    (solver.MAX_STEPS // 2 + 1, False),
+], ids=["at-the-cap", "above-the-cap"])
+def test_substep_cap_boundary(monkeypatch, gauss_pair, n_steps, admitted):
+    # the contraction cap admits dt/2, so the run asks for 2 n_steps
+    # sub-steps; exactly MAX_STEPS reaches the first step (stopped there),
+    # and one pair more is refused before any step is taken
+    run = PerturbedRun(eps=0.1, T=n_steps * 1e-3, dt=1e-3, store_every=n_steps)
+    assert run.n_steps == n_steps and run.n_samples == 2
+    monkeypatch.setattr(solver, "contraction_time_bound", lambda *args: run.dt / 2)
+    dts = []
+
+    def first_step(self, u_spec, v_spec, dt):
+        dts.append(dt)
+        raise _FirstStep
+
+    monkeypatch.setattr(_Stepper, "step", first_step)
+    if admitted:
+        with pytest.raises(_FirstStep):
+            solve_perturbed(*gauss_pair, coupled_params(), run)
+        assert 2 * n_steps == solver.MAX_STEPS and dts == [run.dt / 2]
+    else:
+        with pytest.raises(SolverError, match=rf"^{2 * n_steps} sub-steps \({n_steps} base steps "
+                                              rf"of dt/2 under .* exceed the limit of {solver.MAX_STEPS}$"):
+            solve_perturbed(*gauss_pair, coupled_params(), run)
+        assert dts == []
+
+
 def test_contraction_bound_rejects_nonpositive_inputs():
     params = coupled_params()
     with pytest.raises(ValueError):

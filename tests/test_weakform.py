@@ -252,3 +252,20 @@ def test_support_leak_rejected(grid128, short_run, residual, end, message):
     else:
         with pytest.raises(ValueError, match=message):
             _RESIDUALS[residual](short_run, tf)
+
+
+@pytest.mark.parametrize("residual", ["u", "v", "entropy"])
+@pytest.mark.parametrize("t_hi, live", [(0.2049, 0), (0.2149, 2), (0.2199, 3)])
+def test_support_with_fewer_than_three_samples_rejected(grid128, short_run, residual, t_hi, live):
+    # the samples lie every dt = 5e-3, so (0.2001, t_hi) holds `live` of
+    # them; a Simpson panel needs three, and fewer would read as a residual
+    # of exactly zero for a test function the time grid does not resolve
+    tf = TestFunction(grid=grid128, t_lo=0.2001, t_hi=t_hi, x_center=0.0, x_width=4.0,
+                      amplitude=1 + 0j, flavor="real")
+    if live >= 3:
+        assert _RESIDUALS[residual](short_run, tf) != 0.0
+    else:
+        with pytest.raises(ValueError, match=rf"^{live} stored samples in the time support "
+                                             rf"\(0\.2001, {t_hi}\), fewer than the 3 of one "
+                                             "Simpson panel$"):
+            _RESIDUALS[residual](short_run, tf)
