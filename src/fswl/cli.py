@@ -26,6 +26,7 @@ import numpy as np
 from .diagnostics import smallness_condition, theta_envelope
 from .grid import Field, make_grid
 from .solver import (
+    MAX_STORED_BYTES,
     BlowupError,
     ConvergenceTable,
     PerturbedRun,
@@ -112,8 +113,7 @@ _SCHEMA = {
                               "tanh_blend": {"m": (_finite, None), "M": (_finite, None)}}}},
     "perturbation": {"eps": (_finite, 0.1), "a": (_integer, None), "b": (_integer, None)},
     "time": {"T": (_finite, ...), "dt": (_finite, ...), "picard_tol": (_finite, None),
-             "picard_max_iter": (lambda raw, name: PerturbedRun.check_picard_max_iter(
-                 _integer(raw, name), name), None)},
+             "picard_max_iter": (_integer, None)},
     "diagnostics": {"store_every": (_integer, None), "blowup_factor": (_finite, None),
                     # configs may restate the fixed gates, never change them
                     "mass_rtol": (lambda raw, name: _gate(raw, name, MASS_RTOL), None),
@@ -123,6 +123,14 @@ _SCHEMA = {
     "seed": (_integer, 1234),
 }
 _NONLINEARITIES = {"zero": g_zero, "linear": g_linear, "tanh_blend": g_tanh_blend}
+# The dotted key of each field whose range a constructor checks; the message
+# starts with the field, and parse_config puts the key in its place.
+_FIELD_KEYS = {
+    "half_length": "grid.L", "n_points": "grid.N", "s": "system.s", "g": "system.g",
+    "eps": "perturbation.eps", "a": "perturbation.a", "b": "perturbation.b",
+    "T": "time.T", "dt": "time.dt", "T/dt": "time.T/dt", "picard_tol": "time.picard_tol",
+    "picard_max_iter": "time.picard_max_iter", "store_every": "diagnostics.store_every",
+    "blowup_factor": "diagnostics.blowup_factor", "eps_ladder": "sweep.eps_ladder"}
 
 
 def _read(raw, table: dict, prefix: str) -> dict:
@@ -180,18 +188,23 @@ def _initial_field(grid, spec: dict, flavor: str, name: str) -> Field:
 
 def parse_config(config: dict):
     """Validate a config dict against ``_SCHEMA``; returns (grid, params,
-    run, u0, v0, extras)."""
+    run, u0, v0, extras).  Every fault is a ConfigError that names its key."""
     try:
         c = _read(config, _SCHEMA, "")
         grid = make_grid(**c["grid"])
         g = c["system"].pop("g")
         params = SystemParams(**c["system"], g=_NONLINEARITIES[g.pop("kind")](**g))
         run = PerturbedRun(**c["perturbation"], **c["time"], **c["diagnostics"])
+        if (size := run.n_samples * 16 * (3 * _band(grid)[1] + 2)) > MAX_STORED_BYTES:
+            raise ValueError(f"grid.N = {grid.n_points}, time.T/dt = {run.n_steps} and "
+                             f"diagnostics.store_every = {run.store_every} store {size} B of "
+                             f"samples, over the limit of {MAX_STORED_BYTES} B")
         u0 = _initial_field(grid, c["initial"]["u0"], "complex", "initial.u0")
         v0 = _initial_field(grid, c["initial"]["v0"], "real", "initial.v0")
         ConvergenceTable.check_ladder(c["sweep"]["eps_ladder"])
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(str(exc)) from exc
+        field, sep, rest = str(exc).partition(" ")
+        raise ConfigError(_FIELD_KEYS.get(field, field) + sep + rest) from exc
     return grid, params, run, u0, v0, {"seed": c["seed"], **c["sweep"]}
 
 

@@ -31,6 +31,7 @@ __all__ = [
     "Field",
     "make_grid",
     "as_order",
+    "as_coupled_order",
 ]
 
 # Imaginary contamination allowed in a real-flavored field, relative to its
@@ -182,10 +183,18 @@ def make_grid(L: float, N: int) -> GridSpec:
 
 def as_order(s) -> float:
     """The fractional order s as a float; ValueError outside (0, 1).  The
-    coupled system's further s > 1/2 is checked by SystemParams."""
+    coupled system and its estimates take only ``as_coupled_order``."""
     s = float(s)
     if not 0.0 < s < 1.0:
         raise ValueError(f"fractional order must lie in (0, 1), got {s}")
+    return s
+
+
+def as_coupled_order(s) -> float:
+    """The fractional order s as a float; ValueError outside (1/2, 1), where
+    the coupled estimates hold (2/sqrt(pi(2s-1)) blows up at s = 1/2)."""
+    if not 0.5 < (s := float(s)) < 1.0:
+        raise ValueError(f"s must lie in (1/2, 1), got {s}")
     return s
 
 

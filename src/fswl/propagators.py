@@ -19,11 +19,23 @@ from .sobolev import InequalityReport
 
 __all__ = [
     "PropagatorSpec",
+    "check_perturbation",
     "schrodinger_group_apply",
     "heat_semigroup_apply",
     "check_heat_smoothing",
     "heat_smoothing_constant",
 ]
+
+
+def check_perturbation(eps: float, a: int = 0, b: int = 0) -> None:
+    """Raise ValueError, its message led by the field at fault, unless
+    0 < eps < 1 and the exponents a, b are nonnegative: the one check of
+    the perturbation that PropagatorSpec and PerturbedRun hold."""
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    for name, value in (("a", a), ("b", b)):
+        if value < 0:
+            raise ValueError(f"{name} must be nonnegative, got {value}")
 
 
 @dataclass(frozen=True)
@@ -37,10 +49,7 @@ class PropagatorSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "s", as_order(self.s))
-        if not 0.0 < self.eps < 1.0:
-            raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
-        if self.a < 0 or self.b < 0:
-            raise ValueError("exponents a, b must be nonnegative")
+        check_perturbation(self.eps, self.a, self.b)
 
     @property
     def dispersive_coeff(self) -> float:

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .fractional import cns_constant, pair_correlation_integral
-from .grid import Field, GridSpec, as_order
+from .grid import Field, GridSpec, as_coupled_order, as_order
 
 __all__ = [
     "NormReport",
@@ -199,10 +199,15 @@ def norm_equivalence_constants(grid: GridSpec, s) -> tuple[float, float]:
 
 def sup_interp_constant(s) -> float:
     """The constant 2/sqrt(pi(2s-1)) of the sup-norm interpolation bound."""
-    s = as_order(s)
-    if not 0.5 < s < 1.0:
-        raise ValueError(f"interpolation bound requires 1/2 < s < 1, got {s}")
+    s = as_coupled_order(s)
     return 2.0 / np.sqrt(np.pi * (2.0 * s - 1.0))
+
+
+def _bound_report(name: str, s: float, pair, constant: float, witness: str) -> InequalityReport:
+    """The report of an upper bound from its (lhs, rhs) arrays of one row."""
+    lhs, rhs = (float(a[0]) for a in pair)
+    return InequalityReport(name=name, s=s, lhs=lhs, rhs=rhs, constant_used=constant,
+                            witness=witness)
 
 
 def check_linf_interp(f: Field, s) -> InequalityReport:
@@ -211,16 +216,9 @@ def check_linf_interp(f: Field, s) -> InequalityReport:
     Requires a mean-free field: the constant mode carries no fractional
     energy, so the bound cannot hold for it on the torus.
     """
-    s = as_order(s)
-    lhs, rhs = (float(a[0]) for a in _linf_interp_rows(_Rows.of(f), s))
-    return InequalityReport(
-        name="sup_interpolation",
-        s=s,
-        lhs=lhs,
-        rhs=rhs,
-        constant_used=sup_interp_constant(s),
-        witness=repr(f),
-    )
+    s = as_coupled_order(s)
+    return _bound_report("sup_interpolation", s, _linf_interp_rows(_Rows.of(f), s),
+                         sup_interp_constant(s), repr(f))
 
 
 def check_product_bound(f: Field, s) -> InequalityReport:
@@ -230,18 +228,9 @@ def check_product_bound(f: Field, s) -> InequalityReport:
     with the left side squared is dimensionally inconsistent (it fails for
     any rescaled witness) and is deliberately not asserted.
     """
-    s = as_order(s)
-    if not 0.5 < s < 1.0:
-        raise ValueError(f"product bound requires 1/2 < s < 1, got {s}")
-    lhs, rhs = (float(a[0]) for a in _product_bound_rows(_Rows.of(f), s))
-    return InequalityReport(
-        name="square_product_bound",
-        s=s,
-        lhs=lhs,
-        rhs=rhs,
-        constant_used=2.0,
-        witness=repr(f),
-    )
+    s = as_coupled_order(s)
+    return _bound_report("square_product_bound", s, _product_bound_rows(_Rows.of(f), s),
+                         2.0, repr(f))
 
 
 def check_chain_rule(
@@ -255,15 +244,8 @@ def check_chain_rule(
     F acts elementwise on sample arrays of any shape.
     """
     s = as_order(s)
-    lhs, rhs = (float(a[0]) for a in _chain_rule_rows(F, fprime_sup, _Rows.of(f), s))
-    return InequalityReport(
-        name="chain_rule",
-        s=s,
-        lhs=lhs,
-        rhs=rhs,
-        constant_used=fprime_sup,
-        witness=repr(f),
-    )
+    return _bound_report("chain_rule", s, _chain_rule_rows(F, fprime_sup, _Rows.of(f), s),
+                         fprime_sup, repr(f))
 
 
 def check_algebra(f: Field, g: Field, s) -> InequalityReport:
@@ -272,18 +254,9 @@ def check_algebra(f: Field, g: Field, s) -> InequalityReport:
     The sharp constant is not available analytically; the cap is an
     empirical ensemble constant, and the report carries the realized ratio.
     """
-    s = as_order(s)
-    if s <= 0.5:
-        raise ValueError(f"algebra property requires s > 1/2, got {s}")
-    ratio = float(_algebra_rows(_Rows.of(f), _Rows.of(g), s)[0])
-    return InequalityReport(
-        name="hs_algebra",
-        s=s,
-        lhs=ratio,
-        rhs=ALGEBRA_CAP,
-        constant_used=ALGEBRA_CAP,
-        witness=f"{f!r} * {g!r}",
-    )
+    s = as_coupled_order(s)
+    ratio = _algebra_rows(_Rows.of(f), _Rows.of(g), s)
+    return _bound_report("hs_algebra", s, (ratio, [ALGEBRA_CAP]), ALGEBRA_CAP, f"{f!r} * {g!r}")
 
 
 @lru_cache(maxsize=16)

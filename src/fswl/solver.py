@@ -42,7 +42,9 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .grid import BLOCK_SAMPLES, Field, GridSpec, as_order
+from .grid import BLOCK_SAMPLES, Field, GridSpec, as_coupled_order
+from .propagators import check_perturbation
+from .sobolev import norm_equivalence_constants
 
 __all__ = [
     "NonlinearityG",
@@ -67,6 +69,11 @@ __all__ = [
 # times the canonical run.  It keeps a mistyped dt (say 1e-300) or data whose
 # contraction cap is tiny from asking for a practically endless march.
 MAX_STEPS = 10**6
+
+# Bytes of band rows one run may store, n_samples * (3K+2) * 16: eighty
+# times an eps_sweep rung (6.6 MB).  A sweep parent holds two rungs and each
+# worker one, so two workers at the limit hold 2 GiB.
+MAX_STORED_BYTES = 2**29
 
 # Picard sweeps one step may take: a contracting iteration reaches roundoff
 # in well under a hundred.
@@ -115,9 +122,9 @@ class NonlinearityG:
 
     def __post_init__(self):
         if not 0.0 <= self.m <= self.M < np.inf:
-            raise ValueError(f"need 0 <= m <= M < inf, got m={self.m}, M={self.M}")
+            raise ValueError(f"g must have 0 <= m <= M < inf, got m={self.m}, M={self.M}")
         if abs(float(self.fn(np.zeros(1))[0])) > 0.0:
-            raise ValueError("nonlinearity must satisfy g(0) = 0")
+            raise ValueError("g must satisfy g(0) = 0")
 
     def regularized(self, eps: float) -> "NonlinearityG":
         """g_eps(v) = g(v) + eps v: removes the degeneracy, g_eps' >= eps."""
@@ -165,8 +172,6 @@ def g_zero() -> NonlinearityG:
 
 
 def g_linear(c: float = 1.0) -> NonlinearityG:
-    if c < 0:
-        raise ValueError("linear coefficient must be nonnegative")
     return NonlinearityG(
         fn=partial(_scale_fn, c=c),
         derivative=partial(_const_fn, c=c),
@@ -178,8 +183,6 @@ def g_linear(c: float = 1.0) -> NonlinearityG:
 
 def g_tanh_blend(m: float = 0.2, M: float = 1.0) -> NonlinearityG:
     """g(v) = m v + (M - m) tanh v; derivative ranges over (m, M]."""
-    if not 0.0 <= m <= M:
-        raise ValueError("need 0 <= m <= M")
     return NonlinearityG(
         fn=partial(_tanh_blend_fn, m=m, M=M),
         derivative=partial(_tanh_blend_d, m=m, M=M),
@@ -209,10 +212,7 @@ class SystemParams:
     gamma: float = 1.0
 
     def __post_init__(self):
-        s = as_order(self.s)
-        if s <= 0.5:
-            raise ValueError(f"coupled system requires 1/2 < s < 1, got s = {s}")
-        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "s", as_coupled_order(self.s))
 
 
 @dataclass(frozen=True)
@@ -236,17 +236,15 @@ class PerturbedRun:
     store_every: int = 1
 
     def __post_init__(self):
-        if not 0.0 < self.eps < 1.0:
-            raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
-        if self.a < 0 or self.b < 0:
-            raise ValueError("exponents a, b must be nonnegative")
-        if self.T <= 0 or self.dt <= 0:
-            raise ValueError("T and dt must be positive")
+        check_perturbation(self.eps, self.a, self.b)
+        for name in ("T", "dt", "picard_tol", "blowup_factor"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.store_every < 1:
-            raise ValueError("store_every must be >= 1")
-        if not (self.picard_tol > 0 and self.blowup_factor > 0):
-            raise ValueError("picard_tol and blowup_factor must be positive")
-        self.check_picard_max_iter(self.picard_max_iter)
+            raise ValueError(f"store_every must be at least 1, got {self.store_every}")
+        if not 1 <= self.picard_max_iter <= MAX_PICARD_ITER:
+            raise ValueError(f"picard_max_iter must lie in [1, {MAX_PICARD_ITER}], "
+                             f"got {self.picard_max_iter!r}")
         steps = self.T / self.dt  # compared before round(), which inf overflows
         if steps > MAX_STEPS + 0.5:
             raise ValueError(f"T/dt = {steps:.10g} steps exceeds the limit of {MAX_STEPS}")
@@ -255,14 +253,6 @@ class PerturbedRun:
             raise ValueError(
                 f"T = {self.T} is not an integer multiple of dt = {self.dt}"
             )
-
-    @staticmethod
-    def check_picard_max_iter(value: int, name: str = "picard_max_iter") -> int:
-        """``value`` unless it lies outside [1, MAX_PICARD_ITER]; ``name``
-        is what the ValueError calls it."""
-        if not 1 <= value <= MAX_PICARD_ITER:
-            raise ValueError(f"{name} must lie in [1, {MAX_PICARD_ITER}], got {value!r}")
-        return value
 
     @property
     def g_regularization(self) -> float:
@@ -384,13 +374,16 @@ class ConvergenceTable:
 
     @staticmethod
     def check_ladder(eps_ladder: list) -> None:
-        """Raise ValueError unless every rung lies in (0, 1) and the rungs
-        decrease strictly; entries are compared as floats."""
+        """Raise ValueError unless every rung passes ``check_perturbation``
+        and the rungs decrease strictly; entries are compared as floats."""
         eps = [float(e) for e in eps_ladder]
-        if not all(0.0 < e < 1.0 for e in eps):
-            raise ValueError(f"eps ladder entries must lie in (0, 1), got {eps_ladder!r}")
+        try:
+            for e in eps:
+                check_perturbation(e)
+        except ValueError:
+            raise ValueError(f"eps_ladder entries must lie in (0, 1), got {eps_ladder!r}") from None
         if any(b >= a for a, b in zip(eps, eps[1:])):
-            raise ValueError(f"eps ladder must be strictly decreasing, got {eps_ladder!r}")
+            raise ValueError(f"eps_ladder must be strictly decreasing, got {eps_ladder!r}")
 
     def rows(self) -> list[dict]:
         return [dict(row) for row in self._rows]
@@ -648,8 +641,6 @@ def solve_perturbed(
 
     # Contraction-time cap for the ball of radius 2.5 max of the data norms
     # (the argument only needs > 2).
-    from .sobolev import norm_equivalence_constants
-
     m_s, _ = norm_equivalence_constants(grid, params.s)
     R = 2.5 * max(h1_u0, h1_v0)
     cap = np.inf

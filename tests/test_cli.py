@@ -751,11 +751,47 @@ _SCHEMA_FAULTS = {
     "missing-required": (lambda c: c["grid"].pop("N"), "missing key grid.N"),
     # T/dt overflows to inf: the step limit must catch it before round() does
     "step-count-overflow": (lambda c: c["time"].update(T=1e308, dt=1e-308),
-                            "T/dt = inf steps exceeds the limit of 1000000"),
+                            "time.T/dt = inf steps exceeds the limit of 1000000"),
     "unknown-kind": (lambda c: c["initial"]["v0"].update(kind="bump"),
                      "initial.v0.kind must be one of"),
     "picard-max-iter-above-bound": (lambda c: c["time"].update(picard_max_iter=1001),
                                     "time.picard_max_iter must lie in [1, 1000], got 1001"),
+    # a range fault found by a constructor: its message is led by the field,
+    # which parse_config replaces by the dotted key
+    "grid-L-range": (lambda c: c["grid"].update(L=-1.0),
+                     "grid.L must be positive and finite, got -1.0"),
+    "grid-N-range": (lambda c: c["grid"].update(N=100),
+                     "grid.N must be a power of two in [8, 65536], got 100"),
+    "s-below-range": (lambda c: c["system"].update(s=0.4),
+                      "system.s must lie in (1/2, 1), got 0.4"),
+    "s-above-range": (lambda c: c["system"].update(s=1.5),
+                      "system.s must lie in (1/2, 1), got 1.5"),
+    "eps-range": (lambda c: c["perturbation"].update(eps=1.5),
+                  "perturbation.eps must lie in (0, 1), got 1.5"),
+    "a-range": (lambda c: c["perturbation"].update(a=-1),
+                "perturbation.a must be nonnegative, got -1"),
+    "b-range": (lambda c: c["perturbation"].update(b=-2),
+                "perturbation.b must be nonnegative, got -2"),
+    "T-range": (lambda c: c["time"].update(T=-1.0), "time.T must be positive, got -1.0"),
+    "dt-range": (lambda c: c["time"].update(dt=-1.0), "time.dt must be positive, got -1.0"),
+    "picard-tol-range": (lambda c: c["time"].update(picard_tol=-1.0),
+                         "time.picard_tol must be positive, got -1.0"),
+    "picard-max-iter-zero": (lambda c: c["time"].update(picard_max_iter=0),
+                             "time.picard_max_iter must lie in [1, 1000], got 0"),
+    "store-every-range": (lambda c: c["diagnostics"].update(store_every=0),
+                          "diagnostics.store_every must be at least 1, got 0"),
+    "blowup-factor-range": (lambda c: c["diagnostics"].update(blowup_factor=0.0),
+                            "diagnostics.blowup_factor must be positive, got 0.0"),
+    # a negative c gives m = M = c < 0
+    "g-linear-negative": (lambda c: c["system"].update(g={"kind": "linear", "c": -1.0}),
+                          "system.g must have 0 <= m <= M < inf, got m=-1.0, M=-1.0"),
+    "g-tanh-blend-m-above-M": (
+        lambda c: c["system"].update(g={"kind": "tanh_blend", "m": 0.5, "M": 0.2}),
+        "system.g must have 0 <= m <= M < inf, got m=0.5, M=0.2"),
+    "eps-ladder-entry-range": (lambda c: c.update(sweep={"eps_ladder": [1.5, 0.1]}),
+                               "sweep.eps_ladder entries must lie in (0, 1), got [1.5, 0.1]"),
+    "eps-ladder-increasing": (lambda c: c.update(sweep={"eps_ladder": [0.1, 0.2]}),
+                              "sweep.eps_ladder must be strictly decreasing, got [0.1, 0.2]"),
 }
 
 
@@ -763,12 +799,46 @@ _SCHEMA_FAULTS = {
 def test_schema_fault_exits_2_naming_the_key(tmp_path, capsys, edit, named):
     cfg = tiny_config()
     edit(cfg)
-    with pytest.raises(ConfigError, match=re.escape(named)):
+    with pytest.raises(ConfigError) as fault:
         parse_config(cfg)
+    assert str(fault.value).startswith(named)
     assert main(["run", "--config", str(_dump(tmp_path, cfg)),
                  "--out", str(tmp_path / "o")]) == 2
-    assert named in capsys.readouterr().err
+    assert f"config error: {named}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_every_field_key_has_a_range_case():
+    # a constructor check whose field gets a key must also get a case above
+    named = [named for _, named in _SCHEMA_FAULTS.values()]
+    assert [key for key in cli._FIELD_KEYS.values()
+            if not any(n.startswith(key + " ") for n in named)] == []
+
+
+def test_unaffordable_storage_is_refused_before_any_file(tmp_path, capsys):
+    # 10^6 base steps at N = 65536, each one stored: 977 GiB of band rows,
+    # refused by parse_config before anything is allocated or written
+    cfg = canonical_config()
+    cfg["grid"]["N"] = 65536
+    cfg["time"].update(T=1000.0, dt=1e-3)
+    cfg["diagnostics"]["store_every"] = 1
+    start = time.perf_counter()
+    assert main(["run", "--config", str(_dump(tmp_path, cfg)), "--out", str(tmp_path / "o")]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert ("config error: grid.N = 65536, time.T/dt = 1000000 and diagnostics.store_every = 1 "
+            "store 1048593048592 B of samples, over the limit of 536870912 B"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
+
+
+def test_stored_bytes_limit_is_inclusive(monkeypatch):
+    # the canonical run stores 201 samples of 3K + 2 = 512 complex modes
+    cfg = canonical_config()
+    monkeypatch.setattr(cli, "MAX_STORED_BYTES", 201 * 512 * 16)
+    parse_config(cfg)
+    monkeypatch.setattr(cli, "MAX_STORED_BYTES", 201 * 512 * 16 - 1)
+    with pytest.raises(ConfigError, match="store 1646592 B of samples, over the limit"):
+        parse_config(cfg)
 
 
 def test_duplicate_key_is_named(tmp_path, capsys):

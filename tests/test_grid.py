@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fswl.grid import MAX_N, Field, GridError, as_order, make_grid
+from fswl.grid import MAX_N, Field, GridError, as_coupled_order, as_order, make_grid
 from fswl.propagators import PropagatorSpec
+from fswl.sobolev import check_algebra, check_product_bound, sup_interp_constant
 from fswl.solver import SystemParams, g_zero
 
 
@@ -66,20 +67,42 @@ def test_grid_invariants(log_n, L):
 
 
 def test_frac_order_ranges():
-    # as_order is the one range check and returns a float; each holder of s
-    # checks it once when built, and the coupled system also refuses s <= 1/2
+    # as_order is the range check of (0, 1) and returns a float; each holder
+    # of s checks it once when built, the coupled system through
+    # as_coupled_order, whose (1/2, 1) also refuses the ends of (0, 1)
     assert as_order(0.3) == 0.3 and type(as_order(np.float32(0.5))) is float
     for bad in (0.0, 1.0):
         with pytest.raises(ValueError, match=r"fractional order must lie in \(0, 1\)"):
             as_order(bad)
-        with pytest.raises(ValueError, match=r"fractional order must lie in \(0, 1\)"):
+        with pytest.raises(ValueError, match=rf"^s must lie in \(1/2, 1\), got {bad}$"):
             SystemParams(alpha=1.0, beta=1.0, s=bad, g=g_zero())
         with pytest.raises(ValueError, match=r"fractional order must lie in \(0, 1\)"):
             PropagatorSpec(eps=0.1, s=bad)
-    with pytest.raises(ValueError, match=r"coupled system requires 1/2 < s < 1, got s = 0\.4$"):
+    with pytest.raises(ValueError, match=r"^s must lie in \(1/2, 1\), got 0\.4$"):
         SystemParams(alpha=1.0, beta=1.0, s=0.4, g=g_zero())
     assert type(SystemParams(alpha=1.0, beta=1.0, s=np.float32(0.75), g=g_zero()).s) is float
     assert type(PropagatorSpec(eps=0.1, s=np.float32(0.75)).s) is float
+
+
+_WITNESS = Field.from_function(make_grid(8.0, 64), lambda x: np.exp(-(x**2)) * np.sin(x))
+
+# Every holder of the coupled range 1/2 < s < 1, each called at order s.
+_COUPLED_RANGE_HOLDERS = {
+    "SystemParams": lambda s: SystemParams(alpha=1.0, beta=1.0, s=s, g=g_zero()),
+    "sup_interp_constant": sup_interp_constant,
+    "check_product_bound": lambda s: check_product_bound(_WITNESS, s),
+    "check_algebra": lambda s: check_algebra(_WITNESS, _WITNESS, s),
+}
+
+
+@pytest.mark.parametrize("holder", _COUPLED_RANGE_HOLDERS.values(), ids=list(_COUPLED_RANGE_HOLDERS))
+def test_coupled_order_range_has_one_wording(holder):
+    # the interpolation constant 2/sqrt(pi(2s-1)) blows up at s = 1/2, so
+    # 0.5 itself is refused, by as_coupled_order's one message
+    with pytest.raises(ValueError, match=r"^s must lie in \(1/2, 1\), got 0\.5$"):
+        holder(0.5)
+    holder(0.6)
+    assert type(as_coupled_order(np.float32(0.75))) is float
 
 
 def test_parseval_and_norms():
