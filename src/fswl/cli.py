@@ -171,8 +171,14 @@ def config_hash(config: dict) -> str:
 
 
 def _initial_field(grid, spec: dict, flavor: str, name: str) -> Field:
-    """The initial field of a read ``initial`` entry; ``name`` is its path."""
-    kind = spec["kind"]
+    """The initial field of a read ``initial`` entry; ``name`` is its path.
+    A mode outside the resolved band |j| <= N // 3, which the solver's band
+    projection would drop, is refused; it is compared as an int, before a
+    float conversion could overflow or alias it."""
+    kind, K = spec["kind"], grid.n_points // 3
+    if kind != "zero" and not -K <= spec["mode"] <= K:
+        raise ValueError(f"{name}.mode must lie in [{-K}, {K}] at grid.N = {grid.n_points}, "
+                         f"got {spec['mode']}")
     if kind == "gaussian" and spec["width"] == 0.0:
         raise ValueError(f"{name}.width must be nonzero")
     if kind == "zero" or spec["amplitude"] == 0.0:

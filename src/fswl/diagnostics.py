@@ -31,6 +31,7 @@ import numpy as np
 from .fractional import cns_constant, pair_correlation_integral
 from .grid import BLOCK_SAMPLES, Field, GridSpec, as_order
 from .gronwall import _cumtrapz
+from .propagators import DEFAULT_A, DEFAULT_B
 from .sobolev import InequalityReport
 from .solver import NonlinearityG, PerturbedRun, SystemParams, Trajectory
 
@@ -409,8 +410,8 @@ def smallness_condition(
     v0: Field,
     T: float,
     eps: float,
-    a: int = 4,
-    b: int = 7,
+    a: int = DEFAULT_A,
+    b: int = DEFAULT_B,
 ) -> SmallnessReport:
     """Assemble the constants block of the global bound and evaluate
 

@@ -68,14 +68,14 @@ class GridSpec:
     n_points: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.half_length) and self.half_length > 0):
-            raise GridError(
-                f"half_length must be positive and finite, got {self.half_length}"
-            )
         if self.n_points & (self.n_points - 1) or not 8 <= self.n_points <= MAX_N:
             raise GridError(
                 f"n_points must be a power of two in [8, {MAX_N}], got {self.n_points}"
             )
+        # a tiny L gives dx = 0, and 2L overflows for a huge one
+        if not 0.0 < self.dx < math.inf:
+            raise GridError(f"half_length must give a spacing 2L/N that is positive and "
+                            f"finite, got {self.half_length} at N = {self.n_points}")
 
     @property
     def dx(self) -> float:

@@ -27,15 +27,26 @@ __all__ = [
 ]
 
 
+# The exponents of the perturbation eps^a k^2 and eps^b k^2 that the
+# analysis fixes, the default of every holder of (a, b).
+DEFAULT_A, DEFAULT_B = 4, 7
+
+# Largest exponent a or b.  For every eps <= 1/2, eps^a is below the
+# smallest subnormal double and reads 0 once a > 1074, so a larger exponent
+# adds nothing there; an int beyond the float range would make eps^a raise
+# OverflowError instead.
+MAX_EXPONENT = 1074
+
+
 def check_perturbation(eps: float, a: int = 0, b: int = 0) -> None:
     """Raise ValueError, its message led by the field at fault, unless
-    0 < eps < 1 and the exponents a, b are nonnegative: the one check of
-    the perturbation that PropagatorSpec and PerturbedRun hold."""
+    0 < eps < 1 and the exponents a, b lie in [0, MAX_EXPONENT]: the one
+    check of the perturbation that PropagatorSpec and PerturbedRun hold."""
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     for name, value in (("a", a), ("b", b)):
-        if value < 0:
-            raise ValueError(f"{name} must be nonnegative, got {value}")
+        if not 0 <= value <= MAX_EXPONENT:
+            raise ValueError(f"{name} must lie in [0, {MAX_EXPONENT}], got {value}")
 
 
 @dataclass(frozen=True)
@@ -44,8 +55,8 @@ class PropagatorSpec:
 
     eps: float
     s: float
-    a: int = 4
-    b: int = 7
+    a: int = DEFAULT_A
+    b: int = DEFAULT_B
 
     def __post_init__(self):
         object.__setattr__(self, "s", as_order(self.s))

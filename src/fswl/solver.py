@@ -43,7 +43,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .grid import BLOCK_SAMPLES, Field, GridSpec, as_coupled_order
-from .propagators import check_perturbation
+from .propagators import DEFAULT_A, DEFAULT_B, check_perturbation
 from .sobolev import norm_equivalence_constants
 
 __all__ = [
@@ -227,8 +227,8 @@ class PerturbedRun:
     eps: float
     T: float
     dt: float
-    a: int = 4
-    b: int = 7
+    a: int = DEFAULT_A
+    b: int = DEFAULT_B
     eps_g: float | None = None
     picard_tol: float = 1e-10
     picard_max_iter: int = 50
@@ -429,7 +429,9 @@ def contraction_time_bound(
     if denom == 0.0:
         return short
     long1 = m_s / (8.0 * denom)
-    long2 = m_s**2 / (64.0 * C**2 * denom**2)
+    # denom * denom is denom**2, but reads inf rather than raising beyond
+    # the float range
+    long2 = m_s**2 / (64.0 * C**2 * (denom * denom))
     return min(short, long1, long2)
 
 
@@ -636,13 +638,13 @@ def solve_perturbed(
     v_spec = _prepare_initial(v0, grid)[: grid.n_points // 2 + 1]
     row = np.concatenate((u_spec[band], v_spec[: K + 1]))
 
-    h1_u0, h1_v0 = (stepper._h1(spec) for spec in _expand(grid, row))
-    ceiling = run.blowup_factor * max(h1_u0, h1_v0, 1e-12)
+    h1 = stepper._max_h1(u_spec, v_spec)
+    ceiling = run.blowup_factor * max(h1, 1e-12)
 
     # Contraction-time cap for the ball of radius 2.5 max of the data norms
     # (the argument only needs > 2).
     m_s, _ = norm_equivalence_constants(grid, params.s)
-    R = 2.5 * max(h1_u0, h1_v0)
+    R = 2.5 * h1
     cap = np.inf
     if R > 0:
         cap = contraction_time_bound(R, params, m_s, run.eps)

@@ -759,7 +759,8 @@ _SCHEMA_FAULTS = {
     # a range fault found by a constructor: its message is led by the field,
     # which parse_config replaces by the dotted key
     "grid-L-range": (lambda c: c["grid"].update(L=-1.0),
-                     "grid.L must be positive and finite, got -1.0"),
+                     "grid.L must give a spacing 2L/N that is positive and finite, "
+                     "got -1.0 at N = 64"),
     "grid-N-range": (lambda c: c["grid"].update(N=100),
                      "grid.N must be a power of two in [8, 65536], got 100"),
     "s-below-range": (lambda c: c["system"].update(s=0.4),
@@ -769,9 +770,19 @@ _SCHEMA_FAULTS = {
     "eps-range": (lambda c: c["perturbation"].update(eps=1.5),
                   "perturbation.eps must lie in (0, 1), got 1.5"),
     "a-range": (lambda c: c["perturbation"].update(a=-1),
-                "perturbation.a must be nonnegative, got -1"),
+                "perturbation.a must lie in [0, 1074], got -1"),
     "b-range": (lambda c: c["perturbation"].update(b=-2),
-                "perturbation.b must be nonnegative, got -2"),
+                "perturbation.b must lie in [0, 1074], got -2"),
+    # a mode is compared as an int with the band K = 64 // 3 = 21: beyond
+    # the float range, aliased in floats, and one past the band
+    "u0-mode-beyond-float": (lambda c: c["initial"]["u0"].update(mode=10**400),
+                             f"initial.u0.mode must lie in [-21, 21] at grid.N = 64, "
+                             f"got {10**400}"),
+    "u0-mode-aliased": (lambda c: c["initial"]["u0"].update(mode=10**300),
+                        f"initial.u0.mode must lie in [-21, 21] at grid.N = 64, "
+                        f"got {10**300}"),
+    "v0-mode-above-band": (lambda c: c["initial"]["v0"].update(mode=22),
+                           "initial.v0.mode must lie in [-21, 21] at grid.N = 64, got 22"),
     "T-range": (lambda c: c["time"].update(T=-1.0), "time.T must be positive, got -1.0"),
     "dt-range": (lambda c: c["time"].update(dt=-1.0), "time.dt must be positive, got -1.0"),
     "picard-tol-range": (lambda c: c["time"].update(picard_tol=-1.0),
@@ -806,6 +817,57 @@ def test_schema_fault_exits_2_naming_the_key(tmp_path, capsys, edit, named):
                  "--out", str(tmp_path / "o")]) == 2
     assert f"config error: {named}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("mode", [-21, 21])
+def test_mode_at_the_band_edge_is_kept(mode):
+    # +-K is the last resolved mode: accepted, and the band projection keeps it
+    cfg = tiny_config()
+    cfg["initial"]["u0"] = {"kind": "mode", "amplitude": 0.3, "mode": mode}
+    cfg["initial"]["v0"] = {"kind": "mode", "amplitude": 0.3, "mode": mode}
+    grid, _, _, u0, v0, _ = parse_config(cfg)
+    mask = grid.dealias_mask()
+    for f in (u0, v0):
+        assert np.linalg.norm(f.spectrum * mask) == pytest.approx(np.linalg.norm(f.spectrum))
+
+
+# Configs with a value whose use leaves the float range, each with its exit
+# code and what stderr must say; the canonical config at time.T 0.01.
+_FLOAT_RANGE_FAULTS = {
+    "a-beyond-float": ("run", ("perturbation", "a"), 10**400, 2,
+                       f"perturbation.a must lie in [0, 1074], got {10**400}"),
+    "b-beyond-float": ("run", ("perturbation", "b"), 10**400, 2,
+                       f"perturbation.b must lie in [0, 1074], got {10**400}"),
+    "a-beyond-float-sweep": ("sweep", ("perturbation", "a"), 10**400, 2,
+                             f"perturbation.a must lie in [0, 1074], got {10**400}"),
+    "L-spacing-underflow": ("run", ("grid", "L"), 5e-324, 2,
+                            "grid.L must give a spacing 2L/N that is positive and finite, "
+                            "got 5e-324 at N = 512"),
+    "L-spacing-overflow": ("run", ("grid", "L"), 1e308, 2,
+                           "grid.L must give a spacing 2L/N that is positive and finite, "
+                           "got 1e+308 at N = 512"),
+    "beta-square-overflow": ("run", ("system", "beta"), 1e308, 3,
+                             "a-priori contraction cap 0.000e+00"),
+    "M-square-overflow": ("run", ("system", "g", "M"), 1e308, 3,
+                          "a-priori contraction cap 0.000e+00"),
+}
+
+
+@pytest.mark.parametrize("verb, path, value, code, said", _FLOAT_RANGE_FAULTS.values(),
+                         ids=list(_FLOAT_RANGE_FAULTS))
+def test_float_range_fault_ends_in_its_exit_code(tmp_path, capsys, verb, path, value, code,
+                                                said):
+    cfg = canonical_config()
+    cfg["time"]["T"] = 0.01
+    cfg["sweep"] = {"eps_ladder": [0.2, 0.1]}  # two rungs, for the sweep case
+    _set(cfg, path, value)
+    out = tmp_path / "o"
+    assert main([verb, "--config", str(_dump(tmp_path, cfg)), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert said in err and "Traceback" not in err
+    if code == 2:
+        assert err.startswith(f"config error: {'.'.join(path)} ")
+        assert not out.exists()
 
 
 def test_every_field_key_has_a_range_case():

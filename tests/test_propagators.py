@@ -5,6 +5,7 @@ import pytest
 
 from fswl.grid import Field, as_order, make_grid
 from fswl.propagators import (
+    MAX_EXPONENT,
     PropagatorSpec,
     check_heat_smoothing,
     heat_semigroup_apply,
@@ -134,6 +135,12 @@ class TestSpecValidation:
             PropagatorSpec(eps=0.0, s=as_order(0.75))
         with pytest.raises(ValueError):
             PropagatorSpec(eps=1.0, s=as_order(0.75))
+
+    def test_exponent_bound_is_inclusive(self):
+        # at the bound 0.5^a is the smallest subnormal; one above it is refused
+        assert PropagatorSpec(eps=0.5, s=0.8, a=MAX_EXPONENT).dispersive_coeff == 2.0**-1074
+        with pytest.raises(ValueError, match=rf"^b must lie in \[0, {MAX_EXPONENT}\], got 1075$"):
+            PropagatorSpec(eps=0.5, s=0.8, b=MAX_EXPONENT + 1)
 
     def test_default_exponents(self):
         p = PropagatorSpec(eps=0.5, s=as_order(0.8))

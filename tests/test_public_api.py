@@ -1,14 +1,13 @@
 """No public name survives if only its own tests use it.
 
 Every name in a ``fswl`` module's ``__all__`` must be referenced somewhere in
-the package outside its own top-level definition (a re-export in
-``__init__.py``, an import alone or a dataclass field declared under the
-same name does not count).  The same holds for each public method and
-property of a class in an ``__all__``, outside its own definition, where
-only a read of an attribute of that name counts: a local variable that
-shares the name does not.  The benchmark under ``bench/`` is no caller.  A
-few names are exempt, each for a stated reason; an exemption that is no
-longer needed fails the test too.
+the package outside its own top-level definition (an import alone or a
+dataclass field declared under the same name does not count).  The same
+holds for each public method and property of a class in an ``__all__``,
+outside its own definition, where only a read of an attribute of that name
+counts: a local variable that shares the name does not.  The benchmark
+under ``bench/`` is no caller.  A few names are exempt, each for a stated
+reason; an exemption that is no longer needed fails the test too.
 """
 
 from __future__ import annotations
@@ -113,3 +112,11 @@ def test_every_public_name_has_a_caller_outside_tests():
     unused = _unused_public_names()
     assert unused - EXEMPT.keys() == set(), "public names used only by tests"
     assert EXEMPT.keys() - unused == set(), "exemptions no longer needed"
+
+
+def test_package_init_holds_its_docstring_alone():
+    # each name is imported from the module that defines it, so the package
+    # keeps no second registry of names to maintain by hand
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    assert ast.get_docstring(tree) is not None
+    assert [type(node) for node in tree.body] == [ast.Expr]
