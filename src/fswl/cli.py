@@ -20,12 +20,14 @@ from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import replace
 from multiprocessing import get_context
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
 from .diagnostics import smallness_condition, theta_envelope
-from .grid import Field, make_grid
+from .grid import BLOCK_SAMPLES, Field, make_grid
 from .solver import (
+    MAX_STEPS,
     MAX_STORED_BYTES,
     BlowupError,
     ConvergenceTable,
@@ -208,6 +210,12 @@ def parse_config(config: dict):
         u0 = _initial_field(grid, c["initial"]["u0"], "complex", "initial.u0")
         v0 = _initial_field(grid, c["initial"]["v0"], "real", "initial.v0")
         ConvergenceTable.check_ladder(c["sweep"]["eps_ladder"])
+        lists = {key: len(c["sweep"][key]) for key in ("eps_ladder", "alpha_grid")}
+        if (steps := sum(lists.values()) * run.n_steps) > MAX_STEPS:
+            raise ValueError(
+                " and ".join(f"sweep.{key}" for key, n in lists.items() if n)
+                + f" give {sum(lists.values())} runs of time.T/dt = {run.n_steps} base steps, "
+                f"{steps} in all, over the limit of {MAX_STEPS}")
     except (TypeError, ValueError, OverflowError) as exc:
         field, sep, rest = str(exc).partition(" ")
         raise ConfigError(_FIELD_KEYS.get(field, field) + sep + rest) from exc
@@ -257,59 +265,88 @@ def write_trajectory(path: Path, traj: Trajectory, chash: str) -> None:
     path.write_text(json.dumps(header, sort_keys=True) + "\n")
 
 
+class TrajectoryFile:
+    """What ``write_trajectory`` wrote for the run ``run``, opened for a
+    pass over its band rows: like a Trajectory it gives ``grid``, ``times``
+    and ``blocks()``, so ``l2_spacetime_diff`` compares two files without
+    loading either.  Opening raises ValueError when the header is not this
+    schema or its eps or sample count is not ``run``'s, or when the
+    sidecar's npy header or size does not match the JSON header; all of it
+    is checked before any row is read or allocated."""
+
+    def __init__(self, path: Path, run: PerturbedRun):
+        path = Path(path)
+        with path.open() as fh:
+            header = json.loads(fh.readline())
+        schema = header.get("schema") if isinstance(header, dict) else None
+        if schema != TRAJECTORY_SCHEMA:
+            raise ValueError(f"{path}: trajectory schema {schema!r}, expected {TRAJECTORY_SCHEMA}")
+        try:
+            self.grid = make_grid(header["grid"]["L"], header["grid"]["N"])
+            eps = header["eps"]
+            n = int(header["n_samples"])
+            self.times = np.array(header["times"], dtype=np.float64)
+            name = header["spectra_file"]
+            self._digest = header["spectra_sha256"]
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"{path}: malformed trajectory header: {exc!r}") from exc
+        if Path(name).name != name:
+            raise ValueError(f"{path}: spectra_file must be a file name, got {name!r}")
+        if self.times.shape != (n,):
+            raise ValueError(f"{path}: {self.times.size} times for {n} samples")
+        if eps != run.eps:
+            raise ValueError(f"{path}: eps {eps!r} in the header, {run.eps!r} in the run")
+        if n != run.n_samples:
+            raise ValueError(f"{path}: n_samples {n} in the header, {run.n_samples} for the run")
+        self.sidecar = sidecar = path.parent / name
+        self.shape = (n, 3 * _band(self.grid)[1] + 2)
+        with sidecar.open("rb") as fh:
+            if np.lib.format.read_magic(fh) != (1, 0):
+                raise ValueError(f"{sidecar}: not a version 1.0 npy file")
+            layout = np.lib.format.read_array_header_1_0(fh)
+            expected = (self.shape, False, np.dtype("<c16"))
+            if layout != expected:
+                raise ValueError(f"{sidecar}: shape, fortran_order and dtype {layout}, "
+                                 f"expected {expected}")
+            self._offset = fh.tell()
+        size, self._size = sidecar.stat().st_size, self._offset + n * self.shape[1] * 16
+        if size != self._size:
+            raise ValueError(f"{sidecar}: {size} bytes, expected {self._size}")
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def blocks(self, out: np.ndarray | None = None) -> Iterator[np.ndarray]:
+        """The band rows, BLOCK_SAMPLES samples at a time, each read into one
+        reused block buffer, or into its rows of ``out`` when given.  The
+        file is hashed from the same bytes, and a hash that does not match
+        the header is a ValueError after the last block."""
+        n = len(self)
+        if out is None:
+            buffer = np.empty((BLOCK_SAMPLES, self.shape[1]), dtype="<c16")
+        with self.sidecar.open("rb") as fh:
+            sha = hashlib.sha256(fh.read(self._offset))
+            for lo in range(0, n, BLOCK_SAMPLES):
+                rows = min(BLOCK_SAMPLES, n - lo)
+                block = buffer[:rows] if out is None else out[lo : lo + rows]
+                if fh.readinto(memoryview(block).cast("B")) != block.nbytes:
+                    raise ValueError(f"{self.sidecar}: shorter than {self._size} bytes")
+                sha.update(block)
+                yield block
+        if sha.hexdigest() != self._digest:
+            raise ValueError(f"{self.sidecar}: sha256 does not match the header")
+
+
 def read_trajectory(path: Path, params: SystemParams, run: PerturbedRun) -> Trajectory:
     """Load what ``write_trajectory`` wrote for the run ``run`` of the system
-    ``params``: the sidecar is read into the trajectory's band rows, returned
-    read-only, and hashed from the same bytes.  Raises ValueError when the
-    header is not this schema or its eps or sample count is not ``run``'s,
-    when the sidecar's npy header or size does not match the JSON header
-    (checked before anything is allocated), or when its hash does not."""
-    path = Path(path)
-    with path.open() as fh:
-        header = json.loads(fh.readline())
-    schema = header.get("schema") if isinstance(header, dict) else None
-    if schema != TRAJECTORY_SCHEMA:
-        raise ValueError(f"{path}: trajectory schema {schema!r}, expected {TRAJECTORY_SCHEMA}")
-    try:
-        grid = make_grid(header["grid"]["L"], header["grid"]["N"])
-        eps = header["eps"]
-        n = int(header["n_samples"])
-        times = np.array(header["times"], dtype=np.float64)
-        name = header["spectra_file"]
-        digest = header["spectra_sha256"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"{path}: malformed trajectory header: {exc!r}") from exc
-    if Path(name).name != name:
-        raise ValueError(f"{path}: spectra_file must be a file name, got {name!r}")
-    if times.shape != (n,):
-        raise ValueError(f"{path}: {times.size} times for {n} samples")
-    if eps != run.eps:
-        raise ValueError(f"{path}: eps {eps!r} in the header, {run.eps!r} in the run")
-    if n != run.n_samples:
-        raise ValueError(f"{path}: n_samples {n} in the header, {run.n_samples} for the run")
-    sidecar = path.parent / name
-    width = 3 * _band(grid)[1] + 2
-    with sidecar.open("rb") as fh:
-        if np.lib.format.read_magic(fh) != (1, 0):
-            raise ValueError(f"{sidecar}: not a version 1.0 npy file")
-        layout = np.lib.format.read_array_header_1_0(fh)
-        expected = ((n, width), False, np.dtype("<c16"))
-        if layout != expected:
-            raise ValueError(f"{sidecar}: shape, fortran_order and dtype {layout}, "
-                             f"expected {expected}")
-        offset = fh.tell()
-        size, expected = sidecar.stat().st_size, offset + n * width * 16
-        if size != expected:
-            raise ValueError(f"{sidecar}: {size} bytes, expected {expected}")
-        fh.seek(0)
-        sha = hashlib.sha256(fh.read(offset))
-        bands = np.empty((n, width), dtype="<c16")
-        if fh.readinto(memoryview(bands).cast("B")) != bands.nbytes:
-            raise ValueError(f"{sidecar}: shorter than {expected} bytes")
-    sha.update(bands)
-    if sha.hexdigest() != digest:
-        raise ValueError(f"{sidecar}: sha256 does not match the header")
-    return Trajectory(grid=grid, params=params, run=run, times=times, bands=bands)
+    ``params``: the sidecar is read through ``TrajectoryFile`` into the
+    trajectory's band rows, returned read-only.  Raises ValueError as
+    opening a TrajectoryFile does, or when the hash does not match."""
+    source = TrajectoryFile(path, run)
+    bands = np.empty(source.shape, dtype="<c16")
+    for _ in source.blocks(out=bands):
+        pass
+    return Trajectory(grid=source.grid, params=params, run=run, times=source.times, bands=bands)
 
 
 def _write_timeseries_csv(path: Path, recs, chash: str) -> None:
@@ -450,8 +487,8 @@ def do_sweep(config: dict, out_dir: Path, workers: int = 1) -> int:
     statuses = []
     with ExitStack() as stack:
         # Each ladder rung comes back as a trajectory file in a temporary
-        # directory, and the table reads them in ladder order, so the parent
-        # holds at most two rungs.
+        # directory, and the table compares consecutive rungs block by block
+        # from their files, so the parent holds no rung.
         tmp = Path(stack.enter_context(tempfile.TemporaryDirectory(prefix="fswl-sweep-")))
         jobs = [(u0, v0, params, r, tmp / f"rung{i}.jsonl", chash)
                 for i, r in enumerate(rung_runs)]
@@ -463,9 +500,16 @@ def do_sweep(config: dict, out_dir: Path, workers: int = 1) -> int:
             results = map(_sweep_worker, jobs)
 
         def rungs():
+            previous = None
             for r, (status, path) in zip(rung_runs, results):
                 statuses.append(status)
-                yield status, None if path is None else read_trajectory(path, params, r)
+                yield status, None if path is None else TrajectoryFile(path, r)
+                # the table asks for the next rung only after the pair row of
+                # this one and the previous one, whose files are then done with
+                if previous is not None:
+                    previous.unlink()
+                    previous.with_suffix(".npy").unlink()
+                previous = path
 
         if ladder:
             table = ConvergenceTable(ladder, rungs())

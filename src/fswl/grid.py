@@ -76,6 +76,13 @@ class GridSpec:
         if not 0.0 < self.dx < math.inf:
             raise GridError(f"half_length must give a spacing 2L/N that is positive and "
                             f"finite, got {self.half_length} at N = {self.n_points}")
+        # the solver's symbols square the largest wavenumber pi N / (2L); it is
+        # squared by a product here, since a float ** raises on overflow
+        k_max = math.pi * self.n_points / (2.0 * self.half_length)
+        if not k_max * k_max < math.inf:
+            raise GridError(f"half_length must give a largest squared wavenumber "
+                            f"(pi N / (2L))**2 that is finite, got {self.half_length} "
+                            f"at N = {self.n_points}")
 
     @property
     def dx(self) -> float:

@@ -38,7 +38,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -71,8 +71,9 @@ __all__ = [
 MAX_STEPS = 10**6
 
 # Bytes of band rows one run may store, n_samples * (3K+2) * 16: eighty
-# times an eps_sweep rung (6.6 MB).  A sweep parent holds two rungs and each
-# worker one, so two workers at the limit hold 2 GiB.
+# times an eps_sweep rung (6.6 MB).  Each sweep worker holds one rung and the
+# parent none (it compares rungs block by block from their files), so two
+# workers at the limit hold 1 GiB.
 MAX_STORED_BYTES = 2**29
 
 # Picard sweeps one step may take: a contracting iteration reaches roundoff
@@ -275,19 +276,24 @@ def _band(grid: GridSpec) -> tuple[np.ndarray, int]:
     return band, len(band) // 2
 
 
-def _expand(grid: GridSpec, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _expand(grid: GridSpec, rows: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
     """Full FFT-ordered u and v spectra [..., N] of band rows [..., 3K+2],
     read-only: zero outside the band, v_{-j} = conj(v_j) and a zero Nyquist
-    mode."""
+    mode.  With ``out``, a pair of writable such arrays that are zero
+    outside the band, the band is written into them and they are returned."""
     band, K = _band(grid)
     N = grid.n_points
-    u = np.zeros(rows.shape[:-1] + (N,), dtype=np.complex128)
-    v = np.zeros_like(u)
+    if out is None:
+        u = np.zeros(rows.shape[:-1] + (N,), dtype=np.complex128)
+        v = np.zeros_like(u)
+    else:
+        u, v = out
     u[..., band] = rows[..., : 2 * K + 1]
     v[..., : K + 1] = rows[..., 2 * K + 1 :]
-    v[..., N - K :] = np.conj(rows[..., : 2 * K + 1 : -1])
-    u.setflags(write=False)
-    v.setflags(write=False)
+    np.conj(rows[..., : 2 * K + 1 : -1], out=v[..., N - K :])
+    if out is None:
+        u.setflags(write=False)
+        v.setflags(write=False)
     return u, v
 
 
@@ -331,6 +337,11 @@ class Trajectory:
         a slice or an index array, [N] or [n_rows, N] each."""
         return _expand(self.grid, self.bands[rows])
 
+    def blocks(self) -> Iterator[np.ndarray]:
+        """The band rows, BLOCK_SAMPLES samples at a time, as read-only views."""
+        for lo in range(0, len(self), BLOCK_SAMPLES):
+            yield self.bands[lo : lo + BLOCK_SAMPLES]
+
     @property
     def u_specs(self) -> np.ndarray:
         """Every u spectrum [n_samples, N], expanded on each access; a pass
@@ -348,10 +359,11 @@ class ConvergenceTable:
 
     Built from one ``(status, trajectory)`` per rung, the trajectory None
     when the rung failed, taken from an iterable in ladder order; only the
-    previous rung is kept, so a generator of rungs has at most two alive.
-    A pair of completed rungs gets its space-time L2 differences and status
-    "ok"; a pair with a failed rung gets only the two rung statuses,
-    "<coarse> / <fine>".
+    previous rung is kept.  A trajectory is anything ``l2_spacetime_diff``
+    takes: a Trajectory, or a trajectory file that gives its band rows
+    block by block.  A pair of completed rungs gets its space-time L2
+    differences and status "ok"; a pair with a failed rung gets only the
+    two rung statuses, "<coarse> / <fine>".
     """
 
     def __init__(self, eps_ladder: list, rungs: Iterable[tuple[str, Trajectory | None]]):
@@ -710,19 +722,28 @@ def solve_perturbed(
 
 def l2_spacetime_diff(t1: Trajectory, t2: Trajectory) -> tuple[float, float]:
     """L^2((0,T) x window) distances between two runs on the same grids.
-    The band differences are expanded BLOCK_SAMPLES samples at a time (the
-    expansion commutes with the subtraction), so no temporary of a whole
-    trajectory's size is made."""
+    Each run gives its ``grid``, ``times`` and, from ``blocks()``, its band
+    rows BLOCK_SAMPLES samples at a time: a Trajectory, or a trajectory file
+    read block by block.  The two runs are read in lockstep, and each block
+    difference is expanded into fixed [BLOCK_SAMPLES, N] buffers (the
+    expansion commutes with the subtraction), so the pass holds nothing of
+    a whole trajectory's size."""
     if len(t1) != len(t2) or not np.allclose(t1.times, t2.times):
         raise ValueError("trajectories must share the sample time grid")
+    grid = t1.grid
     trapezoid = getattr(np, "trapezoid", None) or np.trapz
+    diff = np.empty((BLOCK_SAMPLES, 3 * _band(grid)[1] + 2), dtype=np.complex128)
+    spectra = np.zeros((2, BLOCK_SAMPLES, grid.n_points), dtype=np.complex128)
     du2 = np.empty(len(t1))
     dv2 = np.empty(len(t1))
-    for lo in range(0, len(t1), BLOCK_SAMPLES):
-        rows = slice(lo, lo + BLOCK_SAMPLES)
-        du, dv = _expand(t1.grid, t1.bands[rows] - t2.bands[rows])
-        du2[rows] = t1.grid.weighted_sq(du, 1.0)
-        dv2[rows] = t1.grid.weighted_sq(dv, 1.0)
+    lo = 0
+    for b1, b2 in zip(t1.blocks(), t2.blocks(), strict=True):
+        rows = slice(lo, lo + len(b1))
+        du, dv = _expand(grid, np.subtract(b1, b2, out=diff[: len(b1)]),
+                         out=spectra[:, : len(b1)])
+        du2[rows] = grid.weighted_sq(du, 1.0)
+        dv2[rows] = grid.weighted_sq(dv, 1.0)
+        lo = rows.stop
     return (
         float(np.sqrt(trapezoid(du2, t1.times))),
         float(np.sqrt(trapezoid(dv2, t1.times))),

@@ -8,7 +8,6 @@ import re
 import tempfile
 import time
 import tracemalloc
-import weakref
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
@@ -31,8 +30,10 @@ from fswl.cli import (
     read_trajectory,
 )
 from fswl.grid import BLOCK_SAMPLES, make_grid
+import fswl.solver as solver
 from fswl.solver import (
-    MAX_PICARD_ITER, PerturbedRun, SolverError, Trajectory, _Stepper, solve_perturbed,
+    MAX_PICARD_ITER, ConvergenceTable, PerturbedRun, SolverError, Trajectory, _Stepper,
+    l2_spacetime_diff, solve_perturbed, vanishing_viscosity_sweep,
 )
 
 
@@ -424,30 +425,102 @@ class TestSweepVerb:
         assert do_sweep(cfg, tmp_path / "out", workers=1) == 1
         assert list(root.iterdir()) == []
 
-        def unreadable(path, params, run):
+        def unreadable(path, run):
             raise ValueError("injected read failure")
 
-        monkeypatch.setattr(cli, "read_trajectory", unreadable)
+        monkeypatch.setattr(cli, "TrajectoryFile", unreadable)
         with pytest.raises(ValueError, match="injected read failure"):
             do_sweep(cfg, tmp_path / "out", workers=2)
         assert list(root.iterdir()) == []
 
-    def test_parent_holds_at_most_two_rungs(self, tmp_path, monkeypatch):
-        # Trajectory is unhashable, so a list of weak references, not a WeakSet
-        refs = []
-        counts = []
+    def test_parent_holds_no_rung(self, tmp_path, monkeypatch):
+        # with the solves in two workers, the parent's table phase compares
+        # the rung files block by block and allocates less than one rung
+        peaks = []
 
-        def read(path, params, run):
-            traj = read_trajectory(path, params, run)
-            refs.append(weakref.ref(traj))
-            counts.append(sum(ref() is not None for ref in refs))
-            return traj
+        class TracedTable(ConvergenceTable):
+            def __init__(self, *args):
+                tracemalloc.start()
+                try:
+                    super().__init__(*args)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
 
-        monkeypatch.setattr(cli, "read_trajectory", read)
+        monkeypatch.setattr(cli, "ConvergenceTable", TracedTable)
+        cfg = tiny_config(grid={"L": 16.0, "N": 2048}, time={"T": 0.2, "dt": 0.001},
+                          diagnostics={"store_every": 1})
+        cfg["sweep"] = {"eps_ladder": [0.2, 0.1, 0.05]}
+        assert do_sweep(cfg, tmp_path / "out", workers=2) == 0
+        rung_bytes = 201 * (3 * (2048 // 3) + 2) * 16
+        assert len(peaks) == 1 and peaks[0] < rung_bytes
+
+    def test_at_most_two_rungs_on_disk_per_pair_row(self, tmp_path, monkeypatch):
+        # a rung's files go once its pair row with the next rung is formed,
+        # so each row is formed beside two rungs, a header and a sidecar each
+        root = tmp_path / "tmp-root"
+        root.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(root))
+        files = []
+
+        def counted(t1, t2):
+            files.append(sorted(p.name for p in root.glob("*/*")))
+            return l2_spacetime_diff(t1, t2)
+
+        monkeypatch.setattr(solver, "l2_spacetime_diff", counted)
         cfg = tiny_config()
         cfg["sweep"] = {"eps_ladder": [0.2, 0.1, 0.05, 0.025]}
-        assert do_sweep(cfg, tmp_path / "out", workers=2) == 0
-        assert counts == [1, 2, 2, 2]
+        assert do_sweep(cfg, tmp_path / "out", workers=1) == 0
+        assert files == [[f"rung{i}.jsonl", f"rung{i}.npy", f"rung{i + 1}.jsonl",
+                          f"rung{i + 1}.npy"] for i in range(3)]
+        assert list(root.iterdir()) == []
+
+    @pytest.mark.parametrize("bad", [0.2, 0.1, 0.05], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_corrupted_rung_is_refused_before_the_report(self, tmp_path, monkeypatch, bad,
+                                                         workers):
+        root = tmp_path / "tmp-root"
+        root.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(root))
+        write = cli.write_trajectory
+
+        def corrupting(path, traj, chash):
+            write(path, traj, chash)
+            if traj.run.eps == bad:
+                sidecar = Path(path).with_suffix(".npy")
+                blob = bytearray(sidecar.read_bytes())
+                blob[len(blob) // 2] ^= 1
+                sidecar.write_bytes(blob)
+
+        monkeypatch.setattr(cli, "write_trajectory", corrupting)
+        cfg = tiny_config()
+        cfg["sweep"] = {"eps_ladder": [0.2, 0.1, 0.05]}
+        with pytest.raises(ValueError, match="rung[0-2].npy: sha256 does not match the header"):
+            do_sweep(cfg, tmp_path / "out", workers=workers)
+        assert not (tmp_path / "out" / "sweep_report.json").exists()
+        assert list(root.iterdir()) == []
+
+    def test_streamed_differences_are_bit_equal_to_in_memory(self, tmp_path):
+        # rung files read block by block, a partial last block among them,
+        # give the very floats of the same rungs held in memory, alone and
+        # in a whole sweep
+        t1 = _banded_trajectory(256, 2 * BLOCK_SAMPLES + 3)
+        t2 = replace(t1, bands=t1.bands[::-1])
+        files = []
+        for i, traj in enumerate((t1, t2)):
+            cli.write_trajectory(tmp_path / f"t{i}.jsonl", traj, "h")
+            files.append(cli.TrajectoryFile(tmp_path / f"t{i}.jsonl", traj.run))
+        expected = l2_spacetime_diff(t1, t2)
+        assert l2_spacetime_diff(*files) == expected
+        assert l2_spacetime_diff(files[0], t2) == expected
+
+        cfg = tiny_config(time={"T": 0.2, "dt": 0.005}, diagnostics={"store_every": 1})
+        cfg["sweep"] = {"eps_ladder": [0.2, 0.1, 0.05]}
+        assert do_sweep(cfg, tmp_path / "out", workers=1) == 0
+        report = json.loads((tmp_path / "out" / "sweep_report.json").read_text())
+        _, params, run, u0, v0, extras = parse_config(cfg)
+        table = vanishing_viscosity_sweep(u0, v0, params, extras["eps_ladder"], run)
+        assert report["viscosity_table"] == table.rows()
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_nonpositive_workers_is_config_error(self, tmp_path, capsys, workers):
@@ -846,6 +919,10 @@ _FLOAT_RANGE_FAULTS = {
     "L-spacing-overflow": ("run", ("grid", "L"), 1e308, 2,
                            "grid.L must give a spacing 2L/N that is positive and finite, "
                            "got 1e+308 at N = 512"),
+    **{f"L-wavenumber-overflow-{L}": (
+        "run", ("grid", "L"), L, 2,
+        f"grid.L must give a largest squared wavenumber (pi N / (2L))**2 that is finite, "
+        f"got {L!r} at N = 512") for L in (1e-200, 1e-300, 1e-310)},
     "beta-square-overflow": ("run", ("system", "beta"), 1e308, 3,
                              "a-priori contraction cap 0.000e+00"),
     "M-square-overflow": ("run", ("system", "g", "M"), 1e308, 3,
@@ -891,6 +968,31 @@ def test_unaffordable_storage_is_refused_before_any_file(tmp_path, capsys):
             "store 1048593048592 B of samples, over the limit of 536870912 B"
             in capsys.readouterr().err)
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("verb", ["run", "sweep"])
+@pytest.mark.parametrize("rungs, alphas, named", [
+    (1001, 0, "sweep.eps_ladder give 1001 runs"),
+    (0, 1001, "sweep.alpha_grid give 1001 runs"),
+    (999, 2, "sweep.eps_ladder and sweep.alpha_grid give 1001 runs"),
+])
+def test_unaffordable_sweep_is_refused_before_any_file(tmp_path, capsys, verb, rungs, alphas,
+                                                      named):
+    # the canonical run takes 1000 base steps, so 1001 runs of it are over
+    # the 10^6 base steps a sweep may take in all
+    cfg = canonical_config()
+    cfg["sweep"] = {"eps_ladder": [0.5 - 1e-4 * i for i in range(rungs)],
+                    "alpha_grid": [0.1] * alphas}
+    assert main([verb, "--config", str(_dump(tmp_path, cfg)), "--out", str(tmp_path / "o")]) == 2
+    assert (f"config error: {named} of time.T/dt = 1000 base steps, 1001000 in all, "
+            f"over the limit of 1000000" in capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
+
+
+def test_sweep_steps_limit_is_inclusive():
+    cfg = canonical_config()
+    cfg["sweep"] = {"eps_ladder": [0.5 - 1e-4 * i for i in range(999)], "alpha_grid": [0.1]}
+    parse_config(cfg)
 
 
 def test_stored_bytes_limit_is_inclusive(monkeypatch):
