@@ -294,6 +294,12 @@ def coercivity_report(v: Field, G: NonlinearityG, s) -> InequalityReport:
 # Growth envelopes
 # ---------------------------------------------------------------------------
 
+def _coupling(const, norm_factor):
+    """A coupling constant times its data-norm factor: 0 when the factor is
+    0, also for a constant beyond the float range (inf)."""
+    return const * norm_factor if norm_factor != 0.0 else 0.0
+
+
 def theta_envelope(traj: Trajectory) -> DiagnosticSeries:
     """The diagnostics pass over a trajectory with its envelope fields
     filled: the theta(t) majorant (initial-data block plus the four
@@ -310,7 +316,9 @@ def theta_envelope(traj: Trajectory) -> DiagnosticSeries:
     eps_b = run.eps**run.b
     g_eff = params.g.regularized(run.g_regularization)
     gprime_sup = g_eff.M
-    aa = abs(params.alpha)
+    # as float64, a constant beyond the float range reads inf instead of
+    # raising; _coupling keeps a zero data norm zero against it
+    aa, beta = np.float64(abs(params.alpha)), np.float64(params.beta)
     T = run.T
 
     sr = _window(traj, 0, len(traj))
@@ -325,20 +333,21 @@ def theta_envelope(traj: Trajectory) -> DiagnosticSeries:
 
     u0_l2 = np.sqrt(sr.mass[0])
     v0_l2 = v_l2[0]
-    theta0 = (
-        1.0
-        + frac[0]
-        + eps_a * grad[0]
-        + 0.5 * u4[0]
-        + grid.sup_norm(traj.spectra(0)[0]) * v0_l2 * u0_l2
-        + aa**2 * np.exp(T) * v0_l2**2
-    )
-
     pi2s = np.pi * (2.0 * s - 1.0)
-    c1 = 4.0 * aa / np.sqrt(pi2s) * gprime_sup * u0_l2 ** (1.0 - 0.5 / s)
-    c2 = 8.0 * aa * abs(params.beta) / pi2s * u0_l2 ** (3.0 - 1.0 / s)
-    c3 = 4.0 / np.sqrt(np.pi) * aa * eps_b * u0_l2**0.5
-    c4 = 16.0 * aa**2 * params.beta**2 * np.exp(T) / pi2s * u0_l2 ** (2.0 - 1.0 / s)
+    with np.errstate(over="ignore"):
+        theta0 = (
+            1.0
+            + frac[0]
+            + eps_a * grad[0]
+            + 0.5 * u4[0]
+            + grid.sup_norm(traj.spectra(0)[0]) * v0_l2 * u0_l2
+            + _coupling(aa**2 * np.exp(T), v0_l2**2)
+        )
+        c1 = _coupling(4.0 * aa / np.sqrt(pi2s) * gprime_sup, u0_l2 ** (1.0 - 0.5 / s))
+        c2 = _coupling(8.0 * aa * abs(beta) / pi2s, u0_l2 ** (3.0 - 1.0 / s))
+        c3 = _coupling(4.0 / np.sqrt(np.pi) * aa * eps_b, u0_l2**0.5)
+        c4 = _coupling(16.0 * aa**2 * beta**2 * np.exp(T) / pi2s, u0_l2 ** (2.0 - 1.0 / s))
+        cH = _coupling(16.0 * beta**2 * np.exp(T) / pi2s, u0_l2 ** (2.0 - 1.0 / s))
 
     I1 = _cumtrapz(v_l2 * frac_n ** (1.0 + 0.5 / s), times)
     I2 = _cumtrapz(frac_n ** (1.0 + 1.0 / s), times)
@@ -349,7 +358,6 @@ def theta_envelope(traj: Trajectory) -> DiagnosticSeries:
     lhs = 1.0 + frac + eps_a * grad + 0.25 * u4
     h_meas = lhs - 1.0
 
-    cH = 16.0 * params.beta**2 * np.exp(T) / pi2s * u0_l2 ** (2.0 - 1.0 / s)
     H = np.exp(T) * v0_l2**2 + cH * _cumtrapz(h_meas ** (1.0 + 0.5 / s), times)
 
     sr.theta, sr.lhs_theta, sr.H_bound = theta, lhs, H

@@ -11,13 +11,16 @@ and the backward-propagated current iterate.  Written out, the short-wave
 update reads w = z - i dt F((z + w)/2) in the interaction picture, so the
 discrete mass is conserved *exactly* at the fixed point (the nonlinearity
 is a real pointwise factor times the midpoint state), not merely to the
-integrator's order.  The dealiasing mask keeps the identity intact because
-every state stays inside the retained band.
+integrator's order.  The stepper's state is the band row a stored sample
+holds, u_j for j = 0..K, -K..-1, then v_j for j = 0..K, with K = N // 3 (the
+2/3 rule), and every multiplier lives on that layout: the band is kept by
+construction, so no mask is applied anywhere.
 
-A sweep takes the real channels v, |u|^2 and g(v) through real-to-complex
-transforms, v living as its half spectrum throughout, and the two
-products with u, alpha v u + gamma rho u (rho the dealiased |u|^2), through
-one complex transform: two complex and three real transform calls a sweep.
+A sweep writes the band into zero-padded spectra, takes the real channels
+v, |u|^2 and g(v) through real-to-complex transforms and the two products
+with u, alpha v u + gamma rho u (rho the band of |u|^2), through one complex
+transform, and reads the band of each result back as slices: two complex
+and three real transform calls a sweep.
 Each step's iteration starts from the free propagation plus a Newton
 backward-difference extrapolation of the Duhamel increments of the last
 steps of the same dt, up to four of them (a cubic in the step index); after
@@ -452,10 +455,14 @@ def contraction_time_bound(
 # ---------------------------------------------------------------------------
 
 class _Stepper:
-    """Precomputed multipliers and the Picard fixed-point sweep.
+    """Precomputed row multipliers and the Picard fixed-point sweep.
 
-    Inside a step v lives as its half spectrum (j = 0..N/2), and the real
-    channels v, |u|^2 and g(v) go through real transforms.
+    A state is a band row, the layout a stored sample has: u_j for
+    j = 0..K, -K..-1, then v_j for j = 0..K, K = N // 3.  The multipliers
+    live on that layout, so every state stays inside the 2/3-rule band by
+    construction.  A sweep writes the band into zero-padded spectra, owned
+    here, whose other entries are never written; the real channels v, |u|^2
+    and g(v) go through real transforms.
     """
 
     def __init__(self, grid: GridSpec, params: SystemParams, run: PerturbedRun):
@@ -463,89 +470,68 @@ class _Stepper:
         self.params = params
         self.run = run
         s = params.s
-        N, nh = grid.n_points, grid.n_points // 2 + 1
-        k2 = grid.k**2
-        self.omega = grid.frac_symbol(s) + run.eps**run.a * k2
-        self.heat = run.eps**run.b * k2[:nh]
-        self.half_symbol = grid.frac_symbol(0.5 * s)[:nh]
-        self.mask = grid.dealias_mask()
-        self.h1_weight = 1.0 + k2
-        # Weights of the fused distance over the floats of [u spectrum, v
-        # half spectrum]: an interior v mode also stands for its conjugate.
-        v_weight = 2.0 * self.h1_weight[:nh]
-        v_weight[[0, -1]] *= 0.5
-        weight = np.concatenate((self.h1_weight, v_weight))
+        band, K = _band(grid)
+        self.K = K
+        k2 = grid.k[band] ** 2
+        self.omega = grid.frac_symbol(s)[band] + run.eps**run.a * k2
+        self.heat = run.eps**run.b * k2[: K + 1]
+        self.half_symbol = grid.frac_symbol(0.5 * s)[: K + 1]
+        # H1 weights of the fused distance over the floats of a row: a v
+        # mode other than v_0 also stands for its conjugate
+        v_weight = 2.0 * (1.0 + k2[: K + 1])
+        v_weight[0] *= 0.5
+        weight = np.concatenate((1.0 + k2, v_weight))
         self._dist_weight = grid.measure * np.repeat(weight, 2)
-        self._dist_split = np.array([0, 2 * N])
-        self._diff = np.empty(N + nh, dtype=np.complex128)
-        self._diff_sq = np.empty(2 * (N + nh))
-        self._real_pair = np.empty((2, N))
+        self._dist_split = np.array([0, 2 * (2 * K + 1)])
+        self._u_pad = np.zeros(grid.n_points, dtype=np.complex128)
+        self._v_pad = np.zeros(grid.n_points // 2 + 1, dtype=np.complex128)
+        self._real_pair = np.empty((2, grid.n_points))
         self.g_eff = params.g.regularized(run.g_regularization)
         self._cache: dict[float, tuple] = {}
-        # (u increment, v half-spectrum increment) of the last converged
-        # steps of size _history_dt, newest first
+        # row increments of the last converged steps of size _history_dt,
+        # newest first
         self._history_dt: float | None = None
         self._history: deque = deque(maxlen=HISTORY_DEPTH)
         self.last_distances: list[float] = []  # sweep history of the last step
 
     def _multipliers(self, dt: float) -> tuple:
-        """Everything of a step that depends on dt alone: U(dt), U(dt/2)/2,
-        U(-dt/2)/2 and -i dt U(dt/2) mask on the full spectrum; W(dt),
-        W(dt/2)/2, W(-dt/2)/2, dt W(dt/2) |k|^s mask and gamma mask on the
-        half spectrum."""
+        """Everything of a step that depends on dt alone, as rows (u part,
+        then v part): U(dt) | W(dt); U(dt/2)/2 | W(dt/2)/2;
+        U(-dt/2)/2 | W(-dt/2)/2; and -i dt U(dt/2) | dt W(dt/2) |k|^s."""
         got = self._cache.get(dt)
         if got is None:
-            mask_h = self.mask[: len(self.heat)]
-            got = (
-                np.exp(-1j * self.omega * dt),
-                0.5 * np.exp(-1j * self.omega * 0.5 * dt),
-                0.5 * np.exp(+1j * self.omega * 0.5 * dt),
-                -1j * dt * np.exp(-1j * self.omega * 0.5 * dt) * self.mask,
-                np.exp(-self.heat * dt),
-                0.5 * np.exp(-self.heat * 0.5 * dt),
-                0.5 * np.exp(+self.heat * 0.5 * dt),
-                dt * np.exp(-self.heat * 0.5 * dt) * self.half_symbol * mask_h,
-                self.params.gamma * mask_h,
-            )
+            om, heat = self.omega, self.heat
+            got = tuple(np.concatenate(pair) for pair in (
+                (np.exp(-1j * om * dt), np.exp(-heat * dt)),
+                (0.5 * np.exp(-1j * om * 0.5 * dt), 0.5 * np.exp(-heat * 0.5 * dt)),
+                (0.5 * np.exp(+1j * om * 0.5 * dt), 0.5 * np.exp(+heat * 0.5 * dt)),
+                (-1j * dt * np.exp(-1j * om * 0.5 * dt),
+                 dt * np.exp(-heat * 0.5 * dt) * self.half_symbol),
+            ))
             self._cache[dt] = got
         return got
 
-    def _h1(self, spec: np.ndarray) -> float:
-        return float(np.sqrt(self.grid.weighted_sq(spec, self.h1_weight)))
-
-    def _pair_h1(self) -> np.ndarray:
-        """H1 norms of the u spectrum and the v half spectrum held in
-        ``_diff``, both sums of squares taken in one reduction."""
-        sq = self._diff_sq
-        flat = self._diff.view(np.float64)
-        np.multiply(flat, flat, out=sq)
+    def _pair_h1(self, row: np.ndarray) -> np.ndarray:
+        """H1 norms of the u and v parts of a band row, both sums of squares
+        taken in one reduction."""
+        flat = row.view(np.float64)
+        sq = flat * flat
         sq *= self._dist_weight
         return np.sqrt(np.add.reduceat(sq, self._dist_split))
 
-    def _distance(self, u_a, u_b, v_a, v_b) -> float:
-        """``_h1(u_a - u_b) + _h1(v_a - v_b)``, the v arguments being half
-        spectra."""
-        N = self.grid.n_points
-        np.subtract(u_a, u_b, out=self._diff[:N])
-        np.subtract(v_a, v_b, out=self._diff[N:])
-        root = self._pair_h1()
+    def _distance(self, a: np.ndarray, b: np.ndarray) -> float:
+        """H1 distance of the u parts plus that of the v parts of two rows."""
+        root = self._pair_h1(a - b)
         return float(root[0] + root[1])
 
-    def _max_h1(self, u_spec: np.ndarray, v_half: np.ndarray) -> float:
-        """The larger H1 norm of a u spectrum and a v half spectrum, both
-        in one reduction."""
-        N = self.grid.n_points
-        self._diff[:N] = u_spec
-        self._diff[N:] = v_half
-        return float(np.max(self._pair_h1()))
+    def _max_h1(self, u: np.ndarray, v: np.ndarray) -> float:
+        """The larger H1 norm of band u and band v."""
+        return float(np.max(self._pair_h1(np.concatenate((u, v)))))
 
-    def step(
-        self, u_spec: np.ndarray, v_spec: np.ndarray, dt: float
-    ) -> tuple[np.ndarray, np.ndarray, int]:
-        """One midpoint-Duhamel step of size dt from the u spectrum and the v
-        half spectrum (of a longer v spectrum only j = 0..N/2 is read);
-        returns the new u spectrum and v half spectrum and the number of
-        Picard sweeps used.
+    def step(self, u: np.ndarray, v: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray, int]:
+        """One midpoint-Duhamel step of size dt from band u (j = 0..K,
+        -K..-1) and band v (j = 0..K); returns the new u and v, the two
+        parts of one new band row, and the number of Picard sweeps used.
 
         The iteration starts from the free propagation plus the extrapolated
         Duhamel increment of the last steps of the same dt (see
@@ -554,56 +540,55 @@ class _Stepper:
         """
         p = self.params
         run = self.run
-        Uf, Uh2, Ub2, cu, Wf, Wh2, Wb2, cv, gamma_mask = self._multipliers(dt)
         grid = self.grid
-        v_half = v_spec[: len(Wf)]
-
-        u_fwd_half = Uh2 * u_spec
-        v_fwd_half = Wh2 * v_half
-        au = Uf * u_spec
-        av = Wf * v_half
+        K = self.K
+        nu = 2 * K + 1
+        free_mult, fwd_mult, back_mult, coef = self._multipliers(dt)
+        cur = np.concatenate((u, v))
+        fwd_half = fwd_mult * cur
+        free = free_mult * cur
 
         history = self._history
         if dt != self._history_dt:
             history.clear()
             self._history_dt = dt
-        u_new, v_new = au, av
-        for c, (du, dv) in zip(EXTRAPOLATION_ROWS[len(history)], history):
-            u_new = u_new + c * du
-            v_new = v_new + c * dv
-        pair = self._real_pair
+        new = free
+        for c, d in zip(EXTRAPOLATION_ROWS[len(history)], history):
+            new = new + c * d
+        u_pad, v_pad, pair = self._u_pad, self._v_pad, self._real_pair
         prev_dist = np.inf
         nondecreasing = 0
         self.last_distances = []
         for sweep in range(1, run.picard_max_iter + 1):
-            um = grid.from_spectrum(u_fwd_half + Ub2 * u_new)
-            vm = grid.from_half_spectrum(v_fwd_half + Wb2 * v_new)
+            mid = fwd_half + back_mult * new
+            u_pad[: K + 1] = mid[: K + 1]
+            u_pad[-K:] = mid[K + 1 : nu]
+            v_pad[: K + 1] = mid[nu:]
+            um = grid.from_spectrum(u_pad)
+            vm = grid.from_half_spectrum(v_pad)
 
             np.abs(um, out=pair[0])
             np.square(pair[0], out=pair[0])
             pair[1] = self.g_eff.fn(vm)
-            dens, gv = grid.to_half_spectrum(pair)      # |u|^2 and g(v)
-            # alpha fft(v u) + gamma fft(rho u), rho the dealiased |u|^2,
-            # in one transform
-            w = grid.from_half_spectrum(dens * gamma_mask)
+            dens, gv = grid.to_half_spectrum(pair)[:, : K + 1]  # |u|^2 and g(v)
+            # alpha fft(v u) + gamma fft(rho u), rho the band of |u|^2, in
+            # one transform; v_pad now carries rho
+            np.multiply(dens, p.gamma, out=v_pad[: K + 1])
+            w = grid.from_half_spectrum(v_pad)
             w += p.alpha * vm
             Fu = grid.to_spectrum(w * um)
 
-            u_next = cu * Fu
-            u_next += au
-            v_next = p.beta * dens
-            v_next -= gv
-            v_next *= cv
-            v_next += av
+            nxt = coef * np.concatenate((Fu[: K + 1], Fu[-K:], p.beta * dens - gv))
+            nxt += free
 
-            dist = self._distance(u_next, u_new, v_next, v_new)
+            dist = self._distance(nxt, new)
             self.last_distances.append(dist)
             if not np.isfinite(dist):
                 raise BlowupError(f"non-finite Picard distance at dt={dt:.3e}")
-            u_new, v_new = u_next, v_next
+            new = nxt
             if dist < run.picard_tol:
-                history.appendleft((u_new - au, v_new - av))
-                return u_new, v_new, sweep
+                history.appendleft(new - free)
+                return new[:nu], new[nu:], sweep
             if dist >= prev_dist:
                 nondecreasing += 1
                 if nondecreasing >= 3:
@@ -616,13 +601,6 @@ class _Stepper:
         raise SolverError(
             f"Picard iteration exceeded {run.picard_max_iter} sweeps at dt={dt:.3e}"
         )
-
-
-def _prepare_initial(f: Field, grid: GridSpec) -> np.ndarray:
-    """Project initial data to the resolved band (the discrete stand-in for
-    approximating the data by smoother functions)."""
-    spec = f.spectrum * grid.dealias_mask()
-    return spec.astype(np.complex128)
 
 
 def solve_perturbed(
@@ -644,13 +622,12 @@ def solve_perturbed(
         raise ValueError("u0 and v0 must share a grid")
     stepper = _Stepper(grid, params, run)
 
+    # the data projected to the resolved band (the discrete stand-in for
+    # approximating them by smoother functions) is the first band row
     band, K = _band(grid)
-    u_spec = _prepare_initial(u0, grid)
-    # v steps as its half spectrum; a sample stores the band of both
-    v_spec = _prepare_initial(v0, grid)[: grid.n_points // 2 + 1]
-    row = np.concatenate((u_spec[band], v_spec[: K + 1]))
+    u, v = u0.spectrum[band], v0.spectrum[: K + 1]
 
-    h1 = stepper._max_h1(u_spec, v_spec)
+    h1 = stepper._max_h1(u, v)
     ceiling = run.blowup_factor * max(h1, 1e-12)
 
     # Contraction-time cap for the ball of radius 2.5 max of the data norms
@@ -679,14 +656,15 @@ def solve_perturbed(
         )
 
     times = np.empty(run.n_samples)
-    bands = np.empty((run.n_samples, len(row)), dtype=np.complex128)
-    times[0], bands[0] = 0.0, row
+    bands = np.empty((run.n_samples, 3 * K + 2), dtype=np.complex128)
+    times[0] = 0.0
+    np.concatenate((u, v), out=bands[0])
     stored = 1
 
     pos, size, successes = 0, top, 0
     while pos < n_steps * ticks:
         try:
-            u_spec, v_spec, _ = stepper.step(u_spec, v_spec, run.dt / (ticks // size))
+            u, v, _ = stepper.step(u, v, run.dt / (ticks // size))
         except PicardDivergenceError:
             if size == 1:
                 dists = stepper.last_distances
@@ -703,14 +681,14 @@ def solve_perturbed(
         pos += size
         successes += 1
         k = -(-pos // ticks)  # the base step under way, counted from 1
-        if stepper._max_h1(u_spec, v_spec) > ceiling:
+        if stepper._max_h1(u, v) > ceiling:
             raise BlowupError(f"norm ceiling {ceiling:.3e} exceeded at t={k * run.dt:.4g}")
         if successes >= 8 and size < top and pos % (2 * size) == 0:
             size *= 2
             successes = 0
         if pos % ticks == 0 and (k % run.store_every == 0 or k == n_steps):
             times[stored] = k * run.dt
-            np.concatenate((u_spec[band], v_spec[: K + 1]), out=bands[stored])
+            np.concatenate((u, v), out=bands[stored])
             stored += 1
 
     return Trajectory(grid=grid, params=params, run=run, times=times, bands=bands)

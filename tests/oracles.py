@@ -12,7 +12,9 @@ entropy-balance pairings of a stored trajectory visit its samples one at a
 time instead of taking the live ones in blocks, and the Sobolev inequality
 ensembles of the verify suite check one drawn member at a time instead of
 row blocks, and the smallness condition multiplies out its powers at 60
-digits instead of summing their logarithms in floating point.
+digits instead of summing their logarithms in floating point, and the
+Picard step runs on full N-point spectra with the dealias mask multiplied
+into its weights instead of on the band rows a sample stores.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from scipy.special import gamma as sp_gamma
 from fswl import entropy as en
 from fswl import fractional as fr
 from fswl import sobolev as sb
+from fswl import solver as sv
 from fswl.grid import Field
 
 
@@ -64,6 +67,108 @@ def split_step_cubic(u0_spec, grid, s, eps, a, dt, n_steps, gamma=1.0):
         u = grid.to_spectrum(phys)
         u = half * u
     return u
+
+
+class FullSpectrumStepper:
+    """The midpoint-Duhamel Picard step of ``solver._Stepper`` on full
+    spectra: u as its N-point spectrum and v as its half spectrum
+    j = 0..N/2, the 2/3-rule mask multiplied into the two Duhamel weights and
+    the gamma channel instead of a state kept on the band.  Same
+    multipliers, sweep, increment extrapolation and stopping rule, so its
+    states must agree with the band stepper's bit for bit."""
+
+    def __init__(self, grid, params, run):
+        self.grid, self.params, self.run = grid, params, run
+        N, nh = grid.n_points, grid.n_points // 2 + 1
+        k2 = grid.k**2
+        self.omega = grid.frac_symbol(params.s) + run.eps**run.a * k2
+        self.heat = run.eps**run.b * k2[:nh]
+        self.half_symbol = grid.frac_symbol(0.5 * params.s)[:nh]
+        self.mask = grid.dealias_mask()
+        v_weight = 2.0 * (1.0 + k2[:nh])
+        v_weight[[0, -1]] *= 0.5
+        self._weight = grid.measure * np.repeat(np.concatenate((1.0 + k2, v_weight)), 2)
+        self._split = np.array([0, 2 * N])
+        self.g_eff = params.g.regularized(run.g_regularization)
+        self._history_dt = None
+        self._history = []
+
+    def _multipliers(self, dt):
+        mask_h = self.mask[: len(self.heat)]
+        om, heat = self.omega, self.heat
+        return (
+            np.exp(-1j * om * dt),
+            0.5 * np.exp(-1j * om * 0.5 * dt),
+            0.5 * np.exp(+1j * om * 0.5 * dt),
+            -1j * dt * np.exp(-1j * om * 0.5 * dt) * self.mask,
+            np.exp(-heat * dt),
+            0.5 * np.exp(-heat * 0.5 * dt),
+            0.5 * np.exp(+heat * 0.5 * dt),
+            dt * np.exp(-heat * 0.5 * dt) * self.half_symbol * mask_h,
+            self.params.gamma * mask_h,
+        )
+
+    def _distance(self, du, dv):
+        flat = np.concatenate((du, dv)).view(np.float64)
+        return float(np.sum(np.sqrt(np.add.reduceat(flat * flat * self._weight, self._split))))
+
+    def step(self, u_spec, v_half, dt):
+        p, run, grid = self.params, self.run, self.grid
+        Uf, Uh2, Ub2, cu, Wf, Wh2, Wb2, cv, gamma_mask = self._multipliers(dt)
+        u_fwd_half, v_fwd_half = Uh2 * u_spec, Wh2 * v_half
+        au, av = Uf * u_spec, Wf * v_half
+        if dt != self._history_dt:
+            self._history, self._history_dt = [], dt
+        u_new, v_new = au, av
+        for c, (du, dv) in zip(sv.EXTRAPOLATION_ROWS[len(self._history)], self._history):
+            u_new = u_new + c * du
+            v_new = v_new + c * dv
+        pair = np.empty((2, grid.n_points))
+        prev_dist, nondecreasing = np.inf, 0
+        for sweep in range(1, run.picard_max_iter + 1):
+            um = grid.from_spectrum(u_fwd_half + Ub2 * u_new)
+            vm = grid.from_half_spectrum(v_fwd_half + Wb2 * v_new)
+            pair[0] = np.abs(um) ** 2
+            pair[1] = self.g_eff.fn(vm)
+            dens, gv = grid.to_half_spectrum(pair)
+            w = grid.from_half_spectrum(dens * gamma_mask) + p.alpha * vm
+            Fu = grid.to_spectrum(w * um)
+            u_next = cu * Fu + au
+            v_next = (p.beta * dens - gv) * cv + av
+            dist = self._distance(u_next - u_new, v_next - v_new)
+            if not np.isfinite(dist):
+                raise sv.BlowupError(f"non-finite Picard distance at dt={dt:.3e}")
+            u_new, v_new = u_next, v_next
+            if dist < run.picard_tol:
+                self._history = [(u_new - au, v_new - av)] + self._history[: sv.HISTORY_DEPTH - 1]
+                return u_new, v_new, sweep
+            nondecreasing = nondecreasing + 1 if dist >= prev_dist else 0
+            if nondecreasing >= 3:
+                raise sv.PicardDivergenceError(f"no contraction at dt={dt:.3e}")
+            prev_dist = dist
+        raise sv.SolverError(f"Picard iteration exceeded {run.picard_max_iter} sweeps")
+
+
+def full_spectrum_rows(u0, v0, params, run, dts) -> np.ndarray:
+    """Band rows of a run marched by FullSpectrumStepper from the masked
+    data through sub-steps of the sizes ``dts`` (each run.dt / 2**j): the
+    row at t = 0 and one at the end of every base step, the samples of
+    ``store_every = 1``."""
+    grid = u0.grid
+    mask = grid.dealias_mask()
+    band = np.flatnonzero(mask)
+    K = len(band) // 2
+    u = (u0.spectrum * mask).astype(np.complex128)
+    v = (v0.spectrum * mask).astype(np.complex128)[: grid.n_points // 2 + 1]
+    stepper = FullSpectrumStepper(grid, params, run)
+    rows = [np.concatenate((u[band], v[: K + 1]))]
+    pos = 0.0  # in base steps; dt / run.dt is a power of two, so exact
+    for dt in dts:
+        u, v, _ = stepper.step(u, v, dt)
+        pos += dt / run.dt
+        if pos == round(pos):
+            rows.append(np.concatenate((u[band], v[: K + 1])))
+    return np.array(rows)
 
 
 def growth_ode_solution(C, sigma, a_fn, b_fn, t0, t_eval):

@@ -8,6 +8,7 @@ import re
 import tempfile
 import time
 import tracemalloc
+import warnings
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
@@ -945,6 +946,24 @@ def test_float_range_fault_ends_in_its_exit_code(tmp_path, capsys, verb, path, v
     if code == 2:
         assert err.startswith(f"config error: {'.'.join(path)} ")
         assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["alpha", "beta"])
+def test_coupling_beyond_float_range_on_zero_data(tmp_path, capsys, key):
+    # the squared coupling constant of the theta and H envelopes is inf, and
+    # the data norm it multiplies is 0: the term reads 0, not NaN
+    cfg = canonical_config()
+    cfg["time"]["T"] = 0.01
+    cfg["initial"] = {"u0": {"kind": "zero"}, "v0": {"kind": "zero"}}
+    cfg["system"][key] = 1e200
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", str(_dump(tmp_path, cfg)), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["theta_margin_min"] == 0.0 and summary["H_margin_min"] == 0.0
+    assert summary["passed"]
 
 
 def test_every_field_key_has_a_range_case():

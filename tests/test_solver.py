@@ -27,7 +27,7 @@ from fswl.solver import (
     vanishing_viscosity_sweep,
 )
 
-from oracles import fit_slope, sample_fields, split_step_cubic
+from oracles import fit_slope, full_spectrum_rows, sample_fields, split_step_cubic
 
 
 def linear_params():
@@ -36,6 +36,18 @@ def linear_params():
 
 def coupled_params():
     return SystemParams(alpha=0.1, beta=0.1, s=0.75, g=g_tanh_blend(0.2, 1.0))
+
+
+def band_state(u0: Field, v0: Field) -> tuple[np.ndarray, np.ndarray]:
+    """The stepper's state of two fields: band u (j = 0..K, -K..-1) and
+    band v (j = 0..K)."""
+    band, K = solver._band(u0.grid)
+    return u0.spectrum[band], v0.spectrum[: K + 1]
+
+
+def expanded(grid, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Full FFT-ordered u and v spectra of a band state."""
+    return solver._expand(grid, np.concatenate((u, v)))
 
 
 def derivative_escapes(g: NonlinearityG) -> bool:
@@ -113,23 +125,20 @@ class TestPicardStep:
         u0 = Field.from_function(grid16, lambda x: 0.5 * np.exp(1j * k * x))
         v0 = Field.from_function(grid16, lambda x: 0.3 * np.cos(k * x), flavor="real")
         stepper = _Stepper(grid16, params, run)
-        un, vn, sweeps = stepper.step(u0.spectrum.copy(), v0.spectrum.copy(), 0.01)
+        un, vn, sweeps = stepper.step(*band_state(u0, v0), 0.01)
         assert sweeps == 1
         p = PropagatorSpec(eps=0.1, s=as_order(0.75))
         exact_u = schrodinger_group_apply(u0, 0.01, p)
         exact_v = heat_semigroup_apply(v0, 0.01, p)
+        un, vn = expanded(grid16, un, vn)
         assert np.allclose(grid16.from_spectrum(un), exact_u.values, atol=1e-14)
-        assert np.allclose(grid16.from_half_spectrum(vn), exact_v.values, atol=1e-14)
+        assert np.allclose(grid16.from_half_spectrum(vn[: grid16.n_points // 2 + 1]), exact_v.values, atol=1e-14)
 
     def test_contraction_factor_below_one(self, grid16, gauss_pair):
         u0, v0 = gauss_pair
         run = PerturbedRun(eps=0.1, T=0.1, dt=0.01, picard_tol=1e-14)
         stepper = _Stepper(grid16, coupled_params(), run)
-        stepper.step(
-            (u0.spectrum * grid16.dealias_mask()).astype(complex),
-            (v0.spectrum * grid16.dealias_mask()).astype(complex),
-            0.01,
-        )
+        stepper.step(*band_state(u0, v0), 0.01)
         d = stepper.last_distances
         assert len(d) >= 3
         ratios = [b / a for a, b in zip(d, d[1:]) if a > 1e-13]
@@ -138,32 +147,35 @@ class TestPicardStep:
 
 class TestRealChannels:
     def test_fused_distance_equals_two_h1_norms(self):
+        # the fused row reduction against the H1 norms of the expanded
+        # spectra, every mode of the full Hermitian v counted once
         grid = make_grid(16.0, 128)
         stepper = _Stepper(grid, coupled_params(), PerturbedRun(eps=0.1, T=0.1, dt=0.01))
+        K = 128 // 3
         rng = np.random.default_rng(5)
+        h1 = lambda spec: np.sqrt(grid.weighted_sq(spec, 1.0 + grid.k**2))
         for _ in range(5):
-            du = grid.to_spectrum(rng.standard_normal(128) + 1j * rng.standard_normal(128))
-            dv = grid.to_spectrum(rng.standard_normal(128))
-            dv[64] = 0.0
-            dv[65:] = np.conj(dv[63:0:-1])
-            expected = stepper._h1(du) + stepper._h1(dv)
-            zero_u, zero_v = np.zeros_like(du), np.zeros(65, dtype=complex)
-            got = stepper._distance(du, zero_u, dv[:65], zero_v)
-            assert got == pytest.approx(expected, rel=1e-14, abs=0.0)
-            larger = max(stepper._h1(du), stepper._h1(dv))
-            assert stepper._max_h1(du, dv[:65]) == pytest.approx(larger, rel=1e-14, abs=0.0)
+            row = rng.standard_normal(3 * K + 2) + 1j * rng.standard_normal(3 * K + 2)
+            row[2 * K + 1] = row[2 * K + 1].real
+            du, dv = row[: 2 * K + 1], row[2 * K + 1 :]
+            su, sv = expanded(grid, du, dv)
+            got = stepper._distance(row, np.zeros_like(row))
+            assert got == pytest.approx(h1(su) + h1(sv), rel=1e-14, abs=0.0)
+            larger = max(h1(su), h1(sv))
+            assert stepper._max_h1(du, dv) == pytest.approx(larger, rel=1e-14, abs=0.0)
 
     def test_returned_v_spectrum_is_exactly_hermitian(self, grid16, gauss_pair):
-        # the returned v is a half spectrum; with a real zero mode and a zero
-        # Nyquist mode it is the half of an exactly Hermitian spectrum
+        # the returned v is the band j = 0..K; with a real zero mode it is
+        # the band of an exactly Hermitian spectrum with a zero Nyquist mode
         u0, v0 = gauss_pair
         stepper = _Stepper(grid16, coupled_params(), PerturbedRun(eps=0.1, T=0.1, dt=0.01))
-        mask = grid16.dealias_mask()
-        _, v, _ = stepper.step((u0.spectrum * mask).astype(complex),
-                               (v0.spectrum * mask).astype(complex), 0.01)
+        u, v, _ = stepper.step(*band_state(u0, v0), 0.01)
         N = grid16.n_points
-        assert v.shape == (N // 2 + 1,)
-        assert v[0].imag == 0.0 and v[N // 2] == 0.0
+        assert v.shape == (N // 3 + 1,)
+        assert v[0].imag == 0.0
+        v = expanded(grid16, u, v)[1]
+        j = np.arange(1, N // 2)
+        assert np.array_equal(v[N - j], np.conj(v[j])) and v[N // 2] == 0.0
 
 
 class TestIncrementPredictor:
@@ -178,9 +190,7 @@ class TestIncrementPredictor:
         assert got == pytest.approx(q(n), rel=1e-12, abs=1e-12)
 
     def test_no_increment_crosses_a_dt_change(self, grid16, gauss_pair):
-        u0, v0 = gauss_pair
-        mask = grid16.dealias_mask()
-        u, v = (u0.spectrum * mask).astype(complex), (v0.spectrum * mask).astype(complex)
+        u, v = band_state(*gauss_pair)
         run = PerturbedRun(eps=0.1, T=0.1, dt=0.01)
         used = _Stepper(grid16, coupled_params(), run)
         for _ in range(solver.HISTORY_DEPTH + 1):
@@ -218,6 +228,39 @@ class TestIncrementPredictor:
                                 PerturbedRun(eps=0.1, T=0.2, dt=1e-3, picard_tol=1e-13))
         for got, ref in ((traj.u_specs, tight.u_specs), (traj.v_specs, tight.v_specs)):
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+class TestFullSpectrumOracle:
+    """Stored rows bit-equal to the same scheme stepped on full spectra with
+    dealias masks (``oracles.FullSpectrumStepper``)."""
+
+    @staticmethod
+    def data(grid):
+        u0 = Field.from_function(
+            grid, lambda x: 0.4 * np.exp(-(x**2)) * np.exp(1j * 3 * np.pi / 16 * x))
+        v0 = Field.from_function(grid, lambda x: 0.4 * np.exp(-((x / 1.5) ** 2)), "real")
+        return u0, v0
+
+    def test_coupled_run_across_a_dt_change(self, monkeypatch):
+        # one injected divergence halves dt, eight successes re-double it
+        u0, v0 = self.data(make_grid(16.0, 64))
+        log = _log_substeps(monkeypatch, fail=lambda attempt: attempt == 3)
+        run = PerturbedRun(eps=0.1, T=0.04, dt=0.004)
+        traj = solve_perturbed(u0, v0, coupled_params(), run)
+        dts = [dt for dt, ok in log if ok]
+        assert dts == [run.dt] * 3 + [run.dt / 2] * 8 + [run.dt] * 3
+        expected = full_spectrum_rows(u0, v0, coupled_params(), run, dts)
+        assert traj.bands.shape == expected.shape == (11, 65)
+        assert np.array_equal(traj.bands, expected)
+
+    def test_linear_configuration_of_verify(self):
+        # the weak-form suite's exactly linear run, at N = 64
+        u0, v0 = self.data(make_grid(16.0, 64))
+        run = PerturbedRun(eps=0.1, T=1.0, dt=1e-3, eps_g=0.0)
+        traj = solve_perturbed(u0, v0, linear_params(), run)
+        expected = full_spectrum_rows(u0, v0, linear_params(), run, [run.dt] * run.n_steps)
+        assert traj.bands.shape == expected.shape == (1001, 65)
+        assert np.array_equal(traj.bands, expected)
 
 
 class TestSolvePerturbed:
@@ -324,10 +367,9 @@ class TestSolvePerturbed:
 
     @pytest.mark.parametrize("N", [64, 256])
     def test_every_stored_row_expands_to_the_stepped_state(self, N, monkeypatch):
-        # the stepper's u is zero outside the band and its v half spectrum
-        # beyond K, with a real zero mode, so a band row loses nothing: each
-        # stored row expands to the state the stepper returned, band-only
-        # and exactly Hermitian
+        # the stepper's state is the band u and v, with a real zero mode, so
+        # a band row loses nothing: each stored row is the state the stepper
+        # returned, and it expands band-only and exactly Hermitian
         grid = make_grid(16.0, N)
         u0 = Field.from_function(
             grid, lambda x: 0.35 * np.exp(-(x**2)) * np.exp(1j * 3 * np.pi / 16 * x))
@@ -345,9 +387,9 @@ class TestSolvePerturbed:
         traj = solve_perturbed(u0, v0, coupled_params(), run)
         K = N // 3
         outside = ~grid.dealias_mask()
-        for u, v_half in states:
-            assert not u[outside].any() and not v_half[K + 1 :].any()
-            assert v_half[0].imag == 0.0
+        for u, v in states:
+            assert u.shape == (2 * K + 1,) and v.shape == (K + 1,)
+            assert v[0].imag == 0.0
         assert len(states) == 10 and traj.bands.shape == (6, 3 * K + 2)
         j = np.arange(1, N // 2)
         for i in range(len(traj)):
@@ -356,8 +398,9 @@ class TestSolvePerturbed:
             assert v[0].imag == 0.0 and v[N // 2] == 0.0
             assert np.array_equal(v[N - j], np.conj(v[j]))
             if i > 0:
-                assert np.array_equal(u, states[2 * i - 1][0])
-                assert np.array_equal(v[: N // 2 + 1], states[2 * i - 1][1])
+                assert np.array_equal(traj.bands[i], np.concatenate(states[2 * i - 1]))
+                su, sv = expanded(grid, *states[2 * i - 1])
+                assert np.array_equal(u, su) and np.array_equal(v, sv)
 
     def test_invalid_run_parameters(self):
         with pytest.raises(ValueError):
@@ -502,11 +545,7 @@ def test_picard_max_iter_exceeded(grid16, gauss_pair):
     run = PerturbedRun(eps=0.1, T=0.1, dt=0.01, picard_tol=1e-16, picard_max_iter=2)
     stepper = _Stepper(grid16, coupled_params(), run)
     with pytest.raises(SolverError, match="exceeded"):
-        stepper.step(
-            (u0.spectrum * grid16.dealias_mask()).astype(complex),
-            (v0.spectrum * grid16.dealias_mask()).astype(complex),
-            0.01,
-        )
+        stepper.step(*band_state(u0, v0), 0.01)
 
 
 def test_nonfinite_picard_distance_is_blowup(grid16, gauss_pair):
@@ -515,10 +554,10 @@ def test_nonfinite_picard_distance_is_blowup(grid16, gauss_pair):
     u0, v0 = gauss_pair
     run = PerturbedRun(eps=0.1, T=0.1, dt=0.01)
     stepper = _Stepper(grid16, coupled_params(), run)
-    u_spec = (u0.spectrum * grid16.dealias_mask()).astype(complex)
-    u_spec[1] = np.nan
+    u, v = band_state(u0, v0)
+    u[1] = np.nan
     with pytest.raises(BlowupError, match="non-finite"):
-        stepper.step(u_spec, (v0.spectrum * grid16.dealias_mask()).astype(complex), 0.01)
+        stepper.step(u, v, 0.01)
     assert len(stepper.last_distances) == 1
 
 
@@ -529,11 +568,7 @@ def test_picard_divergence_signals_halving(grid16):
     run = PerturbedRun(eps=0.1, T=10.0, dt=5.0)
     stepper = _Stepper(grid16, coupled_params(), run)
     with pytest.raises(PicardDivergenceError):
-        stepper.step(
-            (big_u.spectrum * grid16.dealias_mask()).astype(complex),
-            (big_v.spectrum * grid16.dealias_mask()).astype(complex),
-            5.0,
-        )
+        stepper.step(*band_state(big_u, big_v), 5.0)
 
 
 def _log_substeps(monkeypatch, fail=lambda attempt: False) -> list:
