@@ -26,6 +26,7 @@ import numpy as np
 
 from .diagnostics import smallness_condition, theta_envelope
 from .grid import BLOCK_SAMPLES, Field, make_grid
+from .propagators import EXPONENT_A, EXPONENT_B
 from .solver import (
     MAX_STEPS,
     MAX_STORED_BYTES,
@@ -90,7 +91,8 @@ def _finite_list(raw, name: str) -> list:
 
 
 def _gate(raw, name: str, fixed: float) -> None:
-    """A gate key may only restate its fixed value; it sets nothing."""
+    """A gate key may only restate its fixed value; it sets nothing.  An
+    integer gate hands ``raw`` through ``_integer`` first."""
     if _finite(raw, name) != fixed:
         raise ValueError(f"{name} is fixed at {fixed!r}")
 
@@ -113,11 +115,14 @@ _SCHEMA = {
                "gamma": (_finite, None),
                "g": {"kind": {"zero": {}, "linear": {"c": (_finite, None)},
                               "tanh_blend": {"m": (_finite, None), "M": (_finite, None)}}}},
-    "perturbation": {"eps": (_finite, 0.1), "a": (_integer, None), "b": (_integer, None)},
+    # configs may restate the fixed exponents and gates, never change them
+    "perturbation": {
+        "eps": (_finite, 0.1),
+        "a": (lambda raw, name: _gate(_integer(raw, name), name, EXPONENT_A), None),
+        "b": (lambda raw, name: _gate(_integer(raw, name), name, EXPONENT_B), None)},
     "time": {"T": (_finite, ...), "dt": (_finite, ...), "picard_tol": (_finite, None),
              "picard_max_iter": (_integer, None)},
     "diagnostics": {"store_every": (_integer, None), "blowup_factor": (_finite, None),
-                    # configs may restate the fixed gates, never change them
                     "mass_rtol": (lambda raw, name: _gate(raw, name, MASS_RTOL), None),
                     "sup_tol": (lambda raw, name: _gate(raw, name, SUP_TOL), None)},
     "initial": {"u0": _INITIAL, "v0": _INITIAL},
@@ -129,7 +134,7 @@ _NONLINEARITIES = {"zero": g_zero, "linear": g_linear, "tanh_blend": g_tanh_blen
 # starts with the field, and parse_config puts the key in its place.
 _FIELD_KEYS = {
     "half_length": "grid.L", "n_points": "grid.N", "s": "system.s", "g": "system.g",
-    "eps": "perturbation.eps", "a": "perturbation.a", "b": "perturbation.b",
+    "eps": "perturbation.eps",
     "T": "time.T", "dt": "time.dt", "T/dt": "time.T/dt", "picard_tol": "time.picard_tol",
     "picard_max_iter": "time.picard_max_iter", "store_every": "diagnostics.store_every",
     "blowup_factor": "diagnostics.blowup_factor", "eps_ladder": "sweep.eps_ladder"}
@@ -187,7 +192,9 @@ def _initial_field(grid, spec: dict, flavor: str, name: str) -> Field:
         return Field.zero(grid, flavor=flavor)
     x, amp, kappa = grid.x, spec["amplitude"], np.pi * spec["mode"] / grid.half_length
     if kind == "gaussian":
-        amp = amp * np.exp(-(((x - spec["center"]) / spec["width"]) ** 2))
+        # a tail beyond the float range overflows to inf, and exp(-inf) is 0
+        with np.errstate(over="ignore"):
+            amp = amp * np.exp(-(((x - spec["center"]) / spec["width"]) ** 2))
         if flavor == "real":
             return Field(grid, amp, flavor=flavor)
     carrier = np.cos(kappa * x) if flavor == "real" else np.exp(1j * kappa * x)
@@ -393,7 +400,7 @@ def do_run(config: dict, out_dir: Path) -> int:
 
     series = theta_envelope(traj)
     recs = series.records()
-    small = smallness_condition(params, u0, v0, run.T, run.eps, a=run.a, b=run.b)
+    small = smallness_condition(params, u0, v0, run.T, run.eps)
 
     mass0 = recs[0].mass
     mass_drift = max(abs(r.mass - mass0) for r in recs) / max(mass0, 1e-300)
@@ -521,7 +528,7 @@ def do_sweep(config: dict, out_dir: Path, workers: int = 1) -> int:
     if alpha_grid:
         cells = []
         for alpha, sp, status in zip(alpha_grid, alpha_params, statuses[len(ladder):]):
-            small = smallness_condition(sp, u0, v0, run.T, run.eps, a=run.a, b=run.b)
+            small = smallness_condition(sp, u0, v0, run.T, run.eps)
             cells.append({
                 "alpha": alpha,
                 "status": status,

@@ -31,7 +31,7 @@ import numpy as np
 from .fractional import cns_constant, pair_correlation_integral
 from .grid import BLOCK_SAMPLES, Field, GridSpec, as_order
 from .gronwall import _cumtrapz
-from .propagators import DEFAULT_A, DEFAULT_B
+from .propagators import EXPONENT_A, EXPONENT_B
 from .sobolev import InequalityReport
 from .solver import NonlinearityG, PerturbedRun, SystemParams, Trajectory
 
@@ -152,7 +152,7 @@ def _series(
     hminus1_w = 1.0 / (1.0 + k2)
     g_eff = params.g.regularized(run.g_regularization)
     alpha, beta = params.alpha, params.beta
-    eps_a, eps_b = run.eps**run.a, run.eps**run.b
+    eps_a, eps_b = run.eps**EXPONENT_A, run.eps**EXPONENT_B
 
     # the record columns, lhs_theta and two temporaries; the envelope
     # columns theta, lhs_theta and H_bound stay NaN for theta_envelope
@@ -312,8 +312,7 @@ def theta_envelope(traj: Trajectory) -> DiagnosticSeries:
     params, run = traj.params, traj.run
     grid = traj.grid
     s = params.s
-    eps_a = run.eps**run.a
-    eps_b = run.eps**run.b
+    eps_a, eps_b = run.eps**EXPONENT_A, run.eps**EXPONENT_B
     g_eff = params.g.regularized(run.g_regularization)
     gprime_sup = g_eff.M
     # as float64, a constant beyond the float range reads inf instead of
@@ -418,8 +417,6 @@ def smallness_condition(
     v0: Field,
     T: float,
     eps: float,
-    a: int = DEFAULT_A,
-    b: int = DEFAULT_B,
 ) -> SmallnessReport:
     """Assemble the constants block of the global bound and evaluate
 
@@ -465,13 +462,13 @@ def smallness_condition(
         _log(2.0**5 * (2.0 * s - 1.0) / (sq * np.pi))
         + la2 + lg2 + (2.0 - 1.0 / s) * lu + 2.0 * lv + 3.0 * T,
         _log(2.0**4 * (2.0 * s - 1.0) ** 2 / (np.pi * sq))
-        + la2 + (b - 1.5 * a) * l_eps + lu + 2.0 * lv + 2.0 * T,
+        + la2 + (EXPONENT_B - 1.5 * EXPONENT_A) * l_eps + lu + 2.0 * lv + 2.0 * T,
     ])
     log_C2 = _log(2.0**8 * T / (sq * np.pi**2)) + lab2 + (6.0 - 2.0 / s) * lu
     log_C3 = np.logaddexp.reduce([
         _log(2.0**9 / (sq * np.pi**2)) + lab2 + lg2 + (4.0 - 2.0 / s) * lu + 3.0 * T,
         _log(2.0**8 * cns_constant(s) * (2.0 * s - 1.0) / (np.pi**2 * sq))
-        + lab2 + (b - 1 - 1.5 * a) * l_eps + (3.0 - 1.0 / s) * lu + 2.0 * T,
+        + lab2 + (EXPONENT_B - 1 - 1.5 * EXPONENT_A) * l_eps + (3.0 - 1.0 / s) * lu + 2.0 * T,
         _log(2.0**10 * T / (np.pi**2 * sq)) + 2.0 * lab2 + (4.0 - 2.0 / s) * lu + 2.0 * T,
     ])
 

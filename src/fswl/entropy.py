@@ -40,6 +40,7 @@ from .fractional import (
     special_jacobi,
 )
 from .grid import BLOCK_SAMPLES, Field, GridSpec, as_order
+from .propagators import EXPONENT_A, EXPONENT_B
 from .solver import NonlinearityG, Trajectory
 
 __all__ = [
@@ -535,7 +536,7 @@ def weak_residual_u(traj: Trajectory, tf: TestFunction, perturbed: bool = True) 
             + params.gamma * ((np.abs(u) ** 2 * u) @ Q)
         )
         if perturbed:
-            row -= run.eps**run.a * P * (u @ Q2)
+            row -= run.eps**EXPONENT_A * P * (u @ Q2)
         return row
 
     return complex(_pairing(traj, tf, term, lambda u0, _: 1j * np.sum(u0 * Q)))
@@ -562,7 +563,7 @@ def weak_residual_v(traj: Trajectory, tf: TestFunction, perturbed: bool = True) 
     def term(P, Pd, _u_spec, _v_spec, u, v):
         row = Pd * (v @ Q) + P * ((params.beta * np.abs(u) ** 2 - g_eff.fn(v)) @ Qf)
         if perturbed:
-            row += run.eps**run.b * P * (v @ Q2)
+            row += run.eps**EXPONENT_B * P * (v @ Q2)
         return row
 
     return float(_pairing(traj, tf, term, lambda _, v0: np.sum(v0 * Q)))
@@ -631,7 +632,7 @@ def entropy_balance_residual(traj: Trajectory, eta: EntropySpec, tf: TestFunctio
     dx = grid.dx
     L = grid.half_length
     g_eff = params.g.regularized(run.g_regularization)
-    eps_b = run.eps**run.b
+    eps_b = run.eps**EXPONENT_B
     eps_g = run.g_regularization
 
     Q = tf.space_values().real

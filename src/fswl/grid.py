@@ -136,15 +136,15 @@ class GridSpec:
         """Rectangle rule: dx times the real part of the sum along the last axis."""
         return self.dx * np.real(np.sum(values, axis=-1))
 
-    def sup_norm(self, coeffs: np.ndarray, pad: int = 8) -> np.ndarray:
+    def sup_norm(self, coeffs: np.ndarray) -> np.ndarray:
         """Sup norm of the band-limited function(s) with coefficients
-        ``coeffs`` (last axis), on a ``pad``-times zero-padded refinement.
+        ``coeffs`` (last axis), on an eight-times zero-padded refinement.
 
         Collocation alone can undersample the true maximum of the underlying
         band-limited function; padding recovers it to high accuracy.
         """
         N = self.n_points
-        M = pad * N
+        M = 8 * N
         half = N // 2
         fine = np.zeros(coeffs.shape[:-1] + (M,), dtype=np.complex128)
         fine[..., :half] = coeffs[..., :half] * M
@@ -292,12 +292,9 @@ class Field:
     def norm_h1(self) -> float:
         return float(np.sqrt(self.grid.weighted_sq(self.spectrum, 1.0 + self.grid.k**2)))
 
-    def norm_sup(self, pad: int = 8) -> float:
-        """Sup norm on a ``pad``-times zero-padded refinement (see
-        ``GridSpec.sup_norm``); ``pad <= 1`` takes the collocation maximum."""
-        if pad <= 1:
-            return float(np.max(np.abs(self.values)))
-        return float(self.grid.sup_norm(self.spectrum, pad))
+    def norm_sup(self) -> float:
+        """Sup norm on the padded refinement of ``GridSpec.sup_norm``."""
+        return float(self.grid.sup_norm(self.spectrum))
 
     # -- algebra -----------------------------------------------------------
 

@@ -3,8 +3,9 @@
 The perturbed dispersive group multiplies each mode by
 exp(-i(|k|^{2s} + eps^a k^2) t) and is a unitary group on every Sobolev
 level; the regularizing heat semigroup multiplies by exp(-eps^b k^2 t) and
-contracts.  Applying them as exact multipliers is what makes the Duhamel
-formulation attractive numerically: the linear part carries no
+contracts.  The exponents are fixed for every run: a = EXPONENT_A = 4 and
+b = EXPONENT_B = 7.  Applying the flows as exact multipliers is what makes
+the Duhamel formulation attractive numerically: the linear part carries no
 time-stepping error at all.
 """
 
@@ -28,47 +29,37 @@ __all__ = [
 
 
 # The exponents of the perturbation eps^a k^2 and eps^b k^2 that the
-# analysis fixes, the default of every holder of (a, b).
-DEFAULT_A, DEFAULT_B = 4, 7
-
-# Largest exponent a or b.  For every eps <= 1/2, eps^a is below the
-# smallest subnormal double and reads 0 once a > 1074, so a larger exponent
-# adds nothing there; an int beyond the float range would make eps^a raise
-# OverflowError instead.
-MAX_EXPONENT = 1074
+# analysis fixes: the regularized system carries eps^4 Du and eps^7 Dv.
+# Ints, like the config keys perturbation.a and b that may restate them.
+EXPONENT_A, EXPONENT_B = 4, 7
 
 
-def check_perturbation(eps: float, a: int = 0, b: int = 0) -> None:
+def check_perturbation(eps: float) -> None:
     """Raise ValueError, its message led by the field at fault, unless
-    0 < eps < 1 and the exponents a, b lie in [0, MAX_EXPONENT]: the one
-    check of the perturbation that PropagatorSpec and PerturbedRun hold."""
+    0 < eps < 1: the one check of the perturbation that PropagatorSpec and
+    PerturbedRun hold."""
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    for name, value in (("a", a), ("b", b)):
-        if not 0 <= value <= MAX_EXPONENT:
-            raise ValueError(f"{name} must lie in [0, {MAX_EXPONENT}], got {value}")
 
 
 @dataclass(frozen=True)
 class PropagatorSpec:
-    """Perturbation strength and exponents of the two linear flows."""
+    """Perturbation strength and fractional order of the two linear flows."""
 
     eps: float
     s: float
-    a: int = DEFAULT_A
-    b: int = DEFAULT_B
 
     def __post_init__(self):
         object.__setattr__(self, "s", as_order(self.s))
-        check_perturbation(self.eps, self.a, self.b)
+        check_perturbation(self.eps)
 
     @property
     def dispersive_coeff(self) -> float:
-        return self.eps**self.a
+        return self.eps**EXPONENT_A
 
     @property
     def heat_coeff(self) -> float:
-        return self.eps**self.b
+        return self.eps**EXPONENT_B
 
     def phase_symbol(self, grid) -> np.ndarray:
         """omega(k) = |k|^{2s} + eps^a k^2."""

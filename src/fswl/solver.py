@@ -46,7 +46,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .grid import BLOCK_SAMPLES, Field, GridSpec, as_coupled_order
-from .propagators import DEFAULT_A, DEFAULT_B, check_perturbation
+from .propagators import EXPONENT_A, EXPONENT_B, check_perturbation
 from .sobolev import norm_equivalence_constants
 
 __all__ = [
@@ -116,10 +116,10 @@ class BlowupError(SolverError):
 
 @dataclass(frozen=True)
 class NonlinearityG:
-    """Nondecreasing scalar map with derivative pinned in [m, M], g(0) = 0."""
+    """Nondecreasing scalar map g with g(0) = 0 and g' in [m, M].  Only
+    ``fn`` is evaluated; m and M are the bounds the estimates take."""
 
     fn: Callable[[np.ndarray], np.ndarray]
-    derivative: Callable[[np.ndarray], np.ndarray]
     m: float
     M: float
     label: str = "custom"
@@ -136,7 +136,6 @@ class NonlinearityG:
             return self
         return NonlinearityG(
             fn=partial(_regularized_fn, base=self.fn, eps=eps),
-            derivative=partial(_regularized_d, base=self.derivative, eps=eps),
             m=self.m + eps,
             M=self.M + eps,
             label=f"{self.label}+{eps:g}*id",
@@ -151,34 +150,21 @@ def _regularized_fn(v, base, eps):
     return base(v) + eps * v
 
 
-def _regularized_d(v, base, eps):
-    return base(v) + eps
-
-
 def _scale_fn(v, c):
     return c * v
-
-
-def _const_fn(v, c):
-    return np.full_like(v, c)
 
 
 def _tanh_blend_fn(v, m, M):
     return m * v + (M - m) * np.tanh(v)
 
 
-def _tanh_blend_d(v, m, M):
-    return m + (M - m) / np.cosh(v) ** 2
-
-
 def g_zero() -> NonlinearityG:
-    return NonlinearityG(fn=_zero_fn, derivative=_zero_fn, m=0.0, M=0.0, label="zero")
+    return NonlinearityG(fn=_zero_fn, m=0.0, M=0.0, label="zero")
 
 
 def g_linear(c: float = 1.0) -> NonlinearityG:
     return NonlinearityG(
         fn=partial(_scale_fn, c=c),
-        derivative=partial(_const_fn, c=c),
         m=c,
         M=c,
         label=f"linear({c:g})",
@@ -189,7 +175,6 @@ def g_tanh_blend(m: float = 0.2, M: float = 1.0) -> NonlinearityG:
     """g(v) = m v + (M - m) tanh v; derivative ranges over (m, M]."""
     return NonlinearityG(
         fn=partial(_tanh_blend_fn, m=m, M=M),
-        derivative=partial(_tanh_blend_d, m=m, M=M),
         m=m,
         M=M,
         label=f"tanh_blend({m:g},{M:g})",
@@ -223,16 +208,16 @@ class SystemParams:
 class PerturbedRun:
     """One regularized run: perturbation strength, time grid, tolerances.
 
-    eps_g is the strength of the linear regularization inside g; it defaults
-    to eps (the system's own choice) and exists separately so exactly linear
-    configurations remain expressible.
+    The perturbation is eps^a Du and eps^b Dv, its exponents fixed at
+    ``propagators.EXPONENT_A`` and ``EXPONENT_B``.  eps_g is the strength of
+    the linear regularization inside g; it defaults to eps (the system's own
+    choice) and exists separately so exactly linear configurations remain
+    expressible.
     """
 
     eps: float
     T: float
     dt: float
-    a: int = DEFAULT_A
-    b: int = DEFAULT_B
     eps_g: float | None = None
     picard_tol: float = 1e-10
     picard_max_iter: int = 50
@@ -240,7 +225,7 @@ class PerturbedRun:
     store_every: int = 1
 
     def __post_init__(self):
-        check_perturbation(self.eps, self.a, self.b)
+        check_perturbation(self.eps)
         for name in ("T", "dt", "picard_tol", "blowup_factor"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
@@ -473,8 +458,8 @@ class _Stepper:
         band, K = _band(grid)
         self.K = K
         k2 = grid.k[band] ** 2
-        self.omega = grid.frac_symbol(s)[band] + run.eps**run.a * k2
-        self.heat = run.eps**run.b * k2[: K + 1]
+        self.omega = grid.frac_symbol(s)[band] + run.eps**EXPONENT_A * k2
+        self.heat = run.eps**EXPONENT_B * k2[: K + 1]
         self.half_symbol = grid.frac_symbol(0.5 * s)[: K + 1]
         # H1 weights of the fused distance over the floats of a row: a v
         # mode other than v_0 also stands for its conjugate

@@ -30,6 +30,7 @@ from fswl import fractional as fr
 from fswl import sobolev as sb
 from fswl import solver as sv
 from fswl.grid import Field
+from fswl.propagators import EXPONENT_A, EXPONENT_B
 
 
 def cns_closed_form(s: float) -> float:
@@ -81,8 +82,8 @@ class FullSpectrumStepper:
         self.grid, self.params, self.run = grid, params, run
         N, nh = grid.n_points, grid.n_points // 2 + 1
         k2 = grid.k**2
-        self.omega = grid.frac_symbol(params.s) + run.eps**run.a * k2
-        self.heat = run.eps**run.b * k2[:nh]
+        self.omega = grid.frac_symbol(params.s) + run.eps**EXPONENT_A * k2
+        self.heat = run.eps**EXPONENT_B * k2[:nh]
         self.half_symbol = grid.frac_symbol(0.5 * params.s)[:nh]
         self.mask = grid.dealias_mask()
         v_weight = 2.0 * (1.0 + k2[:nh])
@@ -248,7 +249,7 @@ def record_fields(u, v, params, run) -> dict:
     coupling = _integral(grid, v.values * np.abs(u.values) ** 2)
     return {
         "mass": u.norm_l2() ** 2,
-        "energy": frac_u + run.eps**run.a * grad_u + 0.5 * u4 + params.alpha * coupling,
+        "energy": frac_u + run.eps**EXPONENT_A * grad_u + 0.5 * u4 + params.alpha * coupling,
         "frac_grad_u_sq": frac_u,
         "grad_u_sq": grad_u,
         "u_l4_4": u4,
@@ -280,7 +281,7 @@ def energy_rhs(traj, i) -> float:
     return (
         params.alpha * params.beta * _integral(grid, frac_dens * dens)
         - params.alpha * _integral(grid, dens * frac_gv)
-        - params.alpha * run.eps**run.b * _integral(grid, ddens * dv)
+        - params.alpha * run.eps**EXPONENT_B * _integral(grid, ddens * dv)
     )
 
 
@@ -290,7 +291,7 @@ def v_balance_terms(traj, i) -> float:
     u, v, dens, dens_spec, frac_dens, frac_gv = _frac_dens_and_gv(traj, i)
     return (
         _integral(grid, frac_gv * v.values)
-        + run.eps**run.b * _weighted_sq(grid, v.spectrum, grid.k**2)
+        + run.eps**EXPONENT_B * _weighted_sq(grid, v.spectrum, grid.k**2)
         - params.beta * _integral(grid, frac_dens * v.values)
     )
 
@@ -320,7 +321,7 @@ def theta_envelope(traj, params, run) -> dict:
     times = traj.times
     frac, grad, u4, v_l2 = col("frac_grad_u_sq"), col("grad_u_sq"), col("u_l4_4"), col("v_l2")
     grad_v, grad_u, frac_n = np.sqrt(col("grad_v_sq")), np.sqrt(grad), np.sqrt(frac)
-    eps_a, eps_b = run.eps**run.a, run.eps**run.b
+    eps_a, eps_b = run.eps**EXPONENT_A, run.eps**EXPONENT_B
     aa, T = abs(params.alpha), run.T
     gprime_sup = params.g.regularized(run.g_regularization).M
     u0, v0 = sample_fields(traj, 0)
@@ -458,7 +459,7 @@ def weak_residual_u_loop(traj, params, run, tf, perturbed=True) -> complex:
             a_frac + params.alpha * a_vu + params.gamma * a_cub
         )
         if perturbed:
-            term -= run.eps**run.a * P[i] * a_lap
+            term -= run.eps**EXPONENT_A * P[i] * a_lap
         vals[i] = term
     total = en._simpson(vals, times)
     P0 = float(tf.time_value(0.0)[0])
@@ -491,7 +492,7 @@ def weak_residual_v_loop(traj, params, run, tf, perturbed=True) -> float:
         term -= P[i] * dx * np.sum(g_eff.fn(v) * Qf)
         term += params.beta * P[i] * dx * np.sum(np.abs(u) ** 2 * Qf)
         if perturbed:
-            term += run.eps**run.b * P[i] * dx * np.sum(v * Q2)
+            term += run.eps**EXPONENT_B * P[i] * dx * np.sum(v * Q2)
         vals[i] = term
     total = en._simpson(vals, times)
     P0 = float(tf.time_value(0.0)[0])
@@ -508,7 +509,7 @@ def entropy_balance_residual_loop(traj, eta, params, run, tf) -> float:
     dx = grid.dx
     L = grid.half_length
     g_eff = params.g.regularized(run.g_regularization)
-    eps_b = run.eps**run.b
+    eps_b = run.eps**EXPONENT_B
     eps_g = run.g_regularization
 
     Q = tf.space_values().real
@@ -601,7 +602,7 @@ def inequality_ensembles_loop(grid, rng) -> dict:
 # is unbounded: nothing over- or underflows, and a zero factor is a zero.
 # ---------------------------------------------------------------------------
 
-def smallness_mpmath(params, u0, v0, T, eps, a, b) -> dict:
+def smallness_mpmath(params, u0, v0, T, eps) -> dict:
     """C, C2, C3, lhs and rhs of ``smallness_condition`` as mpmath numbers,
     and its verdict lhs <= rhs.  The band-projected data are floats; their
     norms (but the padded sup) and everything after them are sums and
@@ -628,6 +629,7 @@ def smallness_mpmath(params, u0, v0, T, eps, a, b) -> dict:
         u_l4 = dx * power_sum(ones, u.values, 4)
         vv = mpmath.sqrt(dx * power_sum(ones, v.values, 2))
         s, T, eps = mpf(params.s), mpf(T), mpf(eps)
+        a, b = EXPONENT_A, EXPONENT_B
         aa, bb = abs(mpf(params.alpha)), abs(mpf(params.beta))
         gp = mpf(params.g.M) + eps
         block = (1 + frac + grad + u_l4 / 2 + mpf(_padded_sup(u)) * vv * uu

@@ -31,6 +31,7 @@ from fswl.cli import (
     read_trajectory,
 )
 from fswl.grid import BLOCK_SAMPLES, make_grid
+from fswl.propagators import EXPONENT_A, EXPONENT_B
 import fswl.solver as solver
 from fswl.solver import (
     MAX_PICARD_ITER, ConvergenceTable, PerturbedRun, SolverError, Trajectory, _Stepper,
@@ -63,7 +64,7 @@ class TestConfig:
         grid, params, run, u0, v0, extras = parse_config(cfg)
         assert grid.n_points == 512
         assert params.gamma == 1.0 and params.alpha == 0.1
-        assert run.a == 4 and run.b == 7
+        assert (cfg["perturbation"]["a"], cfg["perturbation"]["b"]) == (EXPONENT_A, EXPONENT_B)
 
     def test_power_of_two_rule_named(self):
         cfg = tiny_config(grid={"L": 16.0, "N": 100})
@@ -74,8 +75,8 @@ class TestConfig:
         cfg = tiny_config(grid={"L": 16.0, "N": 64.0}, seed=11.0)
         cfg["perturbation"]["a"] = 4.0
         grid, _, run, _, _, extras = parse_config(cfg)
-        assert (grid.n_points, run.a, extras["seed"]) == (64, 4, 11)
-        assert all(type(n) is int for n in (grid.n_points, run.a, extras["seed"]))
+        assert (grid.n_points, extras["seed"]) == (64, 11)
+        assert all(type(n) is int for n in (grid.n_points, extras["seed"]))
         cfg["perturbation"]["a"] = 4.5
         with pytest.raises(ConfigError, match="a must be an integer, got 4.5"):
             parse_config(cfg)
@@ -843,10 +844,18 @@ _SCHEMA_FAULTS = {
                       "system.s must lie in (1/2, 1), got 1.5"),
     "eps-range": (lambda c: c["perturbation"].update(eps=1.5),
                   "perturbation.eps must lie in (0, 1), got 1.5"),
-    "a-range": (lambda c: c["perturbation"].update(a=-1),
-                "perturbation.a must lie in [0, 1074], got -1"),
-    "b-range": (lambda c: c["perturbation"].update(b=-2),
-                "perturbation.b must lie in [0, 1074], got -2"),
+    # the exponents are fixed gates: a config may only restate them, and
+    # each is read as an integer first
+    "a-range": (lambda c: c["perturbation"].update(a=8), "perturbation.a is fixed at 4"),
+    "b-range": (lambda c: c["perturbation"].update(b=-2), "perturbation.b is fixed at 7"),
+    "a-other-exponent": (lambda c: c["perturbation"].update(a=7), "perturbation.a is fixed at 4"),
+    "b-integral-float": (lambda c: c["perturbation"].update(b=4.0), "perturbation.b is fixed at 7"),
+    "a-fractional": (lambda c: c["perturbation"].update(a=4.5),
+                     "perturbation.a must be an integer, got 4.5"),
+    "b-bool": (lambda c: c["perturbation"].update(b=True),
+               "perturbation.b must be an integer, got True"),
+    "b-string": (lambda c: c["perturbation"].update(b="7"),
+                 "perturbation.b must be an integer, got '7'"),
     # a mode is compared as an int with the band K = 64 // 3 = 21: beyond
     # the float range, aliased in floats, and one past the band
     "u0-mode-beyond-float": (lambda c: c["initial"]["u0"].update(mode=10**400),
@@ -909,11 +918,13 @@ def test_mode_at_the_band_edge_is_kept(mode):
 # code and what stderr must say; the canonical config at time.T 0.01.
 _FLOAT_RANGE_FAULTS = {
     "a-beyond-float": ("run", ("perturbation", "a"), 10**400, 2,
-                       f"perturbation.a must lie in [0, 1074], got {10**400}"),
+                       f"perturbation.a must be a finite number, got {10**400}"),
     "b-beyond-float": ("run", ("perturbation", "b"), 10**400, 2,
-                       f"perturbation.b must lie in [0, 1074], got {10**400}"),
+                       f"perturbation.b must be a finite number, got {10**400}"),
     "a-beyond-float-sweep": ("sweep", ("perturbation", "a"), 10**400, 2,
-                             f"perturbation.a must lie in [0, 1074], got {10**400}"),
+                             f"perturbation.a must be a finite number, got {10**400}"),
+    "b-beyond-float-sweep": ("sweep", ("perturbation", "b"), 10**400, 2,
+                             f"perturbation.b must be a finite number, got {10**400}"),
     "L-spacing-underflow": ("run", ("grid", "L"), 5e-324, 2,
                             "grid.L must give a spacing 2L/N that is positive and finite, "
                             "got 5e-324 at N = 512"),
@@ -964,6 +975,34 @@ def test_coupling_beyond_float_range_on_zero_data(tmp_path, capsys, key):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["theta_margin_min"] == 0.0 and summary["H_margin_min"] == 0.0
     assert summary["passed"]
+
+
+@pytest.mark.parametrize("initial, key, value", [
+    ("u0", "width", 1e-300), ("v0", "width", 1e-300), ("u0", "center", 1e300)])
+def test_gaussian_tail_beyond_float_range_is_zero(tmp_path, capsys, initial, key, value):
+    # the squared scaled offset overflows to inf away from the center, and
+    # exp(-inf) = 0 is the value meant: no warning, no traceback
+    cfg = canonical_config()
+    cfg["time"]["T"] = 0.01
+    cfg["initial"][initial][key] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", str(_dump(tmp_path, cfg)),
+                     "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("a, b", [(4, 7), (4.0, 7.0), (None, None)])
+def test_exponent_gates_accept_the_fixed_exponents(a, b):
+    # a config may restate a = 4 and b = 7, as an int or an integral float,
+    # or leave them out; either way the run is the same
+    cfg = tiny_config()
+    for key, value in (("a", a), ("b", b)):
+        if value is None:
+            del cfg["perturbation"][key]
+        else:
+            cfg["perturbation"][key] = value
+    assert parse_config(cfg)[2] == parse_config(tiny_config())[2]
 
 
 def test_every_field_key_has_a_range_case():
@@ -1052,11 +1091,18 @@ def test_missing_initial_data_and_kind_share_the_default():
     assert np.array_equal(v0.values, v0_gauss.values)
 
 
-@pytest.mark.parametrize("path", [
-    ROOT / "src" / "fswl" / "configs" / "canonical.json",
-    ROOT / "bench" / "configs" / "eps_sweep.json",
-], ids=["canonical", "eps_sweep"])
+# Every committed config: the bundled ones and those the benchmark runs.
+_COMMITTED_CONFIGS = sorted([*(ROOT / "src" / "fswl" / "configs").glob("*.json"),
+                             *(ROOT / "bench" / "configs").glob("*.json")])
+
+
+def test_committed_configs_are_found():
+    assert {p.stem for p in _COMMITTED_CONFIGS} >= {"canonical", "eps_sweep"}
+
+
+@pytest.mark.parametrize("path", _COMMITTED_CONFIGS, ids=lambda p: p.stem)
 def test_bundled_configs_parse(path):
+    # read only: a schema change that refuses a committed config fails here
     grid, *_, extras = parse_config(cli._load_config(path))
     assert grid.n_points in (512, 2048) and extras["seed"] == 1234
 

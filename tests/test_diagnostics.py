@@ -162,7 +162,6 @@ class TestBilinearAndCoercivity:
         rng = np.random.default_rng(23)
         G = NonlinearityG(
             fn=lambda v: 0.5 * v + 0.1 * np.tanh(v),
-            derivative=lambda v: 0.5 + 0.1 / np.cosh(v) ** 2,
             m=0.5, M=0.6, label="0.5 id + 0.1 tanh")
         for _ in range(5):
             v = random_band_limited(grid16, rng, flavor="real")
@@ -262,19 +261,17 @@ class TestSmallness:
         rep = smallness_condition(coupled_params(), u0, v0, 1.0, 1e-300)
         assert np.isfinite(rep.C) and np.isfinite(rep.lhs)
         params = SystemParams(alpha=0.0, beta=0.1, s=0.75, g=g_tanh_blend(0.2, 1.0))
-        rep = smallness_condition(params, u0, v0, 1.0, 1e-300, a=8, b=7)
+        rep = smallness_condition(params, u0, v0, 1.0, 1e-300)
         assert np.isfinite(rep.C) and np.isfinite(rep.lhs) and rep.satisfied
-        zero_u = smallness_condition(coupled_params(), Field.zero(grid16), v0,
-                                     1.0, 1e-300, a=8, b=7)
+        zero_u = smallness_condition(coupled_params(), Field.zero(grid16), v0, 1.0, 1e-300)
         assert zero_u.C3 == 0.0 and zero_u.lhs == 0.0 and zero_u.satisfied
+        # zero v leaves the data block: lhs reads 2.1e29 at T = 1
         zero_v = smallness_condition(coupled_params(), u0, Field.zero(grid16, "real"),
-                                     1.0, 1e-300, a=8, b=7)
-        assert np.isfinite(zero_v.C) and zero_v.lhs == np.inf and not zero_v.satisfied
+                                     1.0, 1e-300)
+        assert np.isfinite(zero_v.C) and np.isfinite(zero_v.lhs) and not zero_v.satisfied
 
     @given(
         log10_eps=st.floats(-300.0, -0.01),
-        a=st.integers(0, 12),
-        b=st.integers(0, 12),
         alpha=st.sampled_from([0.0, 1e-6, 0.1, -0.7, 3.0, 100.0]),
         beta=st.sampled_from([0.0, 1e-4, 0.1, 2.0]),
         s=st.floats(0.51, 0.99),
@@ -283,8 +280,7 @@ class TestSmallness:
         amp_v=st.sampled_from([0.0, 1e-200, 1e-100, 1e-8, 0.4, 4.0, 1e50, 1e200]),
     )
     @settings(max_examples=100)
-    def test_agrees_with_60_digit_oracle(self, log10_eps, a, b, alpha, beta, s, T,
-                                         amp_u, amp_v):
+    def test_agrees_with_60_digit_oracle(self, log10_eps, alpha, beta, s, T, amp_u, amp_v):
         # the verdict always agrees; the reported constants agree to 1e-12
         # wherever the float range holds them, and read 0.0 or inf exactly
         # where their value is zero or beyond it, also for data whose norms
@@ -296,8 +292,8 @@ class TestSmallness:
         eps = 10.0**log10_eps
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rep = smallness_condition(params, u0, v0, T, eps, a=a, b=b)
-            ref = oracles.smallness_mpmath(params, u0, v0, T, eps, a, b)
+            rep = smallness_condition(params, u0, v0, T, eps)
+            ref = oracles.smallness_mpmath(params, u0, v0, T, eps)
         assert rep.satisfied == ref["satisfied"]
         for key in ("C", "C2", "C3", "lhs"):
             got, want = getattr(rep, key), ref[key]

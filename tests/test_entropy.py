@@ -73,9 +73,9 @@ class TestFlux:
         g = g_tanh_blend(0.2, 1.0)
         for v in (0.4, 0.9, -0.6):
             got = entropy_flux(eta, g, v) - entropy_flux(eta, g, 0.0)
-            want, _ = quad(
-                lambda w: eta.eta_prime(w) * float(g.derivative(np.array([w]))[0]),
-                0.0, v, limit=200)
+            # q' = eta' g', with g'(w) = 0.2 + 0.8 / cosh(w)^2 in closed form
+            want, _ = quad(lambda w: eta.eta_prime(w) * (0.2 + 0.8 / np.cosh(w) ** 2),
+                           0.0, v, limit=200)
             assert got == pytest.approx(want, abs=1e-8)
 
 

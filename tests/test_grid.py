@@ -159,9 +159,8 @@ def test_sup_norm_padding_recovers_offgrid_max():
     g = make_grid(np.pi, 16)
     # mode at half the Nyquist: the collocation max undersamples the peak
     f = Field.from_function(g, lambda x: np.cos(4 * x + 0.3), flavor="real")
-    assert f.norm_sup(pad=1) < 1.0 - 1e-4
+    assert np.max(np.abs(f.values)) < 1.0 - 1e-4
     assert f.norm_sup() == pytest.approx(1.0, abs=6e-3)
-    assert f.norm_sup(pad=32) == pytest.approx(1.0, abs=5e-4)
 
 
 @pytest.mark.parametrize("N", [16, 128])

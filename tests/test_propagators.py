@@ -5,7 +5,8 @@ import pytest
 
 from fswl.grid import Field, as_order, make_grid
 from fswl.propagators import (
-    MAX_EXPONENT,
+    EXPONENT_A,
+    EXPONENT_B,
     PropagatorSpec,
     check_heat_smoothing,
     heat_semigroup_apply,
@@ -136,14 +137,8 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             PropagatorSpec(eps=1.0, s=as_order(0.75))
 
-    def test_exponent_bound_is_inclusive(self):
-        # at the bound 0.5^a is the smallest subnormal; one above it is refused
-        assert PropagatorSpec(eps=0.5, s=0.8, a=MAX_EXPONENT).dispersive_coeff == 2.0**-1074
-        with pytest.raises(ValueError, match=rf"^b must lie in \[0, {MAX_EXPONENT}\], got 1075$"):
-            PropagatorSpec(eps=0.5, s=0.8, b=MAX_EXPONENT + 1)
-
     def test_default_exponents(self):
         p = PropagatorSpec(eps=0.5, s=as_order(0.8))
-        assert p.a == 4 and p.b == 7
+        assert (EXPONENT_A, EXPONENT_B) == (4, 7)
         assert p.dispersive_coeff == pytest.approx(0.5**4)
         assert p.heat_coeff == pytest.approx(0.5**7)

@@ -51,8 +51,11 @@ def expanded(grid, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def derivative_escapes(g: NonlinearityG) -> bool:
-    """Whether g's derivative, sampled on [-10, 10], leaves [m, M]."""
-    gp = g.derivative(np.linspace(-10.0, 10.0, 2001))
+    """Whether g's difference quotients on a 2001-point mesh of [-10, 10]
+    leave [m, M]: by the mean value theorem each is a value of g', so an
+    escape is one of g'."""
+    v = np.linspace(-10.0, 10.0, 2001)
+    gp = np.diff(g.fn(v)) / np.diff(v)
     return bool(np.min(gp) < g.m - 1e-9 or np.max(gp) > g.M + 1e-9)
 
 
@@ -71,19 +74,21 @@ class TestNonlinearity:
         assert np.allclose(out, np.tanh(0.5) + 0.05)
 
     def test_regularized_bounds(self):
-        g = g_tanh_blend(0.2, 1.0).regularized(0.1)
-        assert g.m == pytest.approx(0.3)
-        assert g.M == pytest.approx(1.1)
-        assert not derivative_escapes(g)
+        # every bundled g, plain and regularized, keeps g' inside its [m, M];
+        # one test over the six cases, so the suite keeps its one test id
+        for g in (g_zero(), g_linear(0.7), g_tanh_blend(0.2, 1.0)):
+            for reg in (0.0, 0.1):
+                g_eps = g.regularized(reg)
+                assert (g_eps.m, g_eps.M) == pytest.approx((g.m + reg, g.M + reg)), g_eps.label
+                assert not derivative_escapes(g_eps), g_eps.label
 
     def test_g_zero_required_at_origin(self):
         with pytest.raises(ValueError, match="g\\(0\\)"):
-            NonlinearityG(fn=lambda v: v + 1.0, derivative=lambda v: np.ones_like(v),
-                          m=1.0, M=1.0)
+            NonlinearityG(fn=lambda v: v + 1.0, m=1.0, M=1.0)
 
     def test_sampled_derivative_escape_detected(self):
         # the constructor checks only m <= M and g(0) = 0; cos leaves [0.5, 1]
-        bad = NonlinearityG(fn=np.sin, derivative=np.cos, m=0.5, M=1.0)
+        bad = NonlinearityG(fn=np.sin, m=0.5, M=1.0)
         assert derivative_escapes(bad)
 
 

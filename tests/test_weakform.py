@@ -13,6 +13,7 @@ from fswl.entropy import (
 )
 from fswl.fractional import frac_laplacian_spectral
 from fswl.grid import BLOCK_SAMPLES, Field, make_grid
+from fswl.propagators import EXPONENT_B
 from fswl.solver import (
     PerturbedRun,
     SystemParams,
@@ -190,7 +191,7 @@ class TestEntropyBalance:
         P = tf.time_value(traj.times)
         Q = tf.space_values().real
         total = 0.0
-        eps_b = run.eps**run.b
+        eps_b = run.eps**EXPONENT_B
         for i in range(len(traj)):
             if P[i] == 0.0:
                 continue
