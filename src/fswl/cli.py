@@ -28,8 +28,11 @@ from .diagnostics import smallness_condition, theta_envelope
 from .grid import BLOCK_SAMPLES, Field, make_grid
 from .propagators import EXPONENT_A, EXPONENT_B
 from .solver import (
+    BLOWUP_FACTOR,
     MAX_STEPS,
     MAX_STORED_BYTES,
+    PICARD_MAX_ITER,
+    PICARD_TOL,
     BlowupError,
     ConvergenceTable,
     PerturbedRun,
@@ -43,6 +46,20 @@ from .solver import (
     solve_perturbed,
 )
 from .verify import SUITES, run_suite
+
+__all__ = [
+    "ConfigError",
+    "canonical_config",
+    "config_hash",
+    "parse_config",
+    "write_trajectory",
+    "TrajectoryFile",
+    "read_trajectory",
+    "do_run",
+    "do_sweep",
+    "do_verify",
+    "main",
+]
 
 ARTIFACT_VERSION = "fswl-0.1.0"
 TRAJECTORY_SCHEMA = 3
@@ -90,11 +107,15 @@ def _finite_list(raw, name: str) -> list:
     return raw
 
 
-def _gate(raw, name: str, fixed: float) -> None:
-    """A gate key may only restate its fixed value; it sets nothing.  An
-    integer gate hands ``raw`` through ``_integer`` first."""
-    if _finite(raw, name) != fixed:
-        raise ValueError(f"{name} is fixed at {fixed!r}")
+def _fixed(value):
+    """The reader of a gate key, which may only restate ``value`` and sets
+    nothing; the key of an int gate is read through ``_integer`` first."""
+    number = _integer if isinstance(value, int) else _finite
+
+    def gate(raw, name: str) -> None:
+        if _finite(number(raw, name), name) != value:
+            raise ValueError(f"{name} is fixed at {value!r}")
+    return gate
 
 
 # Every key a config may hold, as nested sections of (reader, default); a
@@ -115,16 +136,16 @@ _SCHEMA = {
                "gamma": (_finite, None),
                "g": {"kind": {"zero": {}, "linear": {"c": (_finite, None)},
                               "tanh_blend": {"m": (_finite, None), "M": (_finite, None)}}}},
-    # configs may restate the fixed exponents and gates, never change them
-    "perturbation": {
-        "eps": (_finite, 0.1),
-        "a": (lambda raw, name: _gate(_integer(raw, name), name, EXPONENT_A), None),
-        "b": (lambda raw, name: _gate(_integer(raw, name), name, EXPONENT_B), None)},
-    "time": {"T": (_finite, ...), "dt": (_finite, ...), "picard_tol": (_finite, None),
-             "picard_max_iter": (_integer, None)},
-    "diagnostics": {"store_every": (_integer, None), "blowup_factor": (_finite, None),
-                    "mass_rtol": (lambda raw, name: _gate(raw, name, MASS_RTOL), None),
-                    "sup_tol": (lambda raw, name: _gate(raw, name, SUP_TOL), None)},
+    # configs may restate the fixed exponents, method constants and gates,
+    # never change them
+    "perturbation": {"eps": (_finite, 0.1), "a": (_fixed(EXPONENT_A), None),
+                     "b": (_fixed(EXPONENT_B), None)},
+    "time": {"T": (_finite, ...), "dt": (_finite, ...),
+             "picard_tol": (_fixed(PICARD_TOL), None),
+             "picard_max_iter": (_fixed(PICARD_MAX_ITER), None)},
+    "diagnostics": {"store_every": (_integer, None),
+                    "blowup_factor": (_fixed(BLOWUP_FACTOR), None),
+                    "mass_rtol": (_fixed(MASS_RTOL), None), "sup_tol": (_fixed(SUP_TOL), None)},
     "initial": {"u0": _INITIAL, "v0": _INITIAL},
     "sweep": {"eps_ladder": (_finite_list, ()), "alpha_grid": (_finite_list, ())},
     "seed": (_integer, 1234),
@@ -135,9 +156,8 @@ _NONLINEARITIES = {"zero": g_zero, "linear": g_linear, "tanh_blend": g_tanh_blen
 _FIELD_KEYS = {
     "half_length": "grid.L", "n_points": "grid.N", "s": "system.s", "g": "system.g",
     "eps": "perturbation.eps",
-    "T": "time.T", "dt": "time.dt", "T/dt": "time.T/dt", "picard_tol": "time.picard_tol",
-    "picard_max_iter": "time.picard_max_iter", "store_every": "diagnostics.store_every",
-    "blowup_factor": "diagnostics.blowup_factor", "eps_ladder": "sweep.eps_ladder"}
+    "T": "time.T", "dt": "time.dt", "T/dt": "time.T/dt", "store_every": "diagnostics.store_every",
+    "eps_ladder": "sweep.eps_ladder"}
 
 
 def _read(raw, table: dict, prefix: str) -> dict:

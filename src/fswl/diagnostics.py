@@ -294,10 +294,13 @@ def coercivity_report(v: Field, G: NonlinearityG, s) -> InequalityReport:
 # Growth envelopes
 # ---------------------------------------------------------------------------
 
-def _coupling(const, norm_factor):
-    """A coupling constant times its data-norm factor: 0 when the factor is
-    0, also for a constant beyond the float range (inf)."""
-    return const * norm_factor if norm_factor != 0.0 else 0.0
+def _coupling(x, y):
+    """x * y, elementwise, where a zero factor reads 0 also against a
+    factor beyond the float range (inf): a coupling constant against a zero
+    data norm, exp(T) against a zero constant, an accumulated integral at
+    t = 0 against an infinite constant."""
+    with np.errstate(invalid="ignore"):
+        return np.where((x == 0.0) | (y == 0.0), 0.0, x * y)
 
 
 def theta_envelope(traj: Trajectory) -> DiagnosticSeries:
@@ -316,7 +319,7 @@ def theta_envelope(traj: Trajectory) -> DiagnosticSeries:
     g_eff = params.g.regularized(run.g_regularization)
     gprime_sup = g_eff.M
     # as float64, a constant beyond the float range reads inf instead of
-    # raising; _coupling keeps a zero data norm zero against it
+    # raising; _coupling keeps a product with a zero factor zero against it
     aa, beta = np.float64(abs(params.alpha)), np.float64(params.beta)
     T = run.T
 
@@ -334,30 +337,32 @@ def theta_envelope(traj: Trajectory) -> DiagnosticSeries:
     v0_l2 = v_l2[0]
     pi2s = np.pi * (2.0 * s - 1.0)
     with np.errstate(over="ignore"):
+        eT = np.exp(T)
         theta0 = (
             1.0
             + frac[0]
             + eps_a * grad[0]
             + 0.5 * u4[0]
             + grid.sup_norm(traj.spectra(0)[0]) * v0_l2 * u0_l2
-            + _coupling(aa**2 * np.exp(T), v0_l2**2)
+            + _coupling(_coupling(aa**2, eT), v0_l2**2)
         )
         c1 = _coupling(4.0 * aa / np.sqrt(pi2s) * gprime_sup, u0_l2 ** (1.0 - 0.5 / s))
         c2 = _coupling(8.0 * aa * abs(beta) / pi2s, u0_l2 ** (3.0 - 1.0 / s))
         c3 = _coupling(4.0 / np.sqrt(np.pi) * aa * eps_b, u0_l2**0.5)
-        c4 = _coupling(16.0 * aa**2 * beta**2 * np.exp(T) / pi2s, u0_l2 ** (2.0 - 1.0 / s))
-        cH = _coupling(16.0 * beta**2 * np.exp(T) / pi2s, u0_l2 ** (2.0 - 1.0 / s))
+        c4 = _coupling(_coupling(16.0 * aa**2 * beta**2, eT) / pi2s, u0_l2 ** (2.0 - 1.0 / s))
+        cH = _coupling(_coupling(16.0 * beta**2, eT) / pi2s, u0_l2 ** (2.0 - 1.0 / s))
 
     I1 = _cumtrapz(v_l2 * frac_n ** (1.0 + 0.5 / s), times)
     I2 = _cumtrapz(frac_n ** (1.0 + 1.0 / s), times)
     I3 = _cumtrapz(grad_v * grad_u**1.5, times)
     I4 = _cumtrapz(frac_n ** (2.0 + 1.0 / s), times)
-    theta = theta0 + c1 * I1 + c2 * I2 + c3 * I3 + c4 * I4
+    theta = (theta0 + _coupling(c1, I1) + _coupling(c2, I2) + _coupling(c3, I3)
+             + _coupling(c4, I4))
 
     lhs = 1.0 + frac + eps_a * grad + 0.25 * u4
     h_meas = lhs - 1.0
 
-    H = np.exp(T) * v0_l2**2 + cH * _cumtrapz(h_meas ** (1.0 + 0.5 / s), times)
+    H = _coupling(eT, v0_l2**2) + _coupling(cH, _cumtrapz(h_meas ** (1.0 + 0.5 / s), times))
 
     sr.theta, sr.lhs_theta, sr.H_bound = theta, lhs, H
     sr.theta_margin_min = float(np.min(theta - lhs))

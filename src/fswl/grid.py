@@ -276,9 +276,9 @@ class Field:
     def mean(self) -> complex:
         return complex(self.spectrum[0])
 
-    def is_mean_free(self, rtol: float = ZERO_MODE_RTOL) -> bool:
+    def is_mean_free(self) -> bool:
         scale = float(np.sqrt(np.sum(np.abs(self.spectrum) ** 2))) or 1.0
-        return abs(self.spectrum[0]) <= rtol * max(scale, 1.0)
+        return abs(self.spectrum[0]) <= ZERO_MODE_RTOL * max(scale, 1.0)
 
     # -- norms (rectangle-rule / Parseval) --------------------------------
 

@@ -73,15 +73,20 @@ __all__ = [
 # contraction cap is tiny from asking for a practically endless march.
 MAX_STEPS = 10**6
 
+# The numerical method, the same for every run: a step's Picard iteration
+# stops at an H1 distance below PICARD_TOL and fails after PICARD_MAX_ITER
+# sweeps (a contracting iteration gets there in well under fifty), and a run
+# whose larger H1 norm rises above BLOWUP_FACTOR times that of its data
+# (or 1e-12) has blown up.
+PICARD_TOL = 1e-10
+PICARD_MAX_ITER = 50
+BLOWUP_FACTOR = 1e6
+
 # Bytes of band rows one run may store, n_samples * (3K+2) * 16: eighty
 # times an eps_sweep rung (6.6 MB).  Each sweep worker holds one rung and the
 # parent none (it compares rungs block by block from their files), so two
 # workers at the limit hold 1 GiB.
 MAX_STORED_BYTES = 2**29
-
-# Picard sweeps one step may take: a contracting iteration reaches roundoff
-# in well under a hundred.
-MAX_PICARD_ITER = 1000
 
 # The algebra constant C of the contraction-time estimate, and the most
 # halvings of dt a run may take: a step below dt/2**MAX_HALVINGS is a
@@ -107,7 +112,7 @@ class PicardDivergenceError(SolverError):
 
 
 class BlowupError(SolverError):
-    """A norm exceeded the configured ceiling."""
+    """A norm exceeded the blow-up ceiling (see BLOWUP_FACTOR)."""
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +211,7 @@ class SystemParams:
 
 @dataclass(frozen=True)
 class PerturbedRun:
-    """One regularized run: perturbation strength, time grid, tolerances.
+    """One regularized run: perturbation strength, time grid and storage.
 
     The perturbation is eps^a Du and eps^b Dv, its exponents fixed at
     ``propagators.EXPONENT_A`` and ``EXPONENT_B``.  eps_g is the strength of
@@ -219,21 +224,15 @@ class PerturbedRun:
     T: float
     dt: float
     eps_g: float | None = None
-    picard_tol: float = 1e-10
-    picard_max_iter: int = 50
-    blowup_factor: float = 1e6
     store_every: int = 1
 
     def __post_init__(self):
         check_perturbation(self.eps)
-        for name in ("T", "dt", "picard_tol", "blowup_factor"):
+        for name in ("T", "dt"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.store_every < 1:
             raise ValueError(f"store_every must be at least 1, got {self.store_every}")
-        if not 1 <= self.picard_max_iter <= MAX_PICARD_ITER:
-            raise ValueError(f"picard_max_iter must lie in [1, {MAX_PICARD_ITER}], "
-                             f"got {self.picard_max_iter!r}")
         steps = self.T / self.dt  # compared before round(), which inf overflows
         if steps > MAX_STEPS + 0.5:
             raise ValueError(f"T/dt = {steps:.10g} steps exceeds the limit of {MAX_STEPS}")
@@ -524,7 +523,6 @@ class _Stepper:
         are none.
         """
         p = self.params
-        run = self.run
         grid = self.grid
         K = self.K
         nu = 2 * K + 1
@@ -544,7 +542,7 @@ class _Stepper:
         prev_dist = np.inf
         nondecreasing = 0
         self.last_distances = []
-        for sweep in range(1, run.picard_max_iter + 1):
+        for sweep in range(1, PICARD_MAX_ITER + 1):
             mid = fwd_half + back_mult * new
             u_pad[: K + 1] = mid[: K + 1]
             u_pad[-K:] = mid[K + 1 : nu]
@@ -571,7 +569,7 @@ class _Stepper:
             if not np.isfinite(dist):
                 raise BlowupError(f"non-finite Picard distance at dt={dt:.3e}")
             new = nxt
-            if dist < run.picard_tol:
+            if dist < PICARD_TOL:
                 history.appendleft(new - free)
                 return new[:nu], new[nu:], sweep
             if dist >= prev_dist:
@@ -584,7 +582,7 @@ class _Stepper:
                 nondecreasing = 0
             prev_dist = dist
         raise SolverError(
-            f"Picard iteration exceeded {run.picard_max_iter} sweeps at dt={dt:.3e}"
+            f"Picard iteration exceeded {PICARD_MAX_ITER} sweeps at dt={dt:.3e}"
         )
 
 
@@ -613,7 +611,7 @@ def solve_perturbed(
     u, v = u0.spectrum[band], v0.spectrum[: K + 1]
 
     h1 = stepper._max_h1(u, v)
-    ceiling = run.blowup_factor * max(h1, 1e-12)
+    ceiling = BLOWUP_FACTOR * max(h1, 1e-12)
 
     # Contraction-time cap for the ball of radius 2.5 max of the data norms
     # (the argument only needs > 2).
@@ -656,7 +654,7 @@ def solve_perturbed(
                 last = (f"last distance {dists[-1]:.3e} after {len(dists)} sweeps"
                         if dists else "no sweep recorded")
                 raise SolverError(
-                    f"Picard stalled ({last}, picard_tol = {run.picard_tol:g}); "
+                    f"Picard stalled ({last}, picard_tol = {PICARD_TOL:g}); "
                     f"step collapsed below dt/2^{MAX_HALVINGS} near t="
                     f"{pos // ticks * run.dt + pos % ticks * run.dt / ticks:.4g}"
                 )

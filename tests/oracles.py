@@ -114,7 +114,7 @@ class FullSpectrumStepper:
         return float(np.sum(np.sqrt(np.add.reduceat(flat * flat * self._weight, self._split))))
 
     def step(self, u_spec, v_half, dt):
-        p, run, grid = self.params, self.run, self.grid
+        p, grid = self.params, self.grid
         Uf, Uh2, Ub2, cu, Wf, Wh2, Wb2, cv, gamma_mask = self._multipliers(dt)
         u_fwd_half, v_fwd_half = Uh2 * u_spec, Wh2 * v_half
         au, av = Uf * u_spec, Wf * v_half
@@ -126,7 +126,7 @@ class FullSpectrumStepper:
             v_new = v_new + c * dv
         pair = np.empty((2, grid.n_points))
         prev_dist, nondecreasing = np.inf, 0
-        for sweep in range(1, run.picard_max_iter + 1):
+        for sweep in range(1, sv.PICARD_MAX_ITER + 1):
             um = grid.from_spectrum(u_fwd_half + Ub2 * u_new)
             vm = grid.from_half_spectrum(v_fwd_half + Wb2 * v_new)
             pair[0] = np.abs(um) ** 2
@@ -140,14 +140,14 @@ class FullSpectrumStepper:
             if not np.isfinite(dist):
                 raise sv.BlowupError(f"non-finite Picard distance at dt={dt:.3e}")
             u_new, v_new = u_next, v_next
-            if dist < run.picard_tol:
+            if dist < sv.PICARD_TOL:
                 self._history = [(u_new - au, v_new - av)] + self._history[: sv.HISTORY_DEPTH - 1]
                 return u_new, v_new, sweep
             nondecreasing = nondecreasing + 1 if dist >= prev_dist else 0
             if nondecreasing >= 3:
                 raise sv.PicardDivergenceError(f"no contraction at dt={dt:.3e}")
             prev_dist = dist
-        raise sv.SolverError(f"Picard iteration exceeded {run.picard_max_iter} sweeps")
+        raise sv.SolverError(f"Picard iteration exceeded {sv.PICARD_MAX_ITER} sweeps")
 
 
 def full_spectrum_rows(u0, v0, params, run, dts) -> np.ndarray:

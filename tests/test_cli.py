@@ -34,7 +34,7 @@ from fswl.grid import BLOCK_SAMPLES, make_grid
 from fswl.propagators import EXPONENT_A, EXPONENT_B
 import fswl.solver as solver
 from fswl.solver import (
-    MAX_PICARD_ITER, ConvergenceTable, PerturbedRun, SolverError, Trajectory, _Stepper,
+    ConvergenceTable, SolverError, Trajectory, _Stepper,
     l2_spacetime_diff, solve_perturbed, vanishing_viscosity_sweep,
 )
 
@@ -181,15 +181,16 @@ class TestRunVerb:
         checks = json.loads((tmp_path / "out" / "summary.json").read_text())["checks"]
         assert checks["theta_envelope"] is True and checks["H_envelope"] is True
 
-    def test_blowup_exit_code(self, tmp_path):
+    def test_blowup_exit_code(self, tmp_path, monkeypatch):
         # focusing self-interaction with a tight ceiling trips the blow-up
         # guard long before the grid runs out of resolution
+        monkeypatch.setattr(solver, "BLOWUP_FACTOR", 1.5)
         cfg = tiny_config()
         cfg["system"] = {"alpha": 0.0, "beta": 0.0, "s": 0.75, "gamma": -30.0,
                         "g": {"kind": "zero"}}
         cfg["initial"]["u0"] = {"kind": "gaussian", "amplitude": 2.0, "width": 1.0}
         cfg["time"] = {"T": 0.5, "dt": 0.001}
-        cfg["diagnostics"] = {"blowup_factor": 1.5}
+        del cfg["diagnostics"]
         code = do_run(cfg, tmp_path / "out")
         assert code == 3
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
@@ -692,26 +693,19 @@ def test_unaffordable_substep_count_fails_fast(tmp_path, monkeypatch):
     assert "R = 2.7" in detail and detail.endswith("exceed the limit of 1000000")
 
 
-def test_tolerance_below_roundoff_collapse_names_picard_tol(tmp_path, capsys):
+def test_tolerance_below_roundoff_collapse_names_picard_tol(tmp_path, capsys, monkeypatch):
     # the Picard distances stall at roundoff, far above 1e-300, so every
     # step diverges and halves down to a collapse; the message must name the
     # stall and the tolerance, not only the step size
+    monkeypatch.setattr(solver, "PICARD_TOL", 1e-300)
     cfg = canonical_config()
-    cfg["time"].update(T=0.01, picard_tol=1e-300)
+    cfg["time"]["T"] = 0.01
     start = time.perf_counter()
     assert main(["run", "--config", str(_dump(tmp_path, cfg)), "--out", str(tmp_path / "o")]) == 3
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert re.search(r"Picard stalled \(last distance \S+ after \d+ sweeps, "
                      r"picard_tol = 1e-300\); step collapsed below dt/2\^12 near t=", err)
-
-
-def test_picard_max_iter_bound_is_inclusive():
-    cfg = tiny_config()
-    cfg["time"]["picard_max_iter"] = MAX_PICARD_ITER
-    assert parse_config(cfg)[2].picard_max_iter == MAX_PICARD_ITER
-    with pytest.raises(ValueError, match=f"picard_max_iter must lie in \\[1, {MAX_PICARD_ITER}\\]"):
-        PerturbedRun(eps=0.1, T=0.1, dt=0.01, picard_max_iter=MAX_PICARD_ITER + 1)
 
 
 @pytest.mark.parametrize("path, value", [
@@ -829,8 +823,22 @@ _SCHEMA_FAULTS = {
                             "time.T/dt = inf steps exceeds the limit of 1000000"),
     "unknown-kind": (lambda c: c["initial"]["v0"].update(kind="bump"),
                      "initial.v0.kind must be one of"),
+    # the Picard tolerance, the sweep cap and the blow-up factor are fixed
+    # gates too, each read as its type first
     "picard-max-iter-above-bound": (lambda c: c["time"].update(picard_max_iter=1001),
-                                    "time.picard_max_iter must lie in [1, 1000], got 1001"),
+                                    "time.picard_max_iter is fixed at 50"),
+    "picard-tol-other": (lambda c: c["time"].update(picard_tol=1e-12),
+                         "time.picard_tol is fixed at 1e-10"),
+    "picard-max-iter-other": (lambda c: c["time"].update(picard_max_iter=49),
+                              "time.picard_max_iter is fixed at 50"),
+    "blowup-factor-other": (lambda c: c["diagnostics"].update(blowup_factor=1e5),
+                            "diagnostics.blowup_factor is fixed at 1000000.0"),
+    "picard-max-iter-fractional": (lambda c: c["time"].update(picard_max_iter=50.5),
+                                   "time.picard_max_iter must be an integer, got 50.5"),
+    "picard-max-iter-string": (lambda c: c["time"].update(picard_max_iter="50"),
+                               "time.picard_max_iter must be an integer, got '50'"),
+    "picard-max-iter-bool": (lambda c: c["time"].update(picard_max_iter=True),
+                             "time.picard_max_iter must be an integer, got True"),
     # a range fault found by a constructor: its message is led by the field,
     # which parse_config replaces by the dotted key
     "grid-L-range": (lambda c: c["grid"].update(L=-1.0),
@@ -869,13 +877,13 @@ _SCHEMA_FAULTS = {
     "T-range": (lambda c: c["time"].update(T=-1.0), "time.T must be positive, got -1.0"),
     "dt-range": (lambda c: c["time"].update(dt=-1.0), "time.dt must be positive, got -1.0"),
     "picard-tol-range": (lambda c: c["time"].update(picard_tol=-1.0),
-                         "time.picard_tol must be positive, got -1.0"),
+                         "time.picard_tol is fixed at 1e-10"),
     "picard-max-iter-zero": (lambda c: c["time"].update(picard_max_iter=0),
-                             "time.picard_max_iter must lie in [1, 1000], got 0"),
+                             "time.picard_max_iter is fixed at 50"),
     "store-every-range": (lambda c: c["diagnostics"].update(store_every=0),
                           "diagnostics.store_every must be at least 1, got 0"),
     "blowup-factor-range": (lambda c: c["diagnostics"].update(blowup_factor=0.0),
-                            "diagnostics.blowup_factor must be positive, got 0.0"),
+                            "diagnostics.blowup_factor is fixed at 1000000.0"),
     # a negative c gives m = M = c < 0
     "g-linear-negative": (lambda c: c["system"].update(g={"kind": "linear", "c": -1.0}),
                           "system.g must have 0 <= m <= M < inf, got m=-1.0, M=-1.0"),
@@ -977,6 +985,35 @@ def test_coupling_beyond_float_range_on_zero_data(tmp_path, capsys, key):
     assert summary["passed"]
 
 
+def test_envelope_past_the_exp_range_has_finite_margins(tmp_path, capsys, monkeypatch):
+    # at time.T 720, exp(T) overflows to inf: against alpha = 0 and against
+    # the accumulated integrals at t = 0 it reads 0, not NaN.  The trajectory
+    # holds the data still at the run's sample times, so no 72,000-step
+    # solve is taken.
+    cfg = canonical_config()
+    cfg["grid"]["N"] = 16
+    cfg["system"]["alpha"] = 0.0
+    cfg["time"].update(T=720.0, dt=0.01)
+    cfg["diagnostics"]["store_every"] = 10000
+
+    def held_still(u0, v0, params, run):
+        band, K = solver._band(u0.grid)
+        row = np.concatenate((u0.spectrum[band], v0.spectrum[: K + 1]))
+        steps = np.minimum(np.arange(run.n_samples) * run.store_every, run.n_steps)
+        return Trajectory(grid=u0.grid, params=params, run=run, times=steps * run.dt,
+                          bands=np.tile(row, (run.n_samples, 1)))
+
+    monkeypatch.setattr(cli, "solve_perturbed", held_still)
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", str(_dump(tmp_path, cfg)), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    summary = json.loads((out / "summary.json").read_text())
+    assert set(summary["checks"]) >= {"theta_envelope", "H_envelope"}
+    assert summary["theta_margin_min"] > 0.0 and summary["H_margin_min"] == math.inf
+
+
 @pytest.mark.parametrize("initial, key, value", [
     ("u0", "width", 1e-300), ("v0", "width", 1e-300), ("u0", "center", 1e300)])
 def test_gaussian_tail_beyond_float_range_is_zero(tmp_path, capsys, initial, key, value):
@@ -1069,13 +1106,18 @@ def test_duplicate_key_is_named(tmp_path, capsys):
     assert "duplicate key 'L'" in capsys.readouterr().err
 
 
-def test_gate_keys_accepted_only_at_the_fixed_gates(monkeypatch):
-    cfg = tiny_config(diagnostics={"mass_rtol": 1e-8, "sup_tol": 1e-8})
-    parse_config(cfg)
-    # the table reads the gates when it checks a config, not when it is built
-    monkeypatch.setattr(cli, "SUP_TOL", 1e-6)
-    with pytest.raises(ConfigError, match="diagnostics.sup_tol is fixed at 1e-06"):
-        parse_config(cfg)
+def test_gate_keys_accepted_only_at_the_fixed_gates():
+    # each gate key may restate its fixed value, an int gate also as an
+    # integral float, and the run is the one without the keys; the schema
+    # faults above refuse any other value
+    plain = parse_config(tiny_config())[2]
+    for value in (solver.PICARD_MAX_ITER, float(solver.PICARD_MAX_ITER)):
+        cfg = tiny_config()
+        cfg["perturbation"].update(a=EXPONENT_A, b=EXPONENT_B)
+        cfg["time"].update(picard_tol=solver.PICARD_TOL, picard_max_iter=value)
+        cfg["diagnostics"].update(blowup_factor=solver.BLOWUP_FACTOR, mass_rtol=cli.MASS_RTOL,
+                                  sup_tol=cli.SUP_TOL)
+        assert parse_config(cfg)[2] == plain
 
 
 def test_missing_initial_data_and_kind_share_the_default():

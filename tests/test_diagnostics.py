@@ -7,7 +7,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from fswl import diagnostics
 from fswl.diagnostics import (
@@ -279,7 +279,10 @@ class TestSmallness:
         amp_u=st.sampled_from([0.0, 1e-200, 1e-100, 1e-8, 0.35, 4.0, 1e50, 1e200]),
         amp_v=st.sampled_from([0.0, 1e-200, 1e-100, 1e-8, 0.4, 4.0, 1e50, 1e200]),
     )
-    @settings(max_examples=100)
+    # no shrinking: a failure reports its first example within seconds
+    # instead of minutes of shrinking a 2-second, 100-example test
+    @settings(max_examples=100, phases=[Phase.explicit, Phase.reuse, Phase.generate,
+                                       Phase.target])
     def test_agrees_with_60_digit_oracle(self, log10_eps, alpha, beta, s, T, amp_u, amp_v):
         # the verdict always agrees; the reported constants agree to 1e-12
         # wherever the float range holds them, and read 0.0 or inf exactly

@@ -44,6 +44,7 @@ EXEMPT = {
     ("sobolev", "check_algebra"): "traced by the benchmark only",
     ("solver", "Trajectory.u_specs"): "read by the benchmark's reference check only",
     ("solver", "Trajectory.v_specs"): "read by the benchmark's reference check only",
+    ("cli", "read_trajectory"): "read by the benchmark's reference check only",
 }
 
 

@@ -139,9 +139,10 @@ class TestPicardStep:
         assert np.allclose(grid16.from_spectrum(un), exact_u.values, atol=1e-14)
         assert np.allclose(grid16.from_half_spectrum(vn[: grid16.n_points // 2 + 1]), exact_v.values, atol=1e-14)
 
-    def test_contraction_factor_below_one(self, grid16, gauss_pair):
+    def test_contraction_factor_below_one(self, grid16, gauss_pair, monkeypatch):
         u0, v0 = gauss_pair
-        run = PerturbedRun(eps=0.1, T=0.1, dt=0.01, picard_tol=1e-14)
+        monkeypatch.setattr(solver, "PICARD_TOL", 1e-14)
+        run = PerturbedRun(eps=0.1, T=0.1, dt=0.01)
         stepper = _Stepper(grid16, coupled_params(), run)
         stepper.step(*band_state(u0, v0), 0.01)
         d = stepper.last_distances
@@ -229,8 +230,8 @@ class TestIncrementPredictor:
         assert np.mean(sweeps) <= 1.05
         mass = grid.measure * np.sum(np.abs(traj.u_specs) ** 2, axis=1)
         assert np.max(np.abs(mass - mass[0])) <= 1e-12 * mass[0]
-        tight = solve_perturbed(u0, v0, params,
-                                PerturbedRun(eps=0.1, T=0.2, dt=1e-3, picard_tol=1e-13))
+        monkeypatch.setattr(solver, "PICARD_TOL", 1e-13)
+        tight = solve_perturbed(u0, v0, params, PerturbedRun(eps=0.1, T=0.2, dt=1e-3))
         for got, ref in ((traj.u_specs, tight.u_specs), (traj.v_specs, tight.v_specs)):
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -347,12 +348,13 @@ class TestSolvePerturbed:
         slope = fit_slope(dts[:-1], errs)
         assert slope >= 1.8
 
-    def test_blowup_ceiling_raises(self, grid16):
+    def test_blowup_ceiling_raises(self, grid16, monkeypatch):
         params = SystemParams(alpha=0.0, beta=0.0, s=0.75, g=g_zero(), gamma=-80.0)
         # gamma < 0 is the focusing regime: large data self-focuses quickly
         u0 = Field.from_function(grid16, lambda x: 6.0 * np.exp(-(x**2)))
         v0 = Field.zero(grid16, flavor="real")
-        run = PerturbedRun(eps=0.1, T=2.0, dt=2e-3, blowup_factor=5.0, eps_g=0.0)
+        monkeypatch.setattr(solver, "BLOWUP_FACTOR", 5.0)
+        run = PerturbedRun(eps=0.1, T=2.0, dt=2e-3, eps_g=0.0)
         with pytest.raises(BlowupError):
             solve_perturbed(u0, v0, params, run)
 
@@ -545,9 +547,11 @@ class TestViscositySweep:
         assert [row["status"] for row in table.rows()] == ["ok"] * 3
 
 
-def test_picard_max_iter_exceeded(grid16, gauss_pair):
+def test_picard_max_iter_exceeded(grid16, gauss_pair, monkeypatch):
     u0, v0 = gauss_pair
-    run = PerturbedRun(eps=0.1, T=0.1, dt=0.01, picard_tol=1e-16, picard_max_iter=2)
+    monkeypatch.setattr(solver, "PICARD_TOL", 1e-16)
+    monkeypatch.setattr(solver, "PICARD_MAX_ITER", 2)
+    run = PerturbedRun(eps=0.1, T=0.1, dt=0.01)
     stepper = _Stepper(grid16, coupled_params(), run)
     with pytest.raises(SolverError, match="exceeded"):
         stepper.step(*band_state(u0, v0), 0.01)
