@@ -3,6 +3,8 @@
 One JSON config describes a run end to end; every output file embeds the
 config hash and the artifact version, and identical config + seed produces
 byte-identical files (no timestamps, sorted keys, repr-stable floats).
+Every JSON artifact is strict JSON: a non-finite float is written as the
+string "NaN", "Infinity" or "-Infinity", which float() reads back.
 
 Exit codes: 0 pass, 1 invariant failure, 2 config error, 3 solver blow-up.
 """
@@ -17,14 +19,14 @@ import math
 import sys
 import tempfile
 from contextlib import ExitStack, contextmanager, suppress
-from dataclasses import replace
+from dataclasses import asdict, replace
 from multiprocessing import get_context
 from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
-from .diagnostics import smallness_condition, theta_envelope
+from .diagnostics import COLUMNS, smallness_condition, theta_envelope
 from .grid import BLOCK_SAMPLES, Field, make_grid
 from .propagators import EXPONENT_A, EXPONENT_B
 from .solver import (
@@ -61,7 +63,7 @@ __all__ = [
     "main",
 ]
 
-ARTIFACT_VERSION = "fswl-0.1.0"
+ARTIFACT_VERSION = "fswl-0.2.0"
 TRAJECTORY_SCHEMA = 3
 
 # The paper-facing gates of ``fswl run``: the largest relative mass drift
@@ -253,8 +255,27 @@ def parse_config(config: dict):
 # Persistence
 # ---------------------------------------------------------------------------
 
-def _dump_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n")
+_NON_FINITE = {math.inf: "Infinity", -math.inf: "-Infinity"}
+
+
+def _strict(obj):
+    """``obj`` with every non-finite float, at any depth, replaced by its
+    string spelling "NaN", "Infinity" or "-Infinity"."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return _NON_FINITE.get(obj, "NaN")
+    if isinstance(obj, dict):
+        return {key: _strict(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [_strict(value) for value in obj]
+    return obj
+
+
+def _write_json(path: Path, *objs, indent: int | None = None) -> None:
+    """Write each of ``objs`` to ``path`` as strict JSON with sorted keys,
+    each ending in a newline; ``indent`` as for ``json.dumps``."""
+    path.write_text("".join(
+        json.dumps(_strict(obj), sort_keys=True, indent=indent, allow_nan=False) + "\n"
+        for obj in objs))
 
 
 def write_trajectory(path: Path, traj: Trajectory, chash: str) -> None:
@@ -289,7 +310,7 @@ def write_trajectory(path: Path, traj: Trajectory, chash: str) -> None:
         "spectra_layout": f"complex128 [n_samples, 3K+2], K = {K}: "
                           "u_j for j = 0..K, -K..-1, then v_j for j = 0..K",
     }
-    path.write_text(json.dumps(header, sort_keys=True) + "\n")
+    _write_json(path, header)
 
 
 class TrajectoryFile:
@@ -376,18 +397,6 @@ def read_trajectory(path: Path, params: SystemParams, run: PerturbedRun) -> Traj
     return Trajectory(grid=source.grid, params=params, run=run, times=source.times, bands=bands)
 
 
-def _write_timeseries_csv(path: Path, recs, chash: str) -> None:
-    cols = [
-        "t", "mass", "energy", "v_l2", "v_sup",
-        "energy_balance_residual", "v_balance_residual",
-        "theta", "H_bound", "dtu_hminus1", "dtv_hminus1",
-    ]
-    lines = [f"# artifact_version={ARTIFACT_VERSION} config_hash={chash}", ",".join(cols)]
-    for r in recs:
-        lines.append(",".join(repr(getattr(r, c)) for c in cols))
-    path.write_text("\n".join(lines) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # Verbs
 # ---------------------------------------------------------------------------
@@ -405,27 +414,25 @@ def do_run(config: dict, out_dir: Path) -> int:
     _, params, run, u0, v0, _ = parse_config(config)
     chash = config_hash(config)
     _make_out_dir(out_dir)
-    _dump_json(out_dir / "config.json",
-               {"artifact_version": ARTIFACT_VERSION, "config_hash": chash,
-                "config": config})
+    _write_json(out_dir / "config.json",
+                {"artifact_version": ARTIFACT_VERSION, "config_hash": chash,
+                 "config": config}, indent=1)
     try:
         traj = solve_perturbed(u0, v0, params, run)
     except SolverError as exc:
         status = "blowup" if isinstance(exc, BlowupError) else "solver_failure"
-        _dump_json(out_dir / "summary.json",
-                   {"artifact_version": ARTIFACT_VERSION, "config_hash": chash,
-                    "status": status, "detail": str(exc)})
+        _write_json(out_dir / "summary.json",
+                    {"artifact_version": ARTIFACT_VERSION, "config_hash": chash,
+                     "status": status, "detail": str(exc)}, indent=1)
         print(f"{status}: {exc}", file=sys.stderr)
         return 3
 
     series = theta_envelope(traj)
-    recs = series.records()
     small = smallness_condition(params, u0, v0, run.T, run.eps)
 
-    mass0 = recs[0].mass
-    mass_drift = max(abs(r.mass - mass0) for r in recs) / max(mass0, 1e-300)
-    sup0 = recs[0].v_sup
-    sup_excess = max(r.v_sup for r in recs) - sup0
+    mass0, sup0 = float(series.mass[0]), float(series.v_sup[0])
+    mass_drift = float(np.max(np.abs(series.mass - mass0))) / max(mass0, 1e-300)
+    sup_excess = float(np.max(series.v_sup)) - sup0
 
     checks = {
         "mass_conservation": bool(mass_drift <= MASS_RTOL),
@@ -446,19 +453,17 @@ def do_run(config: dict, out_dir: Path) -> int:
         "v_sup_excess": sup_excess,
         "theta_margin_min": series.theta_margin_min,
         "H_margin_min": series.H_margin_min,
-        "smallness": json.loads(small.to_json()),
+        "smallness": asdict(small),
         "checks": checks,
         "passed": all(checks.values()),
     }
     write_trajectory(out_dir / "trajectory.jsonl", traj, chash)
-    with (out_dir / "diagnostics.jsonl").open("w") as fh:
-        fh.write(json.dumps({"artifact_version": ARTIFACT_VERSION,
-                             "config_hash": chash, "kind": "diagnostics_header"},
-                            sort_keys=True) + "\n")
-        for r in recs:
-            fh.write(r.to_json() + "\n")
-    _write_timeseries_csv(out_dir / "timeseries.csv", recs, chash)
-    _dump_json(out_dir / "summary.json", summary)
+    rows = zip(*(getattr(series, name).tolist() for name in COLUMNS))
+    _write_json(out_dir / "diagnostics.jsonl",
+                {"artifact_version": ARTIFACT_VERSION, "config_hash": chash,
+                 "kind": "diagnostics_header"},
+                *(dict(zip(COLUMNS, row)) for row in rows))
+    _write_json(out_dir / "summary.json", summary, indent=1)
 
     for name, ok in sorted(checks.items()):
         print(f"{'PASS' if ok else 'FAIL'} {name}")
@@ -561,7 +566,7 @@ def do_sweep(config: dict, out_dir: Path, workers: int = 1) -> int:
             not c["blowup"] for c in cells if c["smallness_satisfied"]
         )
 
-    _dump_json(out_dir / "sweep_report.json", report)
+    _write_json(out_dir / "sweep_report.json", report, indent=1)
     for key, status in sorted(zip(keys, statuses), key=lambda r: repr(r[0])):
         print(f"{key}: {status}")
     return 1 if any(status != "completed" for status in statuses[:len(ladder)]) else 0
@@ -577,7 +582,7 @@ def do_verify(suite: str, seed: int, out_dir: Path | None) -> int:
         print(f"{'PASS' if row['passed'] else 'FAIL'} {row['name']}")
     if out_dir is not None:
         _make_out_dir(out_dir)
-        _dump_json(out_dir / f"verify_{suite}.json", report)
+        _write_json(out_dir / f"verify_{suite}.json", report, indent=1)
     return 0 if report["passed"] else 1
 
 

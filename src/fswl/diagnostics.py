@@ -13,17 +13,17 @@ violation rather than discretization noise.
 
 Every per-sample quantity of a trajectory comes from one pass over the
 stored spectra, taken in fixed blocks of samples with batched FFTs, into
-one ``DiagnosticSeries``; ``theta_envelope`` fills its envelope columns,
-and the per-sample and per-trajectory functions below are views of it.
+one ``DiagnosticSeries`` of columns; ``theta_envelope`` fills its envelope
+columns, and the per-sample and per-trajectory functions below are views
+of it.  ``COLUMNS`` names the columns a run writes, one row per sample.
 An analysis of a stored run takes the ``Trajectory`` alone and reads the
 system parameters and the run from it.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -36,8 +36,8 @@ from .sobolev import InequalityReport
 from .solver import NonlinearityG, PerturbedRun, SystemParams, Trajectory
 
 __all__ = [
-    "DiagnosticsRecord",
     "DiagnosticSeries",
+    "COLUMNS",
     "SmallnessReport",
     "record_diagnostics",
     "diagnose_trajectory",
@@ -51,47 +51,22 @@ __all__ = [
 
 
 @dataclass
-class DiagnosticsRecord:
-    """Per-sample scalar diagnostics of one stored state."""
-
-    t: float
-    mass: float                 # ||u||_2^2
-    energy: float               # frac-gradient + dispersive + quartic + coupling
-    frac_grad_u_sq: float       # ||(-D)^{s/2} u||_2^2
-    grad_u_sq: float            # ||d_x u||_2^2
-    u_l4_4: float               # ||u||_4^4
-    v_l2: float
-    v_sup: float
-    grad_v_sq: float
-    energy_balance_residual: float = math.nan
-    v_balance_residual: float = math.nan
-    theta: float = math.nan
-    H_bound: float = math.nan
-    dtu_hminus1: float = math.nan
-    dtv_hminus1: float = math.nan
-
-    def to_json(self) -> str:
-        return json.dumps(vars(self), sort_keys=True)
-
-
-@dataclass
 class DiagnosticSeries:
     """Every per-sample scalar of a run of stored samples, from one pass,
     and the theta/H envelopes with their worst margins.
 
-    Fields named like ``DiagnosticsRecord`` fields are the columns of those
-    records.  The residuals are NaN at both ends and the difference
-    quotients at the first sample, where a neighbor is missing.  The
-    envelope columns and margins are NaN until ``theta_envelope`` fills
-    them.
+    Each array field is a column, one value per sample.  The residuals
+    are NaN at both ends and the difference quotients at the first sample,
+    where a neighbor is missing.  The envelope columns and margins are NaN
+    until ``theta_envelope`` fills them.
     """
 
     t: np.ndarray
-    mass: np.ndarray
-    energy: np.ndarray
-    frac_grad_u_sq: np.ndarray
-    grad_u_sq: np.ndarray
-    u_l4_4: np.ndarray
+    mass: np.ndarray            # ||u||_2^2
+    energy: np.ndarray          # frac-gradient + dispersive + quartic + coupling
+    frac_grad_u_sq: np.ndarray  # ||(-D)^{s/2} u||_2^2
+    grad_u_sq: np.ndarray       # ||d_x u||_2^2
+    u_l4_4: np.ndarray          # ||u||_4^4
     v_l2: np.ndarray
     v_sup: np.ndarray
     grad_v_sq: np.ndarray
@@ -113,11 +88,11 @@ class DiagnosticSeries:
     def H_ok(self) -> bool:
         return bool(self.H_margin_min >= -1e-9)
 
-    def records(self) -> list[DiagnosticsRecord]:
-        """One record per sample."""
-        cols = {f.name: getattr(self, f.name).tolist() for f in fields(DiagnosticsRecord)}
-        return [DiagnosticsRecord(**{k: c[i] for k, c in cols.items()})
-                for i in range(len(self.t))]
+
+# The columns a run writes, one diagnostics.jsonl row per sample: every array
+# field but lhs_theta, the left side inside theta_envelope's margin.
+COLUMNS = tuple(f.name for f in fields(DiagnosticSeries)
+                if f.default is MISSING and f.name != "lhs_theta")
 
 
 def _series(
@@ -154,10 +129,10 @@ def _series(
     alpha, beta = params.alpha, params.beta
     eps_a, eps_b = run.eps**EXPONENT_A, run.eps**EXPONENT_B
 
-    # the record columns, lhs_theta and two temporaries; the envelope
+    # the columns but t, lhs_theta and two temporaries; the envelope
     # columns theta, lhs_theta and H_bound stay NaN for theta_envelope
-    names = [f.name for f in fields(DiagnosticsRecord) if f.name != "t"]
-    col = {name: np.full(n, np.nan) for name in names + ["lhs_theta", "energy_rhs", "v_terms"]}
+    names = (*COLUMNS[1:], "lhs_theta", "energy_rhs", "v_terms")
+    col = {name: np.full(n, np.nan) for name in names}
     for lo in range(0, n, BLOCK_SAMPLES):
         blk = slice(lo, min(lo + BLOCK_SAMPLES, n))
         first = max(lo - 1, 0)
@@ -224,13 +199,12 @@ def record_diagnostics(
     t: float,
     params: SystemParams,
     run: PerturbedRun,
-) -> DiagnosticsRecord:
-    """All pointwise-in-time diagnostics; residual fields stay NaN here and
-    are filled by the windowed operations."""
+) -> DiagnosticSeries:
+    """The one-sample series of one state at time t: its residual and
+    envelope columns stay NaN."""
     u, v = state
-    sr = _series(u.grid, params, run, np.array([t], dtype=np.float64),
-                 lambda rows: (u.spectrum[None][rows], v.spectrum[None][rows]))
-    return sr.records()[0]
+    return _series(u.grid, params, run, np.array([t], dtype=np.float64),
+                   lambda rows: (u.spectrum[None][rows], v.spectrum[None][rows]))
 
 
 def _require_interior(traj: Trajectory, i: int) -> None:
@@ -250,10 +224,10 @@ def v_balance_residual(traj: Trajectory, i: int) -> float:
     return float(_window(traj, i - 1, i + 2).v_balance_residual[1])
 
 
-def diagnose_trajectory(traj: Trajectory) -> list[DiagnosticsRecord]:
-    """Records at every stored sample: residual and negative-norm fields
-    filled where neighbors exist, envelope fields everywhere."""
-    return theta_envelope(traj).records()
+def diagnose_trajectory(traj: Trajectory) -> DiagnosticSeries:
+    """The series of every stored sample with its envelope columns filled:
+    ``theta_envelope(traj)``."""
+    return theta_envelope(traj)
 
 
 # ---------------------------------------------------------------------------
@@ -390,9 +364,6 @@ class SmallnessReport:
     rhs: float
     satisfied: bool
     route: str
-
-    def to_json(self) -> str:
-        return json.dumps(vars(self), sort_keys=True)
 
 
 def _log(x):

@@ -46,7 +46,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .grid import BLOCK_SAMPLES, Field, GridSpec, as_coupled_order
-from .propagators import EXPONENT_A, EXPONENT_B, check_perturbation
+from .propagators import PropagatorSpec, check_perturbation
 from .sobolev import norm_equivalence_constants
 
 __all__ = [
@@ -453,13 +453,13 @@ class _Stepper:
         self.grid = grid
         self.params = params
         self.run = run
-        s = params.s
         band, K = _band(grid)
         self.K = K
         k2 = grid.k[band] ** 2
-        self.omega = grid.frac_symbol(s)[band] + run.eps**EXPONENT_A * k2
-        self.heat = run.eps**EXPONENT_B * k2[: K + 1]
-        self.half_symbol = grid.frac_symbol(0.5 * s)[: K + 1]
+        flows = PropagatorSpec(run.eps, params.s)
+        self.omega = flows.phase_symbol(grid)[band]
+        self.heat = flows.heat_coeff * k2[: K + 1]
+        self.half_symbol = grid.frac_symbol(0.5 * params.s)[: K + 1]
         # H1 weights of the fused distance over the floats of a row: a v
         # mode other than v_0 also stands for its conjugate
         v_weight = 2.0 * (1.0 + k2[: K + 1])

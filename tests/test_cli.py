@@ -30,6 +30,7 @@ from fswl.cli import (
     parse_config,
     read_trajectory,
 )
+from fswl.diagnostics import COLUMNS, theta_envelope
 from fswl.grid import BLOCK_SAMPLES, make_grid
 from fswl.propagators import EXPONENT_A, EXPONENT_B
 import fswl.solver as solver
@@ -105,19 +106,37 @@ class TestRunVerb:
         code = do_run(tiny_config(), tmp_path / "out")
         assert code == 0
         out = tmp_path / "out"
-        for name in ("config.json", "trajectory.jsonl", "diagnostics.jsonl",
-                     "summary.json", "timeseries.csv"):
-            assert (out / name).exists()
         summary = json.loads((out / "summary.json").read_text())
         assert summary["checks"]["mass_conservation"]
         assert summary["checks"]["max_principle"]
         assert summary["mass_drift_rel"] < 1e-10
         # every artifact embeds hash and version
         chash = summary["config_hash"]
-        assert chash in (out / "timeseries.csv").read_text()
-        header = json.loads((out / "trajectory.jsonl").read_text().splitlines()[0])
-        assert header["config_hash"] == chash
-        assert header["artifact_version"].startswith("fswl-")
+        for name in ("trajectory.jsonl", "diagnostics.jsonl"):
+            header = json.loads((out / name).read_text().splitlines()[0])
+            assert header["config_hash"] == chash
+            assert header["artifact_version"].startswith("fswl-")
+
+    def test_run_writes_one_row_of_columns_per_sample(self, tmp_path):
+        out = tmp_path / "out"
+        assert do_run(tiny_config(), out) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "config.json", "diagnostics.jsonl", "summary.json",
+            "trajectory.jsonl", "trajectory.npy"]
+        _, params, run, *_ = parse_config(tiny_config())
+        series = theta_envelope(read_trajectory(out / "trajectory.jsonl", params, run))
+        header, *rows = map(json.loads, (out / "diagnostics.jsonl").read_text().splitlines())
+        assert header["kind"] == "diagnostics_header"
+        assert len(rows) == len(series.t) == run.n_samples
+        spelled = {math.inf: "Infinity", -math.inf: "-Infinity"}
+        for i, row in enumerate(rows):
+            assert sorted(row) == sorted(COLUMNS)
+            for name in COLUMNS:
+                value = float(getattr(series, name)[i])
+                assert row[name] == (value if math.isfinite(value)
+                                     else spelled.get(value, "NaN")), (i, name)
+        # the residuals lack a neighbor at both ends
+        assert rows[0]["energy_balance_residual"] == rows[-1]["v_balance_residual"] == "NaN"
 
     def test_trajectory_round_trip(self, tmp_path):
         # at N = 256 the row width 3K+2 = 257 differs from N
@@ -161,10 +180,8 @@ class TestRunVerb:
     def test_determinism_byte_identical(self, tmp_path):
         do_run(tiny_config(), tmp_path / "a")
         do_run(tiny_config(), tmp_path / "b")
-        for name in ("trajectory.jsonl", "trajectory.npy", "diagnostics.jsonl",
-                     "summary.json", "timeseries.csv"):
-            assert (tmp_path / "a" / name).read_bytes() == \
-                (tmp_path / "b" / name).read_bytes()
+        for path in (tmp_path / "a").iterdir():
+            assert path.read_bytes() == (tmp_path / "b" / path.name).read_bytes()
 
     def test_zero_data_trivial_pass(self, tmp_path):
         cfg = tiny_config(initial={"u0": {"kind": "zero"}, "v0": {"kind": "zero"}})
@@ -551,6 +568,33 @@ class TestVerifyVerb:
         do_verify("gronwall", seed=7, out_dir=tmp_path / "b")
         assert (tmp_path / "a" / "verify_gronwall.json").read_bytes() == \
             (tmp_path / "b" / "verify_gronwall.json").read_bytes()
+
+
+def _refuse(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def _strict_loads(text: str):
+    """JSON text parsed as RFC 8259 JSON, which has no NaN or Infinity."""
+    return json.loads(text, parse_constant=_refuse)
+
+
+def test_every_artifact_is_strict_json(tmp_path):
+    config = _dump(tmp_path, dict(tiny_config(), sweep={"eps_ladder": [0.2, 0.1]}))
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+    assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "sweep")]) == 0
+    assert main(["verify", "--suite", "gronwall", "--out", str(tmp_path / "verify")]) == 0
+    files = sorted(tmp_path.glob("*/*.json"))
+    assert [p.name for p in files] == ["config.json", "summary.json", "sweep_report.json",
+                                       "verify_gronwall.json"]
+    for path in files:
+        _strict_loads(path.read_text())
+    lines = [line for path in sorted(tmp_path.glob("*/*.jsonl"))
+             for line in path.read_text().splitlines()]
+    # the two headers and one diagnostics row per sample
+    assert len(lines) == 2 + parse_config(tiny_config())[2].n_samples
+    for line in lines:
+        _strict_loads(line)
 
 
 def test_main_entry_config_error(tmp_path):
@@ -1009,9 +1053,9 @@ def test_envelope_past_the_exp_range_has_finite_margins(tmp_path, capsys, monkey
         warnings.simplefilter("error")
         assert main(["run", "--config", str(_dump(tmp_path, cfg)), "--out", str(out)]) == 0
     assert capsys.readouterr().err == ""
-    summary = json.loads((out / "summary.json").read_text())
+    summary = _strict_loads((out / "summary.json").read_text())
     assert set(summary["checks"]) >= {"theta_envelope", "H_envelope"}
-    assert summary["theta_margin_min"] > 0.0 and summary["H_margin_min"] == math.inf
+    assert summary["theta_margin_min"] > 0.0 and float(summary["H_margin_min"]) == math.inf
 
 
 @pytest.mark.parametrize("initial, key, value", [

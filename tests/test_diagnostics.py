@@ -11,6 +11,7 @@ from hypothesis import Phase, given, settings, strategies as st
 
 from fswl import diagnostics
 from fswl.diagnostics import (
+    COLUMNS,
     bilinear_form,
     coercivity_report,
     diagnose_trajectory,
@@ -46,8 +47,8 @@ class TestRecord:
         rec = record_diagnostics(
             (Field.zero(grid16), Field.zero(grid16, "real")), 0.0,
             coupled_params(), run)
-        assert rec.mass == 0.0 and rec.energy == 0.0
-        assert rec.v_l2 == 0.0 and rec.v_sup == 0.0
+        assert rec.mass[0] == 0.0 and rec.energy[0] == 0.0
+        assert rec.v_l2[0] == 0.0 and rec.v_sup[0] == 0.0
 
     def test_single_mode_energy_formula_and_constancy(self, grid16):
         params = SystemParams(alpha=0.0, beta=0.0, s=0.75, g=g_zero(), gamma=0.0)
@@ -60,7 +61,7 @@ class TestRecord:
         mass = A**2 * grid16.measure
         expected = (k**1.5 + 0.1**4 * k**2) * mass + 0.5 * A**4 * grid16.measure
         energies = [
-            record_diagnostics(sample_fields(traj, i), traj.times[i], params, run).energy
+            record_diagnostics(sample_fields(traj, i), traj.times[i], params, run).energy[0]
             for i in range(0, len(traj), 10)
         ]
         for e in energies:
@@ -198,15 +199,15 @@ class TestThetaEnvelope:
         assert env.H_margin_min > 0
 
     def test_envelope_fills_the_one_diagnostics_result(self, grid16, gauss_pair):
-        # only theta_envelope fills the envelope fields of the diagnostics
-        # pass; the per-sample record and a balance residual's window leave
+        # only theta_envelope fills the envelope columns of the diagnostics
+        # pass; a one-sample series and a balance residual's window leave
         # them NaN
         u0, v0 = gauss_pair
         params = coupled_params()
         run = PerturbedRun(eps=0.1, T=0.1, dt=5e-3)
         traj = solve_perturbed(u0, v0, params, run)
         single = record_diagnostics(sample_fields(traj, 3), traj.times[3], params, run)
-        assert np.isnan(single.theta) and np.isnan(single.H_bound)
+        assert np.isnan(single.theta[0]) and np.isnan(single.H_bound[0])
         window = diagnostics._window(traj, 2, 5)  # energy_balance_residual(traj, 3)
         for col in (window.theta, window.lhs_theta, window.H_bound):
             assert np.isnan(col).all()
@@ -217,8 +218,6 @@ class TestThetaEnvelope:
             assert np.isfinite(col).all()
         assert series.theta_margin_min == np.min(series.theta - series.lhs_theta)
         assert series.H_margin_min == np.min(series.H_bound - series.v_l2**2)
-        recs = diagnose_trajectory(traj)
-        assert [r.to_json() for r in recs] == [r.to_json() for r in series.records()]
 
 
 class TestSmallness:
@@ -310,9 +309,7 @@ class TestSmallness:
     def test_report_serializes(self, grid16, gauss_pair):
         u0, v0 = gauss_pair
         rep = smallness_condition(coupled_params(), u0, v0, 1.0, 0.1)
-        import json
-
-        row = json.loads(rep.to_json())
+        row = json.loads(json.dumps(asdict(rep)))
         assert {"C", "C1", "C2", "C3", "lhs", "rhs", "satisfied", "route"} <= set(row)
 
 
@@ -321,8 +318,8 @@ class TestNegativeNorms:
         run = PerturbedRun(eps=0.1, T=0.1, dt=0.01)
         traj = solve_perturbed(Field.zero(grid16), Field.zero(grid16, "real"),
                                coupled_params(), run)
-        rec = diagnose_trajectory(traj)[1]
-        assert rec.dtu_hminus1 == 0.0 and rec.dtv_hminus1 == 0.0
+        series = diagnose_trajectory(traj)
+        assert series.dtu_hminus1[1] == 0.0 and series.dtv_hminus1[1] == 0.0
 
     def test_linear_single_mode_closed_form(self, grid16):
         params = SystemParams(alpha=0.0, beta=0.0, s=0.75, g=g_zero(), gamma=0.0)
@@ -332,7 +329,7 @@ class TestNegativeNorms:
         A = 0.5
         u0 = Field.from_function(grid16, lambda x: A * np.exp(1j * k * x))
         traj = solve_perturbed(u0, Field.zero(grid16, "real"), params, run)
-        du = diagnose_trajectory(traj)[1].dtu_hminus1
+        du = diagnose_trajectory(traj).dtu_hminus1[1]
         omega = k**1.5 + 0.1**4 * k**2
         expected = (2 * abs(np.sin(omega * dt / 2)) / dt) * A * np.sqrt(grid16.measure) \
             / np.sqrt(1 + k**2)
@@ -345,9 +342,9 @@ class TestNegativeNorms:
         for eps in (0.2, 0.1, 0.05):
             run = PerturbedRun(eps=eps, T=0.2, dt=5e-3)
             traj = solve_perturbed(u0, v0, params, run)
-            recs = diagnose_trajectory(traj)
-            dts = np.diff([r.t for r in recs])
-            sq = np.array([r.dtu_hminus1**2 + r.dtv_hminus1**2 for r in recs[1:]])
+            series = diagnose_trajectory(traj)
+            dts = np.diff(series.t)
+            sq = series.dtu_hminus1[1:] ** 2 + series.dtv_hminus1[1:] ** 2
             integrals.append(float(np.sum(sq * dts)))
         assert max(integrals) <= 3.0 * min(integrals) + 1e-12
 
@@ -356,15 +353,11 @@ def test_diagnose_trajectory_fills_residuals(grid16, gauss_pair):
     u0, v0 = gauss_pair
     run = PerturbedRun(eps=0.1, T=0.1, dt=5e-3)
     traj = solve_perturbed(u0, v0, coupled_params(), run)
-    recs = diagnose_trajectory(traj)
-    assert len(recs) == len(traj)
-    assert np.isnan(recs[0].energy_balance_residual)
-    assert np.isfinite(recs[1].energy_balance_residual)
-    assert np.isfinite(recs[-1].dtu_hminus1)
-    row = recs[1].to_json()
-    assert "energy_balance_residual" in row
-    # the plain field dict serializes exactly as the deep-copying asdict
-    assert row == json.dumps(asdict(recs[1]), sort_keys=True)
+    series = diagnose_trajectory(traj)
+    assert len(series.t) == len(traj)
+    assert np.isnan(series.energy_balance_residual[0])
+    assert np.isfinite(series.energy_balance_residual[1])
+    assert np.isfinite(series.dtu_hminus1[-1])
 
 
 def test_block_pass_matches_per_sample_oracle(grid16, gauss_pair):
@@ -375,12 +368,12 @@ def test_block_pass_matches_per_sample_oracle(grid16, gauss_pair):
     run = PerturbedRun(eps=0.1, T=0.18, dt=5e-3)
     traj = solve_perturbed(u0, v0, params, run)
     assert len(traj) == 37 and len(traj) % BLOCK_SAMPLES != 0
-    recs = diagnose_trajectory(traj)
+    series = diagnose_trajectory(traj)
     ref = oracles.diagnose(traj)
     residuals = {"energy_balance_residual", "v_balance_residual"}
-    assert {f for f in recs[0].__dataclass_fields__} == set(ref[0])
+    assert len(COLUMNS) == len(ref[0]) and set(COLUMNS) == set(ref[0])
     for key in ref[0]:
-        got = np.array([getattr(r, key) for r in recs])
+        got = getattr(series, key)
         want = np.array([r[key] for r in ref])
         if key in residuals:
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, equal_nan=True, err_msg=key)
@@ -394,4 +387,4 @@ def test_block_pass_matches_per_sample_oracle(grid16, gauss_pair):
             ref[i]["v_balance_residual"], rel=0, abs=1e-12)
     single = record_diagnostics(sample_fields(traj, 20), traj.times[20], params, run)
     for key, value in oracles.record_fields(*sample_fields(traj, 20), params, run).items():
-        assert getattr(single, key) == pytest.approx(value, rel=1e-12, abs=0)
+        assert getattr(single, key)[0] == pytest.approx(value, rel=1e-12, abs=0)
