@@ -16,6 +16,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import sys
 import tempfile
 from contextlib import ExitStack, contextmanager, suppress
@@ -525,7 +526,7 @@ def do_sweep(config: dict, out_dir: Path, workers: int = 1) -> int:
         jobs = [(u0, v0, params, r, tmp / f"rung{i}.jsonl", chash)
                 for i, r in enumerate(rung_runs)]
         jobs += [(u0, v0, sp, run, None, chash) for sp in alpha_params]
-        workers = min(workers, len(jobs))
+        workers = min(workers, len(jobs), os.cpu_count() or 1)
         if workers > 1:
             results = stack.enter_context(_fork_pool(workers)).imap(_sweep_worker, jobs)
         else:
@@ -573,15 +574,22 @@ def do_sweep(config: dict, out_dir: Path, workers: int = 1) -> int:
 
 
 def do_verify(suite: str, seed: int, out_dir: Path | None) -> int:
+    """Run one suite, or all.  An unknown suite, a negative seed and an
+    ``--out`` that cannot be a directory exit 2 before any suite runs."""
     try:
-        report = run_suite(suite, seed=seed)
-    except KeyError as exc:
-        print(exc, file=sys.stderr)
+        if suite != "all" and suite not in SUITES:
+            raise ConfigError(f"--suite {suite!r} is unknown; choose from {[*SUITES, 'all']}")
+        if seed < 0:
+            raise ConfigError(f"--seed must be nonnegative, got {seed}")
+        if out_dir is not None:
+            _make_out_dir(out_dir)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
         return 2
+    report = run_suite(suite, seed=seed)
     for row in report["checks"]:
         print(f"{'PASS' if row['passed'] else 'FAIL'} {row['name']}")
     if out_dir is not None:
-        _make_out_dir(out_dir)
         _write_json(out_dir / f"verify_{suite}.json", report, indent=1)
     return 0 if report["passed"] else 1
 

@@ -30,7 +30,6 @@ import numpy as np
 
 from .fractional import cns_constant, pair_correlation_integral
 from .grid import BLOCK_SAMPLES, Field, GridSpec, as_order
-from .gronwall import _cumtrapz
 from .propagators import EXPONENT_A, EXPONENT_B
 from .sobolev import InequalityReport
 from .solver import NonlinearityG, PerturbedRun, SystemParams, Trajectory
@@ -267,6 +266,14 @@ def coercivity_report(v: Field, G: NonlinearityG, s) -> InequalityReport:
 # ---------------------------------------------------------------------------
 # Growth envelopes
 # ---------------------------------------------------------------------------
+
+def _cumtrapz(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Cumulative composite-trapezoid integral of samples y at increasing
+    x, zero at x[0]."""
+    out = np.zeros_like(y)
+    out[1:] = np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x))
+    return out
+
 
 def _coupling(x, y):
     """x * y, elementwise, where a zero factor reads 0 also against a

@@ -389,7 +389,10 @@ class TestSweepVerb:
         assert serial == (tmp_path / "pool" / "sweep_report.json").read_bytes()
         assert json.loads(serial)["viscosity_table"][0]["eps_coarse"] == "0.2"
 
-    def test_pool_capped_at_job_count(self, tmp_path, monkeypatch):
+    @staticmethod
+    def _serial_pool(monkeypatch) -> list:
+        """Replace the fork pool by one that runs its jobs in this process;
+        the returned list collects the size of each pool asked for."""
         sizes = []
 
         class SerialPool:
@@ -406,10 +409,25 @@ class TestSweepVerb:
                 return map(fn, jobs)
 
         monkeypatch.setattr(cli, "get_context", lambda method: SimpleNamespace(Pool=SerialPool))
+        return sizes
+
+    def test_pool_capped_at_job_count(self, tmp_path, monkeypatch):
+        sizes = self._serial_pool(monkeypatch)
         cfg = tiny_config()
         cfg["sweep"] = {"eps_ladder": [0.2, 0.1]}
         assert do_sweep(cfg, tmp_path / "out", workers=8) == 0
         assert sizes == [2]
+
+    @pytest.mark.parametrize("cpus,expected", [(2, [2]), (None, [])])
+    def test_pool_capped_at_cpu_count(self, tmp_path, monkeypatch, cpus, expected):
+        # four jobs and eight workers asked for: the pool has one process a
+        # CPU, and none at all (a serial run) when the count is unknown
+        sizes = self._serial_pool(monkeypatch)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        cfg = tiny_config()
+        cfg["sweep"] = {"eps_ladder": [0.2, 0.1], "alpha_grid": [0.0, 0.1]}
+        assert do_sweep(cfg, tmp_path / "out", workers=8) == 0
+        assert sizes == expected
 
     def test_failed_rung_exits_1(self, tmp_path, monkeypatch):
         def solve(u0, v0, params, run):
@@ -562,6 +580,44 @@ class TestVerifyVerb:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "nonsense"])
         assert exc.value.code == 2
+
+    def test_unknown_suite_named_before_any_output(self, tmp_path, capsys):
+        assert do_verify("nonsense", seed=1, out_dir=tmp_path / "o") == 2
+        out, err = capsys.readouterr()
+        assert "--suite 'nonsense'" in err
+        assert out == ""
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("suite", ["gronwall", "operators"])
+    def test_negative_seed_refused_before_any_suite_runs(self, tmp_path, capsys, suite):
+        assert main(["verify", "--suite", suite, "--seed", "-1",
+                     "--out", str(tmp_path / "o")]) == 2
+        out, err = capsys.readouterr()
+        assert "--seed" in err
+        assert out == ""
+        assert not (tmp_path / "o").exists()
+
+    def test_out_naming_a_file_refused_before_any_suite_runs(self, tmp_path, capsys,
+                                                             monkeypatch):
+        import fswl.verify as V
+
+        monkeypatch.setitem(V.SUITES, "gronwall", lambda seed: pytest.fail("a suite ran"))
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n")
+        assert main(["verify", "--suite", "gronwall", "--out", str(out)]) == 2
+        stdout, err = capsys.readouterr()
+        assert f"--out {out}" in err
+        assert stdout == ""
+
+    def test_key_error_inside_a_suite_propagates(self, monkeypatch):
+        import fswl.verify as V
+
+        def broken(seed):
+            raise KeyError("a bug inside the suite")
+
+        monkeypatch.setitem(V.SUITES, "gronwall", broken)
+        with pytest.raises(KeyError, match="a bug inside the suite"):
+            do_verify("gronwall", seed=1, out_dir=None)
 
     def test_seeded_report_byte_identical(self, tmp_path):
         do_verify("gronwall", seed=7, out_dir=tmp_path / "a")

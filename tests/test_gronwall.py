@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,8 +18,8 @@ def test_sigma1_constant_rates():
 
 
 def test_sigma0_linear_case():
-    spec = GronwallSpec(C=1.4, sigma=0.0, a=np.cos, b=0.0, t0=0.0, horizon=1.0)
-    assert gronwall_bound(spec, 1.0) == pytest.approx(1.4 * np.exp(np.sin(1.0)), rel=1e-8)
+    spec = GronwallSpec(C=1.4, sigma=0.0, a=0.6, b=0.0, t0=0.0, horizon=1.0)
+    assert gronwall_bound(spec, 1.0) == pytest.approx(1.4 * np.exp(0.6), rel=1e-12)
 
 
 def test_inadmissible_horizon_rejected():
@@ -26,21 +28,36 @@ def test_inadmissible_horizon_rejected():
         gronwall_bound(spec, 2.5)
 
 
-def test_bracket_crossing_detector():
-    # the horizon condition provably implies a positive bracket, so the
-    # pointwise detector is defense-in-depth against quadrature wiggle;
-    # exercise it on the internal evaluator where the crossing is visible
-    from fswl.gronwall import _bound_on_grid
+def test_bracket_at_the_rounding_edge_is_refused():
+    # the horizon check passes by about 1e-14 relative, so the bracket is
+    # negative in the 1e-12 slack past t0 + h: refused, never a negative or
+    # complex bound
+    h = 1.1
+    spec = GronwallSpec(C=(1.0 / h) * (1 - 1e-14), sigma=2.0, a=0.0, b=1.0,
+                        t0=0.0, horizon=h)
+    assert np.isfinite(gronwall_bound(spec, h))
+    with pytest.raises(GronwallInadmissibleError, match="bracket"):
+        gronwall_bound(spec, h + 1e-12)
+    # 1/(1 - sigma) = -1/2 is not an integer: a negative bracket would give
+    # a complex power
+    fractional = GronwallSpec(C=(2.0 * h) ** -0.5 * (1 - 1e-14), sigma=3.0, a=0.0, b=1.0,
+                              t0=0.0, horizon=h)
+    assert np.isfinite(gronwall_bound(fractional, h))
+    with pytest.raises(GronwallInadmissibleError, match="bracket"):
+        gronwall_bound(fractional, h + 1e-12)
 
-    spec = GronwallSpec(C=0.9, sigma=2.0, a=0.0, b=1.0, t0=0.0, horizon=3.0)
-    val, ts, bracket = _bound_on_grid(spec, 2.0)
-    assert np.any(bracket <= 0.0)
-    assert not np.isfinite(val)
-    crossing = ts[np.argmax(bracket <= 0.0)]
-    assert crossing == pytest.approx(1.0 / 0.9, abs=5e-3)
-    # and the public entry point rejects the same spec up front
-    with pytest.raises(GronwallInadmissibleError):
-        gronwall_bound(spec, 2.0)
+
+def test_inadmissible_spec_at_t0_returns_C():
+    spec = GronwallSpec(C=0.5, sigma=2.0, a=0.0, b=1.0, t0=0.0, horizon=3.0)
+    assert gronwall_bound(spec, 0.0) == 0.5
+
+
+@pytest.mark.parametrize("sigma,b", [(1.0, 0.0), (0.5, 1.0), (1.0001, 1e-10)])
+def test_bound_beyond_the_float_range_reads_inf(sigma, b):
+    spec = GronwallSpec(C=1.0, sigma=sigma, a=1000.0, b=b, t0=0.0, horizon=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert gronwall_bound(spec, 1.0) == np.inf
 
 
 def test_marginally_admissible_bracket_stays_positive():
@@ -52,27 +69,27 @@ def test_marginally_admissible_bracket_stays_positive():
 
 @pytest.mark.parametrize(
     "sigma,a0,b0,C",
-    [(0.5, 0.4, 0.3, 1.2), (1.0, 0.2, 0.5, 0.8), (1.6, 0.3, 0.2, 0.6)],
+    [(0.5, 0.4, 0.3, 1.2), (1.0, 0.2, 0.5, 0.8), (1.6, 0.3, 0.2, 0.6), (2.0, 0.0, 0.7, 0.9)],
 )
 def test_dominates_equality_case_ode(sigma, a0, b0, C):
-    # variable rates: the bound must sit on (equality) or above the RK45
-    # solution of eta' = a eta + b eta^sigma at every grid point
-    a_fn = lambda t: a0 * (1.0 + 0.5 * np.sin(3.0 * t))
-    b_fn = lambda t: b0 * (1.0 + 0.3 * np.cos(2.0 * t))
-    spec = GronwallSpec(C=C, sigma=sigma, a=a_fn, b=b_fn, t0=0.0, horizon=0.8)
+    # the closed form must sit on the RK45 solution of
+    # eta' = a eta + b eta^sigma at every grid point
+    spec = GronwallSpec(C=C, sigma=sigma, a=a0, b=b0, t0=0.0, horizon=0.8)
     ts = np.linspace(0.01, 0.8, 9)
-    ode = growth_ode_solution(C, sigma, a_fn, b_fn, 0.0, np.concatenate([[0.0], ts]))[1:]
+    ode = growth_ode_solution(C, sigma, lambda t: a0, lambda t: b0, 0.0,
+                              np.concatenate([[0.0], ts]))[1:]
     for t, truth in zip(ts, ode):
         bound = gronwall_bound(spec, float(t))
         assert bound >= truth * (1 - 1e-7)
-        assert bound == pytest.approx(truth, rel=1e-5)
+        assert bound == pytest.approx(truth, rel=1e-9)
 
 
-def test_sampled_rate_arrays_accepted():
-    ts = np.linspace(0.0, 1.0, 101)
-    spec = GronwallSpec(C=1.0, sigma=1.0, a=(ts, 0.5 * np.ones_like(ts)),
-                        b=(ts, np.zeros_like(ts)), t0=0.0, horizon=1.0)
-    assert gronwall_bound(spec, 1.0) == pytest.approx(np.exp(0.5), rel=1e-10)
+def test_rate_must_be_a_constant():
+    pair = (np.linspace(0.0, 1.0, 11), np.ones(11))
+    for rate in (np.cos, lambda t: 0.5, pair):
+        for field in ("a", "b"):
+            with pytest.raises(TypeError, match="constant"):
+                GronwallSpec(C=1.0, sigma=1.0, horizon=1.0, **{field: rate})
 
 
 def test_sigma_to_one_continuity():
@@ -112,7 +129,9 @@ def test_monotone_in_inputs(C, bump, sigma):
 
 
 def test_negative_rates_rejected():
-    spec = GronwallSpec(C=1.0, sigma=1.0, a=lambda t: -np.ones_like(t), b=0.0,
-                        horizon=1.0)
-    with pytest.raises(ValueError, match="nonnegative"):
-        gronwall_bound(spec, 0.5)
+    for field in ("C", "sigma", "a", "b"):
+        for value in (-1.0, -1e-300, np.nan):
+            data = dict(C=1.0, sigma=1.0, a=0.3, b=0.2, horizon=1.0)
+            data[field] = value
+            with pytest.raises(ValueError, match="nonnegative"):
+                GronwallSpec(**data)
