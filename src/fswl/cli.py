@@ -575,17 +575,14 @@ def do_sweep(config: dict, out_dir: Path, workers: int = 1) -> int:
 
 def do_verify(suite: str, seed: int, out_dir: Path | None) -> int:
     """Run one suite, or all.  An unknown suite, a negative seed and an
-    ``--out`` that cannot be a directory exit 2 before any suite runs."""
-    try:
-        if suite != "all" and suite not in SUITES:
-            raise ConfigError(f"--suite {suite!r} is unknown; choose from {[*SUITES, 'all']}")
-        if seed < 0:
-            raise ConfigError(f"--seed must be nonnegative, got {seed}")
-        if out_dir is not None:
-            _make_out_dir(out_dir)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    ``--out`` that cannot be a directory raise ConfigError before any suite
+    runs."""
+    if suite != "all" and suite not in SUITES:
+        raise ConfigError(f"--suite {suite!r} is unknown; choose from {[*SUITES, 'all']}")
+    if seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {seed}")
+    if out_dir is not None:
+        _make_out_dir(out_dir)
     report = run_suite(suite, seed=seed)
     for row in report["checks"]:
         print(f"{'PASS' if row['passed'] else 'FAIL'} {row['name']}")

@@ -74,7 +74,6 @@ class DiagnosticSeries:
     dtu_hminus1: np.ndarray
     dtv_hminus1: np.ndarray
     theta: np.ndarray
-    lhs_theta: np.ndarray       # 1 + frac_grad^2 + eps^a grad^2 + ||u||_4^4 / 4
     H_bound: np.ndarray
     theta_margin_min: float = math.nan
     H_margin_min: float = math.nan
@@ -88,10 +87,8 @@ class DiagnosticSeries:
         return bool(self.H_margin_min >= -1e-9)
 
 
-# The columns a run writes, one diagnostics.jsonl row per sample: every array
-# field but lhs_theta, the left side inside theta_envelope's margin.
-COLUMNS = tuple(f.name for f in fields(DiagnosticSeries)
-                if f.default is MISSING and f.name != "lhs_theta")
+# The columns a run writes, one diagnostics.jsonl row per sample: every array field.
+COLUMNS = tuple(f.name for f in fields(DiagnosticSeries) if f.default is MISSING)
 
 
 def _series(
@@ -128,9 +125,9 @@ def _series(
     alpha, beta = params.alpha, params.beta
     eps_a, eps_b = run.eps**EXPONENT_A, run.eps**EXPONENT_B
 
-    # the columns but t, lhs_theta and two temporaries; the envelope
-    # columns theta, lhs_theta and H_bound stay NaN for theta_envelope
-    names = (*COLUMNS[1:], "lhs_theta", "energy_rhs", "v_terms")
+    # the columns but t and two temporaries; the envelope columns theta
+    # and H_bound stay NaN for theta_envelope
+    names = (*COLUMNS[1:], "energy_rhs", "v_terms")
     col = {name: np.full(n, np.nan) for name in names}
     for lo in range(0, n, BLOCK_SAMPLES):
         blk = slice(lo, min(lo + BLOCK_SAMPLES, n))
@@ -253,14 +250,7 @@ def coercivity_report(v: Field, G: NonlinearityG, s) -> InequalityReport:
     frac_Gv = grid.from_spectrum(grid.frac_symbol(0.5 * s) * Gv_spec).real
     lhs = float(grid.integral(frac_Gv * v.values))
     quarter = float(grid.weighted_sq(v.spectrum, grid.frac_symbol(0.5 * s)))
-    return InequalityReport(
-        name="porous_coercivity",
-        s=s,
-        lhs=G.m * quarter,
-        rhs=lhs,
-        constant_used=G.m,
-        witness=f"G={G.label}, {v!r}",
-    )
+    return InequalityReport(lhs=G.m * quarter, rhs=lhs)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +335,7 @@ def theta_envelope(traj: Trajectory) -> DiagnosticSeries:
 
     H = _coupling(eT, v0_l2**2) + _coupling(cH, _cumtrapz(h_meas ** (1.0 + 0.5 / s), times))
 
-    sr.theta, sr.lhs_theta, sr.H_bound = theta, lhs, H
+    sr.theta, sr.H_bound = theta, H
     sr.theta_margin_min = float(np.min(theta - lhs))
     sr.H_margin_min = float(np.min(H - v_l2**2))
     return sr

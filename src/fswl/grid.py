@@ -154,9 +154,11 @@ class GridSpec:
     def dealias_mask(self) -> np.ndarray:
         """Boolean 2/3-rule mask: keep |j| <= N/3, drop the rest.
 
-        Applied after every nonlinear product elsewhere in the codebase so
-        quadratic interactions of retained modes cannot alias back into the
-        retained band.  The unpaired Nyquist mode is always dropped.
+        The kept modes form the band, into which quadratic interactions of
+        its own modes cannot alias.  The mask defines that band: the solver
+        steps band rows at its indices, the smallness condition projects the
+        data onto it, and a test function's resolution check measures the
+        energy outside it.  The unpaired Nyquist mode is always dropped.
         """
         j = np.fft.fftfreq(self.n_points, d=1.0 / self.n_points)
         mask = np.abs(j) <= self.n_points // 3

@@ -62,12 +62,8 @@ class NormReport:
 class InequalityReport:
     """Outcome of one inequality (or identity) evaluation."""
 
-    name: str
-    s: float
     lhs: float
     rhs: float
-    constant_used: float
-    witness: str
     kind: str = "upper_bound"  # or "identity"
     tolerance: float = DEFAULT_SLACK
 
@@ -169,16 +165,7 @@ def check_equivalence(f: Field, s) -> InequalityReport:
     gag = pair_correlation_integral(f, f, s)
     frac = hs_norm(f, s).frac_grad_l2
     rhs = 2.0 / cns_constant(s) * frac**2
-    return InequalityReport(
-        name="gagliardo_fourier_identity",
-        s=s,
-        lhs=gag,
-        rhs=rhs,
-        constant_used=2.0 / cns_constant(s),
-        witness=repr(f),
-        kind="identity",
-        tolerance=1e-6,
-    )
+    return InequalityReport(lhs=gag, rhs=rhs, kind="identity", tolerance=1e-6)
 
 
 def norm_equivalence_constants(grid: GridSpec, s) -> tuple[float, float]:
@@ -203,11 +190,10 @@ def sup_interp_constant(s) -> float:
     return 2.0 / np.sqrt(np.pi * (2.0 * s - 1.0))
 
 
-def _bound_report(name: str, s: float, pair, constant: float, witness: str) -> InequalityReport:
+def _bound_report(pair) -> InequalityReport:
     """The report of an upper bound from its (lhs, rhs) arrays of one row."""
     lhs, rhs = (float(a[0]) for a in pair)
-    return InequalityReport(name=name, s=s, lhs=lhs, rhs=rhs, constant_used=constant,
-                            witness=witness)
+    return InequalityReport(lhs=lhs, rhs=rhs)
 
 
 def check_linf_interp(f: Field, s) -> InequalityReport:
@@ -217,8 +203,7 @@ def check_linf_interp(f: Field, s) -> InequalityReport:
     energy, so the bound cannot hold for it on the torus.
     """
     s = as_coupled_order(s)
-    return _bound_report("sup_interpolation", s, _linf_interp_rows(_Rows.of(f), s),
-                         sup_interp_constant(s), repr(f))
+    return _bound_report(_linf_interp_rows(_Rows.of(f), s))
 
 
 def check_product_bound(f: Field, s) -> InequalityReport:
@@ -229,8 +214,7 @@ def check_product_bound(f: Field, s) -> InequalityReport:
     any rescaled witness) and is deliberately not asserted.
     """
     s = as_coupled_order(s)
-    return _bound_report("square_product_bound", s, _product_bound_rows(_Rows.of(f), s),
-                         2.0, repr(f))
+    return _bound_report(_product_bound_rows(_Rows.of(f), s))
 
 
 def check_chain_rule(
@@ -244,8 +228,7 @@ def check_chain_rule(
     F acts elementwise on sample arrays of any shape.
     """
     s = as_order(s)
-    return _bound_report("chain_rule", s, _chain_rule_rows(F, fprime_sup, _Rows.of(f), s),
-                         fprime_sup, repr(f))
+    return _bound_report(_chain_rule_rows(F, fprime_sup, _Rows.of(f), s))
 
 
 def check_algebra(f: Field, g: Field, s) -> InequalityReport:
@@ -255,8 +238,7 @@ def check_algebra(f: Field, g: Field, s) -> InequalityReport:
     empirical ensemble constant, and the report carries the realized ratio.
     """
     s = as_coupled_order(s)
-    ratio = _algebra_rows(_Rows.of(f), _Rows.of(g), s)
-    return _bound_report("hs_algebra", s, (ratio, [ALGEBRA_CAP]), ALGEBRA_CAP, f"{f!r} * {g!r}")
+    return _bound_report((_algebra_rows(_Rows.of(f), _Rows.of(g), s), [ALGEBRA_CAP]))
 
 
 @lru_cache(maxsize=16)

@@ -452,7 +452,6 @@ class _Stepper:
     def __init__(self, grid: GridSpec, params: SystemParams, run: PerturbedRun):
         self.grid = grid
         self.params = params
-        self.run = run
         band, K = _band(grid)
         self.K = K
         k2 = grid.k[band] ** 2

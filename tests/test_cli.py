@@ -576,16 +576,16 @@ class TestVerifyVerb:
         assert report["passed"]
 
     def test_unknown_suite_exit_code(self, capsys):
-        assert do_verify("nonsense", seed=1, out_dir=None) == 2
+        with pytest.raises(ConfigError, match="--suite 'nonsense'"):
+            do_verify("nonsense", seed=1, out_dir=None)
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "nonsense"])
         assert exc.value.code == 2
 
     def test_unknown_suite_named_before_any_output(self, tmp_path, capsys):
-        assert do_verify("nonsense", seed=1, out_dir=tmp_path / "o") == 2
-        out, err = capsys.readouterr()
-        assert "--suite 'nonsense'" in err
-        assert out == ""
+        with pytest.raises(ConfigError, match="--suite 'nonsense'"):
+            do_verify("nonsense", seed=1, out_dir=tmp_path / "o")
+        assert capsys.readouterr().out == ""
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("suite", ["gronwall", "operators"])

@@ -22,6 +22,7 @@ from fswl.diagnostics import (
     v_balance_residual,
 )
 from fswl.grid import BLOCK_SAMPLES, Field, make_grid
+from fswl.propagators import EXPONENT_A
 from fswl.sobolev import random_band_limited
 from fswl.solver import (
     NonlinearityG,
@@ -177,7 +178,7 @@ class TestThetaEnvelope:
                                coupled_params(), run)
         env = theta_envelope(traj)
         assert np.allclose(env.theta, 1.0)
-        assert np.allclose(env.lhs_theta, 1.0)
+        assert env.theta_margin_min == 0.0
         assert env.theta_ok
 
     def test_alpha_zero_constant_envelope(self, grid16, gauss_pair):
@@ -209,14 +210,16 @@ class TestThetaEnvelope:
         single = record_diagnostics(sample_fields(traj, 3), traj.times[3], params, run)
         assert np.isnan(single.theta[0]) and np.isnan(single.H_bound[0])
         window = diagnostics._window(traj, 2, 5)  # energy_balance_residual(traj, 3)
-        for col in (window.theta, window.lhs_theta, window.H_bound):
+        for col in (window.theta, window.H_bound):
             assert np.isnan(col).all()
         assert np.isnan(window.theta_margin_min) and np.isnan(window.H_margin_min)
 
         series = theta_envelope(traj)
-        for col in (series.theta, series.lhs_theta, series.H_bound):
+        for col in (series.theta, series.H_bound):
             assert np.isfinite(col).all()
-        assert series.theta_margin_min == np.min(series.theta - series.lhs_theta)
+        lhs = (1.0 + series.frac_grad_u_sq + run.eps**EXPONENT_A * series.grad_u_sq
+               + 0.25 * series.u_l4_4)
+        assert series.theta_margin_min == np.min(series.theta - lhs)
         assert series.H_margin_min == np.min(series.H_bound - series.v_l2**2)
 
 

@@ -6,6 +6,7 @@ import pytest
 from fswl.fractional import pair_correlation_integral
 from fswl.grid import BLOCK_SAMPLES, Field, make_grid
 from fswl.sobolev import (
+    InequalityReport,
     _algebra_rows,
     _band_limited_rows,
     _chain_rule_rows,
@@ -58,6 +59,24 @@ class TestHsNorm:
         for _ in range(10):
             rep = hs_norm(random_band_limited(g, rng), 0.75)
             assert rep.hs_fourier >= rep.l2
+
+
+class TestReportPassRules:
+    def test_identity_fails_on_the_side_an_upper_bound_passes(self):
+        ident = InequalityReport(lhs=1.0, rhs=1.001, kind="identity", tolerance=1e-6)
+        assert ident.margin > 0 and not ident.passed
+        assert InequalityReport(lhs=1.0, rhs=1.001).passed
+        assert not InequalityReport(lhs=1.001, rhs=1.0, kind="identity", tolerance=1e-6).passed
+
+    def test_identity_tolerance_is_relative_to_the_larger_side(self):
+        assert InequalityReport(lhs=1.0, rhs=1.0 + 5e-7, kind="identity", tolerance=1e-6).passed
+        assert InequalityReport(lhs=1e6, rhs=1e6 + 0.5, kind="identity", tolerance=1e-6).passed
+        assert not InequalityReport(lhs=1e6, rhs=1e6 + 2.0, kind="identity",
+                                    tolerance=1e-6).passed
+
+    def test_upper_bound_slack(self):
+        assert InequalityReport(lhs=1.0 + 5e-11, rhs=1.0).passed
+        assert not InequalityReport(lhs=1.0 + 2e-10, rhs=1.0).passed
 
 
 class TestEquivalenceIdentity:
