@@ -13,8 +13,10 @@ For sigma > 1 the classical sufficient condition at the declared horizon h,
 C^{1-sigma} > (sigma-1) b h e^{(sigma-1)ah}, is checked first: it keeps the
 bracket positive on [t0, t0 + h], since E_k(tau) <= h e^{kh} for k >= 0.  A
 bracket still not positive in floating point (within rounding of that
-margin, or in the 1e-12 slack past t0 + h) is refused too.  A bound beyond
-the float range reads inf.
+margin, or in the 1e-12 slack past t0 + h) is refused too.  A factor that
+leaves the float range on its own (e^{a tau} with a tiny C, say) is taken
+in logs with its small cofactor, and only a bound beyond the float range
+reads inf.
 """
 
 from __future__ import annotations
@@ -63,14 +65,9 @@ def gronwall_bound(spec: GronwallSpec, t: float) -> float:
     if t == t0 or C == 0.0 and (sigma >= 1.0 or b == 0.0):
         return C
     tau, om = t - t0, 1.0 - sigma
-    # inf bounds every eta, so a step that overflows reads as the bound inf
-    try:
-        if abs(om) < 1e-13 or b == 0.0:
-            return C * math.exp((a + b) * tau)
-        k = -om * a
-        E = tau if k == 0.0 else math.expm1(k * tau) / k
-        if sigma < 1.0:
-            return math.exp(a * tau) * (C**om + om * b * E) ** (1.0 / om)
+    linear = abs(om) < 1e-13 or b == 0.0
+    k = -om * a
+    if sigma > 1.0 and not linear:
         # log of the critical value e^{-ah} [(sigma-1) b h]^{-1/(sigma-1)}
         log_rhs = -a * h + (math.log(-om) + math.log(b) + math.log(h)) / om
         if not math.log(C) < log_rhs:
@@ -78,11 +75,36 @@ def gronwall_bound(spec: GronwallSpec, t: float) -> float:
                 f"horizon admissibility violated: C = {C:.6g} is not below the critical "
                 f"value {math.exp(min(log_rhs, 700.0)):.6g} at the declared horizon "
                 f"t0 + h = {t0 + h:.6g}")
+    try:
+        if linear:
+            return C * math.exp((a + b) * tau)
+        E = tau if k == 0.0 else math.expm1(k * tau) / k
+        if sigma < 1.0:
+            return math.exp(a * tau) * (C**om + om * b * E) ** (1.0 / om)
         # the bracket over C^{1-sigma}, which itself may leave the float range
-        bracket = 1.0 + om * b * C**-om * E
-        if not bracket > 0.0:
-            raise GronwallInadmissibleError(
-                f"bracket of the sigma > 1 bound is not positive at t = {t:.6g}")
+        bracket = _positive(1.0 + om * b * C**-om * E, t)
         return math.exp(a * tau) * C * bracket ** (1.0 / om)
     except OverflowError:
+        pass
+    # e^{a tau}, E_k(tau) or C^{sigma-1} left the float range on its own:
+    # the same formula, each product of one of them with a small factor
+    # taken as exp of a sum of logs.  inf bounds every eta, so a bound that
+    # overflows in this form too reads inf
+    try:
+        if linear:
+            return math.exp((a + b) * tau + math.log(C))
+        if sigma < 1.0:  # k <= 0, so E did not overflow
+            return math.exp(a * tau + math.log(C**om + om * b * E) / om)
+        log_E = math.log(tau) if k == 0.0 else k * tau + math.log(-math.expm1(-k * tau) / k)
+        bracket = _positive(1.0 - math.exp(math.log(-om * b) - om * math.log(C) + log_E), t)
+        return math.exp(a * tau + math.log(C) + math.log(bracket) / om)
+    except OverflowError:
         return math.inf
+
+
+def _positive(bracket: float, t: float) -> float:
+    """The sigma > 1 bracket, refused unless positive in floating point."""
+    if not bracket > 0.0:
+        raise GronwallInadmissibleError(
+            f"bracket of the sigma > 1 bound is not positive at t = {t:.6g}")
+    return bracket

@@ -196,7 +196,9 @@ class SystemParams:
 
     gamma multiplies the cubic self-interaction; the system under study
     fixes gamma = 1, but 0 is allowed so linear configurations can be tested
-    against the exact propagators.
+    against the exact propagators.  With alpha = beta = gamma = 0 and a
+    regularized g that is zero (M = 0), the system is uncoupled and the
+    solver steps it by the free propagators alone.
     """
 
     alpha: float
@@ -470,6 +472,10 @@ class _Stepper:
         self._v_pad = np.zeros(grid.n_points // 2 + 1, dtype=np.complex128)
         self._real_pair = np.empty((2, grid.n_points))
         self.g_eff = params.g.regularized(run.g_regularization)
+        # g' <= M with g(0) = 0 makes M = 0 the zero map: with no coupling
+        # constant either, every Duhamel term is zero
+        self.uncoupled = (params.alpha == params.beta == params.gamma == 0.0
+                          and self.g_eff.M == 0.0)
         self._cache: dict[float, tuple] = {}
         # row increments of the last converged steps of size _history_dt,
         # newest first
@@ -519,7 +525,9 @@ class _Stepper:
         The iteration starts from the free propagation plus the extrapolated
         Duhamel increment of the last steps of the same dt (see
         EXTRAPOLATION_ROWS), and from the free propagation alone when there
-        are none.
+        are none.  An uncoupled system (alpha = beta = gamma = 0 and g = 0)
+        has a zero Duhamel term: its step is the free propagation, with no
+        sweep and no transform, and returns 0 sweeps.
         """
         p = self.params
         grid = self.grid
@@ -527,8 +535,11 @@ class _Stepper:
         nu = 2 * K + 1
         free_mult, fwd_mult, back_mult, coef = self._multipliers(dt)
         cur = np.concatenate((u, v))
-        fwd_half = fwd_mult * cur
         free = free_mult * cur
+        if self.uncoupled:
+            self.last_distances = []
+            return free[:nu], free[nu:], 0
+        fwd_half = fwd_mult * cur
 
         history = self._history
         if dt != self._history_dt:

@@ -47,6 +47,13 @@ def test_bracket_at_the_rounding_edge_is_refused():
         gronwall_bound(fractional, h + 1e-12)
 
 
+def test_inadmissible_spec_refused_before_any_overflow():
+    # E_k(1) = expm1(1000)/1000 overflows, but the horizon check comes first
+    spec = GronwallSpec(C=1.0, sigma=2.0, a=1000.0, b=1.0, t0=0.0, horizon=1.0)
+    with pytest.raises(GronwallInadmissibleError, match="horizon admissibility"):
+        gronwall_bound(spec, 1.0)
+
+
 def test_inadmissible_spec_at_t0_returns_C():
     spec = GronwallSpec(C=0.5, sigma=2.0, a=0.0, b=1.0, t0=0.0, horizon=3.0)
     assert gronwall_bound(spec, 0.0) == 0.5
@@ -58,6 +65,21 @@ def test_bound_beyond_the_float_range_reads_inf(sigma, b):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert gronwall_bound(spec, 1.0) == np.inf
+
+
+@pytest.mark.parametrize("sigma,a,b,exact", [
+    (1.0, 710.0, 0.0, 0.022339947661617042),
+    (1.0, 709.0, 1.0, 0.022339947661617042),
+    (2.0, 710.0, 1.0, 0.022340650603821571),
+    (0.5, 710.0, 1e-160, 0.022339948290911347),
+    # (sigma - 1) a t < 1 and an exponent 1/(1 - sigma) other than -1
+    (1.001, 710.0, 1.0, 0.04560003318408764),
+])
+def test_finite_bound_past_an_overflowing_exponential(sigma, a, b, exact):
+    # e^{a t} alone leaves the float range, C e^{a t} does not; the exact
+    # bounds are evaluated with mpmath at 50 digits
+    spec = GronwallSpec(C=1e-310, sigma=sigma, a=a, b=b, t0=0.0, horizon=1.0)
+    assert gronwall_bound(spec, 1.0) == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
 def test_marginally_admissible_bracket_stays_positive():

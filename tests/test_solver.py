@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import fswl.solver as solver
-from fswl.grid import BLOCK_SAMPLES, Field, as_order, make_grid
+from fswl.grid import BLOCK_SAMPLES, Field, GridSpec, as_order, make_grid
 from fswl.propagators import PropagatorSpec, heat_semigroup_apply, schrodinger_group_apply
 from fswl.solver import (
     BlowupError,
@@ -123,7 +123,7 @@ class TestContractionBound:
 
 
 class TestPicardStep:
-    def test_linear_single_mode_one_sweep(self, grid16):
+    def test_linear_single_mode_no_sweep(self, grid16):
         run = PerturbedRun(eps=0.1, T=0.1, dt=0.01, eps_g=0.0)
         params = linear_params()
         k = 4 * np.pi / 16
@@ -131,13 +131,53 @@ class TestPicardStep:
         v0 = Field.from_function(grid16, lambda x: 0.3 * np.cos(k * x), flavor="real")
         stepper = _Stepper(grid16, params, run)
         un, vn, sweeps = stepper.step(*band_state(u0, v0), 0.01)
-        assert sweeps == 1
+        assert sweeps == 0
         p = PropagatorSpec(eps=0.1, s=as_order(0.75))
         exact_u = schrodinger_group_apply(u0, 0.01, p)
         exact_v = heat_semigroup_apply(v0, 0.01, p)
         un, vn = expanded(grid16, un, vn)
         assert np.allclose(grid16.from_spectrum(un), exact_u.values, atol=1e-14)
         assert np.allclose(grid16.from_half_spectrum(vn[: grid16.n_points // 2 + 1]), exact_v.values, atol=1e-14)
+
+    @pytest.mark.parametrize("coupling,eps_g", [
+        ({"alpha": 1e-3}, 0.0),
+        ({"beta": 1e-3}, 0.0),
+        ({"gamma": 1e-3}, 0.0),
+        ({"g": g_linear(1e-3)}, 0.0),
+        ({}, None),
+    ], ids=["alpha", "beta", "gamma", "g", "eps_g"])
+    def test_any_coupling_takes_a_sweep(self, grid16, gauss_pair, coupling, eps_g):
+        # one change at a time away from the uncoupled linear configuration
+        params = SystemParams(**{"alpha": 0.0, "beta": 0.0, "s": 0.75, "g": g_zero(),
+                                 "gamma": 0.0, **coupling})
+        stepper = _Stepper(grid16, params, PerturbedRun(eps=0.1, T=0.1, dt=0.01, eps_g=eps_g))
+        assert not stepper.uncoupled
+        assert stepper.step(*band_state(*gauss_pair), 0.01)[2] >= 1
+
+    def test_uncoupled_step_makes_no_transform(self, grid16, gauss_pair, monkeypatch):
+        u, v = band_state(*gauss_pair)
+        run = PerturbedRun(eps=0.1, T=0.1, dt=0.01, eps_g=0.0)
+        stepper = _Stepper(grid16, linear_params(), run)
+
+        def refuse(*args):
+            raise AssertionError("an uncoupled step made a transform")
+
+        for name in ("to_spectrum", "from_spectrum", "to_half_spectrum", "from_half_spectrum"):
+            monkeypatch.setattr(GridSpec, name, refuse)
+        free_mult = stepper._multipliers(0.01)[0]
+        for _ in range(3):
+            expected = free_mult * np.concatenate((u, v))
+            u, v, sweeps = stepper.step(u, v, 0.01)
+            assert sweeps == 0 and stepper.last_distances == []
+            assert np.array_equal(np.concatenate((u, v)), expected)
+
+    def test_zero_slope_linear_g_is_uncoupled(self, grid16, gauss_pair):
+        run = PerturbedRun(eps=0.1, T=0.1, dt=0.01, eps_g=0.0)
+        zero_slope = SystemParams(alpha=0.0, beta=0.0, s=0.75, g=g_linear(0.0), gamma=0.0)
+        assert _Stepper(grid16, zero_slope, run).uncoupled
+        got = solve_perturbed(*gauss_pair, zero_slope, run)
+        ref = solve_perturbed(*gauss_pair, linear_params(), run)
+        assert np.array_equal(got.bands, ref.bands)
 
     def test_contraction_factor_below_one(self, grid16, gauss_pair, monkeypatch):
         u0, v0 = gauss_pair
