@@ -12,7 +12,6 @@ Exit codes: 0 pass, 1 invariant failure, 2 config error, 3 solver blow-up.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import io
 import json
 import math
@@ -21,11 +20,18 @@ import sys
 import tempfile
 from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import asdict, replace
-from multiprocessing import get_context
 from pathlib import Path
 from typing import Iterator
 
 import numpy as np
+
+# The interpreter's built-in BLAKE2b: importing hashlib maps OpenSSL, 3.7 MB
+# resident, to hash a few MB.  _blake2 is a private CPython module, so a build
+# without it falls back to hashlib's blake2b, which gives the same digests.
+try:
+    from _blake2 import blake2b
+except ImportError:
+    from hashlib import blake2b
 
 from .diagnostics import COLUMNS, smallness_condition, theta_envelope
 from .grid import BLOCK_SAMPLES, Field, make_grid
@@ -64,8 +70,8 @@ __all__ = [
     "main",
 ]
 
-ARTIFACT_VERSION = "fswl-0.2.0"
-TRAJECTORY_SCHEMA = 3
+ARTIFACT_VERSION = "fswl-0.3.0"
+TRAJECTORY_SCHEMA = 4
 
 # The paper-facing gates of ``fswl run``: the largest relative mass drift
 # and the largest rise of sup|v| over its initial value.  Fixed, so that no
@@ -196,8 +202,10 @@ def canonical_config() -> dict:
 
 
 def config_hash(config: dict) -> str:
+    """The 16 hex characters of the BLAKE2b-64 digest of ``config`` as
+    compact JSON with sorted keys."""
     blob = json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
+    return blake2b(blob, digest_size=8).hexdigest()
 
 
 def _initial_field(grid, spec: dict, flavor: str, name: str) -> Field:
@@ -284,7 +292,8 @@ def write_trajectory(path: Path, traj: Trajectory, chash: str) -> None:
     in a binary sidecar next to it (``path`` with suffix ``.npy``): one
     complex128 array of shape [n_samples, 3K+2], each row u_j for
     j = 0..K, -K..-1, then v_j for j = 0..K, whose file bytes the header
-    pins by sha256.  The rows were checked when ``traj`` was built."""
+    pins by their BLAKE2b-256 digest under ``spectra_digest``.  The rows
+    were checked when ``traj`` was built."""
     path = Path(path)
     sidecar = path.with_suffix(".npy")
     grid = traj.grid
@@ -292,7 +301,7 @@ def write_trajectory(path: Path, traj: Trajectory, chash: str) -> None:
     head = io.BytesIO()
     np.lib.format.write_array_header_1_0(
         head, {"descr": "<c16", "fortran_order": False, "shape": traj.bands.shape})
-    digest = hashlib.sha256(head.getvalue())
+    digest = blake2b(head.getvalue(), digest_size=32)
     digest.update(traj.bands)
     with sidecar.open("wb") as fh:
         fh.write(head.getvalue())
@@ -307,7 +316,7 @@ def write_trajectory(path: Path, traj: Trajectory, chash: str) -> None:
         "n_samples": len(traj),
         "times": traj.times.tolist(),
         "spectra_file": sidecar.name,
-        "spectra_sha256": digest.hexdigest(),
+        "spectra_digest": digest.hexdigest(),
         "spectra_layout": f"complex128 [n_samples, 3K+2], K = {K}: "
                           "u_j for j = 0..K, -K..-1, then v_j for j = 0..K",
     }
@@ -336,7 +345,7 @@ class TrajectoryFile:
             n = int(header["n_samples"])
             self.times = np.array(header["times"], dtype=np.float64)
             name = header["spectra_file"]
-            self._digest = header["spectra_sha256"]
+            self._digest = header["spectra_digest"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"{path}: malformed trajectory header: {exc!r}") from exc
         if Path(name).name != name:
@@ -368,22 +377,23 @@ class TrajectoryFile:
     def blocks(self, out: np.ndarray | None = None) -> Iterator[np.ndarray]:
         """The band rows, BLOCK_SAMPLES samples at a time, each read into one
         reused block buffer, or into its rows of ``out`` when given.  The
-        file is hashed from the same bytes, and a hash that does not match
-        the header is a ValueError after the last block."""
+        whole file is hashed with BLAKE2b-256 from the same bytes on every
+        pass, and a digest that does not match the header is a ValueError
+        after the last block."""
         n = len(self)
         if out is None:
             buffer = np.empty((BLOCK_SAMPLES, self.shape[1]), dtype="<c16")
         with self.sidecar.open("rb") as fh:
-            sha = hashlib.sha256(fh.read(self._offset))
+            digest = blake2b(fh.read(self._offset), digest_size=32)
             for lo in range(0, n, BLOCK_SAMPLES):
                 rows = min(BLOCK_SAMPLES, n - lo)
                 block = buffer[:rows] if out is None else out[lo : lo + rows]
                 if fh.readinto(memoryview(block).cast("B")) != block.nbytes:
                     raise ValueError(f"{self.sidecar}: shorter than {self._size} bytes")
-                sha.update(block)
+                digest.update(block)
                 yield block
-        if sha.hexdigest() != self._digest:
-            raise ValueError(f"{self.sidecar}: sha256 does not match the header")
+        if digest.hexdigest() != self._digest:
+            raise ValueError(f"{self.sidecar}: digest does not match the header")
 
 
 def read_trajectory(path: Path, params: SystemParams, run: PerturbedRun) -> Trajectory:
@@ -493,7 +503,10 @@ def _fork_pool(workers: int):
     """A fork pool, terminated on exit.  When the block raises an Exception
     the pool first lets its jobs finish: terminating a worker while it sends
     a result can leave ``Pool.terminate`` waiting forever on the queue lock
-    that worker held."""
+    that worker held.  multiprocessing is imported here, so that a process
+    that never fans out never loads it."""
+    from multiprocessing import get_context
+
     with get_context("fork").Pool(workers) as pool:
         try:
             yield pool

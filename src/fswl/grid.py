@@ -141,15 +141,23 @@ class GridSpec:
         ``coeffs`` (last axis), on an eight-times zero-padded refinement.
 
         Collocation alone can undersample the true maximum of the underlying
-        band-limited function; padding recovers it to high accuracy.
+        band-limited function; padding recovers it to high accuracy.  The
+        rows are padded and transformed one at a time through one reused
+        8N-point buffer, so a block costs the memory of one row; the result
+        has the shape of ``coeffs`` without its last axis, a float for one
+        row.
         """
         N = self.n_points
         M = 8 * N
         half = N // 2
-        fine = np.zeros(coeffs.shape[:-1] + (M,), dtype=np.complex128)
-        fine[..., :half] = coeffs[..., :half] * M
-        fine[..., -half:] = coeffs[..., -half:] * M
-        return np.max(np.abs(np.fft.ifft(fine)), axis=-1)
+        fine = np.zeros(M, dtype=np.complex128)
+        rows = coeffs.reshape(-1, N)
+        out = np.empty(len(rows))
+        for i, row in enumerate(rows):
+            fine[:half] = row[:half] * M
+            fine[-half:] = row[-half:] * M
+            out[i] = np.max(np.abs(np.fft.ifft(fine)))
+        return out.reshape(coeffs.shape[:-1])[()]
 
     def dealias_mask(self) -> np.ndarray:
         """Boolean 2/3-rule mask: keep |j| <= N/3, drop the rest.

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import math
+import multiprocessing
 import re
 import tempfile
 import time
@@ -163,8 +165,29 @@ class TestRunVerb:
         blob = bytearray(sidecar.read_bytes())
         blob[-9] ^= 0x01
         sidecar.write_bytes(bytes(blob))
-        with pytest.raises(ValueError, match="sha256"):
+        with pytest.raises(ValueError, match="digest does not match the header"):
             read_trajectory(tmp_path / "out" / "trajectory.jsonl", params, run)
+
+    def test_header_pins_the_sidecar_by_blake2b_256(self, tmp_path):
+        do_run(tiny_config(), tmp_path / "out")
+        header = json.loads((tmp_path / "out" / "trajectory.jsonl").read_text())
+        blob = (tmp_path / "out" / "trajectory.npy").read_bytes()
+        assert header["spectra_digest"] == hashlib.blake2b(blob, digest_size=32).hexdigest()
+        assert "spectra_sha256" not in header
+
+    def test_read_trajectory_refuses_a_schema_3_header(self, tmp_path):
+        # the header as schema 3 wrote it: the sidecar pinned by sha256
+        cfg = tiny_config()
+        do_run(cfg, tmp_path / "out")
+        _, params, run, *_ = parse_config(cfg)
+        path = tmp_path / "out" / "trajectory.jsonl"
+        header = json.loads(path.read_text())
+        del header["spectra_digest"]
+        header.update(artifact_version="fswl-0.2.0", schema=3, spectra_sha256=hashlib.sha256(
+            (tmp_path / "out" / "trajectory.npy").read_bytes()).hexdigest())
+        path.write_text(json.dumps(header, sort_keys=True) + "\n")
+        with pytest.raises(ValueError, match="schema 3, expected 4"):
+            read_trajectory(path, params, run)
 
     def test_read_trajectory_rejects_other_schema(self, tmp_path):
         cfg = tiny_config()
@@ -408,7 +431,8 @@ class TestSweepVerb:
             def imap(self, fn, jobs):
                 return map(fn, jobs)
 
-        monkeypatch.setattr(cli, "get_context", lambda method: SimpleNamespace(Pool=SerialPool))
+        monkeypatch.setattr(multiprocessing, "get_context",
+                            lambda method: SimpleNamespace(Pool=SerialPool))
         return sizes
 
     def test_pool_capped_at_job_count(self, tmp_path, monkeypatch):
@@ -533,10 +557,33 @@ class TestSweepVerb:
         monkeypatch.setattr(cli, "write_trajectory", corrupting)
         cfg = tiny_config()
         cfg["sweep"] = {"eps_ladder": [0.2, 0.1, 0.05]}
-        with pytest.raises(ValueError, match="rung[0-2].npy: sha256 does not match the header"):
+        with pytest.raises(ValueError, match="rung[0-2].npy: digest does not match the header"):
             do_sweep(cfg, tmp_path / "out", workers=workers)
         assert not (tmp_path / "out" / "sweep_report.json").exists()
         assert list(root.iterdir()) == []
+
+    @pytest.mark.parametrize("before_call", [0, 1], ids=["first-read", "second-read"])
+    def test_middle_rung_is_hashed_on_both_reads(self, tmp_path, monkeypatch, before_call):
+        # the middle rung of three is read twice, as the finer side of the
+        # first pair row and the coarser side of the second; a byte flipped
+        # before either read is caught by that read
+        calls = []
+
+        def flipping(t1, t2):
+            if len(calls) == before_call:
+                middle = (t2, t1)[before_call].sidecar
+                blob = bytearray(middle.read_bytes())
+                blob[len(blob) // 2] ^= 1
+                middle.write_bytes(blob)
+            calls.append(before_call)
+            return l2_spacetime_diff(t1, t2)
+
+        monkeypatch.setattr(solver, "l2_spacetime_diff", flipping)
+        cfg = tiny_config()
+        cfg["sweep"] = {"eps_ladder": [0.2, 0.1, 0.05]}
+        with pytest.raises(ValueError, match="rung1.npy: digest does not match the header"):
+            do_sweep(cfg, tmp_path / "out", workers=1)
+        assert len(calls) == before_call + 1
 
     def test_streamed_differences_are_bit_equal_to_in_memory(self, tmp_path):
         # rung files read block by block, a partial last block among them,

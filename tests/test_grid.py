@@ -9,6 +9,8 @@ from fswl.propagators import PropagatorSpec
 from fswl.sobolev import check_algebra, check_product_bound, sup_interp_constant
 from fswl.solver import SystemParams, g_zero
 
+import oracles
+
 
 def test_make_grid_pi_8():
     g = make_grid(np.pi, 8)
@@ -161,6 +163,28 @@ def test_sup_norm_padding_recovers_offgrid_max():
     f = Field.from_function(g, lambda x: np.cos(4 * x + 0.3), flavor="real")
     assert np.max(np.abs(f.values)) < 1.0 - 1e-4
     assert f.norm_sup() == pytest.approx(1.0, abs=6e-3)
+
+
+@pytest.mark.parametrize("rows", [1, 16, 17])
+@pytest.mark.parametrize("N", [64, 512, 2048])
+def test_sup_norm_row_by_row_is_bit_equal_to_batched(N, rows):
+    g = make_grid(4.0, N)
+    rng = np.random.default_rng(N + rows)
+    coeffs = rng.standard_normal((rows, N)) + 1j * rng.standard_normal((rows, N))
+    got, want = g.sup_norm(coeffs), oracles.sup_norm_batched(g, coeffs)
+    assert got.shape == want.shape == (rows,) and got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("N", [64, 512, 2048])
+def test_sup_norm_of_one_field_is_a_bit_equal_float64(N):
+    # the 1-D spectrum Field.norm_sup passes gives a numpy float, as before
+    g = make_grid(4.0, N)
+    f = Field.from_function(g, lambda x: np.tanh(np.sin(np.pi * x / 4.0)) + 0.1j * np.cos(x),
+                            flavor="complex")
+    got, want = g.sup_norm(f.spectrum), oracles.sup_norm_batched(g, f.spectrum)
+    assert type(got) is type(want) is np.float64
+    assert got == want and f.norm_sup() == float(want)
 
 
 @pytest.mark.parametrize("N", [16, 128])
