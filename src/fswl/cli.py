@@ -25,13 +25,8 @@ from typing import Iterator
 
 import numpy as np
 
-# The interpreter's built-in BLAKE2b: importing hashlib maps OpenSSL, 3.7 MB
-# resident, to hash a few MB.  _blake2 is a private CPython module, so a build
-# without it falls back to hashlib's blake2b, which gives the same digests.
-try:
-    from _blake2 import blake2b
-except ImportError:
-    from hashlib import blake2b
+# hashlib maps OpenSSL (3.7 MB resident); hashlib.blake2b is this same object.
+from _blake2 import blake2b
 
 from .diagnostics import COLUMNS, smallness_condition, theta_envelope
 from .grid import BLOCK_SAMPLES, Field, make_grid

@@ -43,9 +43,13 @@ REAL_IMAG_RTOL = 1e-9
 ZERO_MODE_RTOL = 1e-9
 
 # Rows (stored samples, ensemble members) per batched pass.  It bounds the
-# FFT temporaries (the padded sup alone holds 8N complex values per row), so
-# peak memory does not grow with the number of rows.
+# FFT temporaries, so peak memory does not grow with the number of rows.
 BLOCK_SAMPLES = 16
+
+# Bytes of the buffers through which ``GridSpec.sup_norm`` pads and transforms
+# a chunk of rows, 24 per padded point: a few rows per FFT call keep its SIMD
+# lanes busy, and the padded block of BLOCK_SAMPLES rows is never held whole.
+SUP_CHUNK_BYTES = 192 * 1024
 
 # Largest N, eight times the finest grid the docs use (8192).  A stored (u, v)
 # sample is 2 MB at 2**16, so a mistyped N like 2**40 fails here, unallocated.
@@ -142,21 +146,27 @@ class GridSpec:
 
         Collocation alone can undersample the true maximum of the underlying
         band-limited function; padding recovers it to high accuracy.  The
-        rows are padded and transformed one at a time through one reused
-        8N-point buffer, so a block costs the memory of one row; the result
-        has the shape of ``coeffs`` without its last axis, a float for one
-        row.
+        rows are padded and transformed a chunk at a time, in place, through
+        buffers of at most SUP_CHUNK_BYTES (one row when a row alone is
+        larger); the result has the shape of ``coeffs`` without its last
+        axis, a float for one row.
         """
         N = self.n_points
         M = 8 * N
         half = N // 2
-        fine = np.zeros(M, dtype=np.complex128)
         rows = coeffs.reshape(-1, N)
+        chunk = max(1, min(len(rows), SUP_CHUNK_BYTES // (24 * M)))
+        fine = np.zeros((chunk, M), dtype=np.complex128)
+        modulus = np.empty((chunk, M))
         out = np.empty(len(rows))
-        for i, row in enumerate(rows):
-            fine[:half] = row[:half] * M
-            fine[-half:] = row[-half:] * M
-            out[i] = np.max(np.abs(np.fft.ifft(fine)))
+        for lo in range(0, len(rows), chunk):
+            block = rows[lo : lo + chunk]
+            pad = fine[: len(block)]
+            pad[:, half:-half] = 0  # the last transform overwrote the padding
+            np.multiply(block[:, :half], M, out=pad[:, :half])
+            np.multiply(block[:, -half:], M, out=pad[:, -half:])
+            np.fft.ifft(pad, out=pad)
+            np.max(np.abs(pad, out=modulus[: len(block)]), axis=1, out=out[lo : lo + len(block)])
         return out.reshape(coeffs.shape[:-1])[()]
 
     def dealias_mask(self) -> np.ndarray:

@@ -2,8 +2,8 @@
 
 ``import hashlib`` maps OpenSSL (about 3.7 MB resident) and multiprocessing
 adds about 0.7 MB; neither is needed to run, verify or read a trajectory
-back.  ``GridSpec.sup_norm`` pads a block one row at a time, so its
-transient is one 8N-point row, not the whole padded block.
+back.  ``GridSpec.sup_norm`` pads a block a few rows at a time through
+192 KiB of buffers, never the whole padded block.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ def test_run_and_verify_leave_openssl_and_multiprocessing_unloaded():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_sup_norm_of_a_block_allocates_about_one_padded_row():
+def test_sup_norm_of_a_block_allocates_one_padded_chunk():
     # the whole padded block of [16, 512] alone is 16 x 4096 x 16 B = 1 MiB
     grid = make_grid(16.0, 512)
     rng = np.random.default_rng(5)

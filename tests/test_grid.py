@@ -165,9 +165,10 @@ def test_sup_norm_padding_recovers_offgrid_max():
     assert f.norm_sup() == pytest.approx(1.0, abs=6e-3)
 
 
-@pytest.mark.parametrize("rows", [1, 16, 17])
+@pytest.mark.parametrize("rows", [1, 3, 16, 17])
 @pytest.mark.parametrize("N", [64, 512, 2048])
-def test_sup_norm_row_by_row_is_bit_equal_to_batched(N, rows):
+def test_sup_norm_in_chunks_is_bit_equal_to_batched(N, rows):
+    # chunks of 16, 2 and 1 rows at these N, with a remainder at 3 and 17
     g = make_grid(4.0, N)
     rng = np.random.default_rng(N + rows)
     coeffs = rng.standard_normal((rows, N)) + 1j * rng.standard_normal((rows, N))
