@@ -16,7 +16,7 @@ Weak residuals pair stored trajectories against separable polynomial-bump
 test functions whose time factors are differentiated in closed form, so an
 exactly known solution drives the residual to time-quadrature accuracy.
 Each pairing takes the ``Trajectory`` alone and reads the system
-parameters and the run from it.  All three share one space-time pairing
+parameters and the run from it.  Both share one space-time pairing
 over the live samples (where the time factor or its derivative is
 nonzero), BLOCK_SAMPLES at a time, and supply only a row-wise integrand
 of products with the sampled spatial factors, plus an initial-data term.
@@ -49,25 +49,21 @@ __all__ = [
     "UndefinedSignError",
     "kruzkov_entropy",
     "quadratic_capped_entropy",
-    "smooth_capped_entropy",
     "reconstruct_entropy",
     "entropy_flux",
     "remainder_Rk",
     "frac_power_pointwise",
-    "entropy_balance_residual",
     "weak_residual_u",
     "weak_residual_v",
 ]
 
 # Quadrature controls: Gauss-Jacobi nodes of the singular piece and
-# Gauss-Legendre nodes per outer panel of the pointwise operator, nodes per
-# panel of the remainder arcs and of the density integrals over eta'', and
-# nodes of the eta'' g antiderivative.
+# Gauss-Legendre nodes per outer panel of the pointwise operator, and nodes
+# per panel of the remainder arcs and of the density integrals over eta''.
 POINTWISE_JACOBI_NODES = 12
 POINTWISE_PANEL_NODES = 16
 ARC_NODES = 20
 DENSITY_NODES = 24
-ANTIDERIVATIVE_NODES = 48
 
 # Relative distance of v(x) to the level k (against max |v - k|) below which
 # the sign of v(x) - k counts as undefined.
@@ -88,20 +84,17 @@ class UndefinedSignError(ValueError):
 
 @dataclass(frozen=True)
 class EntropySpec:
-    """Convex entropy, linear at infinity: eta'' compactly supported plus an
-    optional genuinely linear part (slope ``linear_coeff``).
+    """Convex entropy, linear at infinity, given by its density eta''
+    compactly supported on ``pp_support``; eta itself is the superposition
+    1/2 integral eta''(xi) |v - xi| dxi, up to an additive constant.
 
     ``dirac_at`` marks the kink entropy |v - k| (eta'' = 2 delta_k), which is
     handled in closed form everywhere instead of by quadrature.
     """
 
-    eta: callable
-    eta_prime: callable
     eta_pp: callable
     pp_support: tuple[float, float]
-    linear_coeff: float = 0.0
     dirac_at: float | None = None
-    label: str = "entropy"
 
     def __post_init__(self):
         if self.dirac_at is not None:
@@ -120,54 +113,20 @@ class EntropySpec:
 
 def kruzkov_entropy(k: float) -> EntropySpec:
     return EntropySpec(
-        eta=lambda v: np.abs(v - k),
-        eta_prime=lambda v: np.sign(v - k),
         eta_pp=lambda v: np.zeros_like(np.asarray(v, dtype=float)),
         pp_support=(k, k),
         dirac_at=k,
-        label=f"|v - {k:g}|",
     )
 
 
 def quadratic_capped_entropy(a: float = 1.0) -> EntropySpec:
     """eta'' = 2 on [-a, a]: quadratic core, linear wings of slope 2a."""
 
-    def eta(v):
-        v = np.asarray(v, dtype=float)
-        return np.where(np.abs(v) <= a, v**2, 2.0 * a * np.abs(v) - a**2)
-
-    def eta_prime(v):
-        return 2.0 * np.clip(np.asarray(v, dtype=float), -a, a)
-
     def eta_pp(v):
         v = np.asarray(v, dtype=float)
         return np.where(np.abs(v) <= a, 2.0, 0.0)
 
-    return EntropySpec(eta, eta_prime, eta_pp, (-a, a), label=f"quad_capped({a:g})")
-
-
-def smooth_capped_entropy(a: float = 1.0) -> EntropySpec:
-    """eta''(v) = 2 (1 - (v/a)^2)_+^2: a C^1 density, closed-form primitives."""
-
-    def eta_pp(v):
-        z = np.clip(np.asarray(v, dtype=float) / a, -1.0, 1.0)
-        inside = np.abs(np.asarray(v, dtype=float)) <= a
-        return np.where(inside, 2.0 * (1.0 - z**2) ** 2, 0.0)
-
-    def eta_prime(v):
-        z = np.clip(np.asarray(v, dtype=float) / a, -1.0, 1.0)
-        return 2.0 * a * (z - 2.0 * z**3 / 3.0 + z**5 / 5.0)
-
-    slope = 16.0 * a / 15.0
-    eta_at_a = 11.0 * a**2 / 15.0
-
-    def eta(v):
-        v = np.asarray(v, dtype=float)
-        z = np.clip(v / a, -1.0, 1.0)
-        core = a**2 * (z**2 - z**4 / 3.0 + z**6 / 15.0)
-        return np.where(np.abs(v) <= a, core, eta_at_a + slope * (np.abs(v) - a))
-
-    return EntropySpec(eta, eta_prime, eta_pp, (-a, a), label=f"smooth_capped({a:g})")
+    return EntropySpec(eta_pp, (-a, a))
 
 
 def _density_integral(eta: EntropySpec, v: float, fn) -> float:
@@ -183,37 +142,16 @@ def reconstruct_entropy(eta: EntropySpec, v: float) -> float:
     (defined modulo an additive constant by the superposition itself)."""
     if eta.dirac_at is not None:
         return float(abs(v - eta.dirac_at))
-    val = _density_integral(eta, v, lambda xi: np.abs(v - xi))
-    return float(val + eta.linear_coeff * v)
+    return _density_integral(eta, v, lambda xi: np.abs(v - xi))
 
 
 def entropy_flux(eta: EntropySpec, g: NonlinearityG, v: float) -> float:
-    """Pair flux q(v) = 1/2 integral eta''(xi) |g(v) - g(xi)| dxi (plus the
-    linear part's g(v)); for the kink entropy this is |g(v) - g(k)| exactly."""
+    """Pair flux q(v) = 1/2 integral eta''(xi) |g(v) - g(xi)| dxi; for the
+    kink entropy this is |g(v) - g(k)| exactly."""
     if eta.dirac_at is not None:
         return float(abs(g.fn(np.array([v]))[0] - g.fn(np.array([eta.dirac_at]))[0]))
     gv = float(g.fn(np.array([v]))[0])
-    val = _density_integral(eta, v, lambda xi: np.abs(gv - g.fn(xi)))
-    return float(val + eta.linear_coeff * gv)
-
-
-def _flux_on_values(eta: EntropySpec, g: NonlinearityG, values: np.ndarray) -> np.ndarray:
-    """Vectorized pair flux q over an array of state values.
-
-    Splitting the representation at xi = v and integrating each side in
-    closed form through G2(w) = int_0^w eta'' g removes the kink from the
-    quadrature; a kink-blind rule would leave a rapidly oscillating error
-    that the fractional symbol then amplifies.
-    """
-    lo, hi = eta.pp_support
-    gv = g.fn(values)
-    ep = eta.eta_prime(values)
-    G2 = _eta_pp_g_antiderivative(eta, g, values)
-    ends = np.array([lo, hi], dtype=float)
-    G2_lo, G2_hi = _eta_pp_g_antiderivative(eta, g, ends)
-    ep_lo, ep_hi = eta.eta_prime(ends)
-    q = 0.5 * (gv * (2.0 * ep - ep_lo - ep_hi) - 2.0 * G2 + G2_lo + G2_hi)
-    return q + eta.linear_coeff * gv
+    return _density_integral(eta, v, lambda xi: np.abs(gv - g.fn(xi)))
 
 
 # ---------------------------------------------------------------------------
@@ -477,16 +415,13 @@ def _simpson(y: np.ndarray, t: np.ndarray):
     return total
 
 
-def _pairing(traj: Trajectory, tf: TestFunction, term, initial=None):
+def _pairing(traj: Trajectory, tf: TestFunction, term, initial):
     """Simpson time integral of dx * term(P, Pd, u_spec, v_spec, u, v), one
     value per row of a block of live samples (P or Pd nonzero), plus
     P(0) dx initial(u0, v0) when P(0) != 0; u and v are in physical space.
-    Without ``initial`` the test support must sit strictly inside (0, T);
-    with it, it need only end before T."""
-    if initial is None:
-        if tf.t_lo <= 0.0 or tf.t_hi >= traj.run.T:
-            raise ValueError("test support must sit strictly inside (0, T)")
-    elif tf.t_hi >= traj.run.T:
+    The test support need only end before T: the initial-data term carries
+    whatever of it starts at or before 0."""
+    if tf.t_hi >= traj.run.T:
         raise ValueError("test support leaks past the time horizon")
     grid, times = traj.grid, traj.times
     P, Pd = tf.time_value(times), tf.time_derivative(times)
@@ -567,105 +502,3 @@ def weak_residual_v(traj: Trajectory, tf: TestFunction, perturbed: bool = True) 
         return row
 
     return float(_pairing(traj, tf, term, lambda _, v0: np.sum(v0 * Q)))
-
-
-# ---------------------------------------------------------------------------
-# Regularized entropy balance
-# ---------------------------------------------------------------------------
-
-def _eta_pp_g_antiderivative(
-    eta: EntropySpec, g: NonlinearityG, values: np.ndarray
-) -> np.ndarray:
-    """G2(w) = integral_0^w eta''(k) g(k) dk, vectorized over w."""
-    lo, hi = eta.pp_support
-    upper = np.clip(values, lo, hi)
-    t, w = _panel_nodes(np.array([0.0, 1.0]), ANTIDERIVATIVE_NODES)
-    k_mat = upper[..., None] * t
-    integrand = eta.eta_pp(k_mat) * g.fn(k_mat)
-    return upper * (integrand @ w)
-
-
-def _remainder_superposition(
-    v_vals: np.ndarray,
-    g: NonlinearityG,
-    eta: EntropySpec,
-    kernel: np.ndarray,
-    dx: float,
-    c_half: float,
-) -> np.ndarray:
-    """The level-superposed remainder 1/2 integral eta''(k) R_k dk at every
-    node, with the k-integral carried out in closed form first.
-
-    Exchanging the level and space integrals, a pair (x, y) contributes for
-    exactly the levels k between v(x) and v(y); both orderings collapse to
-    the same smooth, nonnegative pairwise density
-
-        Phi(w1, w2) = G2(w1) - G2(w2) - g(w2) (eta'(w1) - eta'(w2)),
-
-    which vanishes quadratically on the diagonal.  The naive per-level
-    quadrature would instead chase a jump of R_k across k = v(x)."""
-    g_v = g.fn(v_vals)
-    ep = eta.eta_prime(v_vals)
-    G2 = _eta_pp_g_antiderivative(eta, g, v_vals)
-    phi = (
-        (G2[:, None] - G2[None, :])
-        - g_v[None, :] * (ep[:, None] - ep[None, :])
-    )
-    return c_half * dx * np.einsum("ij,ij->i", kernel, phi)
-
-
-def entropy_balance_residual(traj: Trajectory, eta: EntropySpec, tf: TestFunction) -> float:
-    """Residual of the regularized entropy balance paired against a real
-    test function supported strictly inside (0, T) x window.
-
-    All derivatives land on the test function except the gradient-square
-    dissipation and the level-set remainder, which pair directly; the
-    remainder is the level superposition 1/2 integral eta''(k) R_k dk,
-    evaluated in its exact pairwise form.
-    """
-    if eta.dirac_at is not None:
-        raise ValueError("balance pairing needs a smooth entropy density")
-    if tf.flavor != "real":
-        raise ValueError("entropy balance pairs against real test functions")
-    params, run, grid = traj.params, traj.run, traj.grid
-    s = params.s
-    dx = grid.dx
-    L = grid.half_length
-    g_eff = params.g.regularized(run.g_regularization)
-    eps_b = run.eps**EXPONENT_B
-    eps_g = run.g_regularization
-
-    Q = tf.space_values().real
-    Q2 = tf.space_d2().real
-    Qf = tf.space_frac(s).real
-
-    # Periodized kernel matrix at order s/2 (kernel exponent 1 + s).
-    x = grid.x
-    d = np.mod(x[:, None] - x[None, :], 2.0 * L)
-    kernel = np.zeros_like(d)
-    off = d > 0.0
-    kernel[off] = (periodic_tail_weight(d[off], 0.5 * s, L)
-                   + periodic_tail_weight(2.0 * L - d[off], 0.5 * s, L))
-    c_half = cns_constant(0.5 * s)
-
-    deriv = grid.deriv_symbol()
-    half_sym = grid.frac_symbol(0.5 * s)
-
-    def term(P, Pd, _, v_spec, u, v):
-        dvdx = grid.from_spectrum(deriv * v_spec).real
-        dens_frac = grid.from_spectrum(
-            half_sym * grid.to_spectrum(np.abs(u) ** 2)
-        ).real
-        eta_v = eta.eta(v)
-        q_v = _flux_on_values(eta, params.g, v)
-        R = np.array([_remainder_superposition(vi, g_eff, eta, kernel, dx, c_half) for vi in v])
-        return -Pd * (eta_v @ Q) + P * (
-            q_v @ Qf
-            - params.beta * ((eta.eta_prime(v) * dens_frac) @ Q)
-            - eps_b * (eta_v @ Q2)
-            + eps_g * (eta_v @ Qf)
-            + eps_b * ((dvdx**2 * eta.eta_pp(v)) @ Q)
-            + R @ Q
-        )
-
-    return float(abs(_pairing(traj, tf, term)))

@@ -127,7 +127,6 @@ class NonlinearityG:
     fn: Callable[[np.ndarray], np.ndarray]
     m: float
     M: float
-    label: str = "custom"
 
     def __post_init__(self):
         if not 0.0 <= self.m <= self.M < np.inf:
@@ -143,7 +142,6 @@ class NonlinearityG:
             fn=partial(_regularized_fn, base=self.fn, eps=eps),
             m=self.m + eps,
             M=self.M + eps,
-            label=f"{self.label}+{eps:g}*id",
         )
 
 
@@ -164,26 +162,16 @@ def _tanh_blend_fn(v, m, M):
 
 
 def g_zero() -> NonlinearityG:
-    return NonlinearityG(fn=_zero_fn, m=0.0, M=0.0, label="zero")
+    return NonlinearityG(fn=_zero_fn, m=0.0, M=0.0)
 
 
 def g_linear(c: float = 1.0) -> NonlinearityG:
-    return NonlinearityG(
-        fn=partial(_scale_fn, c=c),
-        m=c,
-        M=c,
-        label=f"linear({c:g})",
-    )
+    return NonlinearityG(fn=partial(_scale_fn, c=c), m=c, M=c)
 
 
 def g_tanh_blend(m: float = 0.2, M: float = 1.0) -> NonlinearityG:
     """g(v) = m v + (M - m) tanh v; derivative ranges over (m, M]."""
-    return NonlinearityG(
-        fn=partial(_tanh_blend_fn, m=m, M=M),
-        m=m,
-        M=M,
-        label=f"tanh_blend({m:g},{M:g})",
-    )
+    return NonlinearityG(fn=partial(_tanh_blend_fn, m=m, M=M), m=m, M=M)
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,9 @@ oracle integrates the equality-case ODE with an adaptive Runge-Kutta, and
 the trajectory diagnostics are evaluated one sample at a time from Field
 objects instead of by the batched pass, and the pairing quadratures sum
 their outer nodes one at a time over spline values shifted by each node
-instead of as lag sums over coefficient differences, and the weak-form and
-entropy-balance pairings of a stored trajectory visit its samples one at a
-time instead of taking the live ones in blocks, and the Sobolev inequality
+instead of as lag sums over coefficient differences, and the weak-form
+pairings of a stored trajectory visit their samples one at a time instead of
+taking the live ones in blocks, and the Sobolev inequality
 ensembles of the verify suite check one drawn member at a time instead of
 row blocks, and the smallness condition multiplies out its powers at 60
 digits instead of summing their logarithms in floating point, and the
@@ -441,7 +441,7 @@ def pair_correlation_integral_loop(v, w, s):
 # ---------------------------------------------------------------------------
 # Trajectory pairings, one stored sample at a time.  These are the
 # per-sample loops the block pass in fswl.entropy replaces; they share its
-# test functions, Simpson rule, flux and remainder helpers.
+# test functions and Simpson rule.
 # ---------------------------------------------------------------------------
 
 def weak_residual_u_loop(traj, params, run, tf, perturbed=True) -> complex:
@@ -514,59 +514,6 @@ def weak_residual_v_loop(traj, params, run, tf, perturbed=True) -> float:
         v0 = grid.from_spectrum(v_specs[0]).real
         total += P0 * dx * np.sum(v0 * Q)
     return float(total)
-
-
-def entropy_balance_residual_loop(traj, eta, params, run, tf) -> float:
-    u_specs, v_specs = traj.u_specs, traj.v_specs  # expanded once
-    grid = traj.grid
-    s = params.s
-    dx = grid.dx
-    L = grid.half_length
-    g_eff = params.g.regularized(run.g_regularization)
-    eps_b = run.eps**EXPONENT_B
-    eps_g = run.g_regularization
-
-    Q = tf.space_values().real
-    Q2 = tf.space_d2().real
-    Qf = tf.space_frac(s).real
-    times = traj.times
-    P = tf.time_value(times)
-    Pd = tf.time_derivative(times)
-
-    x = grid.x
-    d = np.mod(x[:, None] - x[None, :], 2.0 * L)
-    kernel = np.zeros_like(d)
-    off = d > 0.0
-    kernel[off] = (fr.periodic_tail_weight(d[off], 0.5 * s, L)
-                   + fr.periodic_tail_weight(2.0 * L - d[off], 0.5 * s, L))
-    c_half = fr.cns_constant(0.5 * s)
-
-    deriv = grid.deriv_symbol()
-    half_sym = grid.frac_symbol(0.5 * s)
-    vals = np.zeros(len(traj))
-    for i in range(len(traj)):
-        if P[i] == 0.0 and Pd[i] == 0.0:
-            continue
-        u = grid.from_spectrum(u_specs[i])
-        v = grid.from_spectrum(v_specs[i]).real
-        dvdx = grid.from_spectrum(deriv * v_specs[i]).real
-        dens_frac = grid.from_spectrum(
-            half_sym * grid.to_spectrum(np.abs(u) ** 2)
-        ).real
-        eta_v = eta.eta(v)
-        q_v = en._flux_on_values(eta, params.g, v)
-
-        term = -Pd[i] * dx * np.sum(eta_v * Q)
-        term += P[i] * dx * np.sum(q_v * Qf)
-        term -= params.beta * P[i] * dx * np.sum(eta.eta_prime(v) * dens_frac * Q)
-        term -= eps_b * P[i] * dx * np.sum(eta_v * Q2)
-        term += eps_g * P[i] * dx * np.sum(eta_v * Qf)
-        term += eps_b * P[i] * dx * np.sum(dvdx**2 * eta.eta_pp(v) * Q)
-
-        R = en._remainder_superposition(v, g_eff, eta, kernel, dx, c_half)
-        term += P[i] * dx * np.sum(R * Q)
-        vals[i] = term
-    return float(abs(en._simpson(vals, times)))
 
 
 # ---------------------------------------------------------------------------

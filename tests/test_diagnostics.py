@@ -162,9 +162,7 @@ class TestBilinearAndCoercivity:
 
     def test_coercivity_strict_for_tanh_blend(self, grid16):
         rng = np.random.default_rng(23)
-        G = NonlinearityG(
-            fn=lambda v: 0.5 * v + 0.1 * np.tanh(v),
-            m=0.5, M=0.6, label="0.5 id + 0.1 tanh")
+        G = NonlinearityG(fn=lambda v: 0.5 * v + 0.1 * np.tanh(v), m=0.5, M=0.6)
         for _ in range(5):
             v = random_band_limited(grid16, rng, flavor="real")
             rep = coercivity_report(v, G, 0.75)

@@ -1,4 +1,5 @@
-"""No public name survives if only its own tests use it.
+"""No public name survives if only its own tests use it, and no private
+helper survives without a caller.
 
 Every name in a ``fswl`` module's ``__all__`` must be referenced somewhere in
 the package outside its own top-level definition (an import alone or a
@@ -8,6 +9,10 @@ outside its own definition, where only a read of an attribute of that name
 counts: a local variable that shares the name does not.  The benchmark
 under ``bench/`` is no caller.  A few names are exempt, each for a stated
 reason; an exemption that is no longer needed fails the test too.
+
+Every private top-level function and class (``_name``, not a dunder) must be
+referenced in the package outside its own definition, with no exemption:
+the tests may reach into a helper, but they do not keep it alive.
 """
 
 from __future__ import annotations
@@ -23,13 +28,6 @@ PACKAGE = ROOT / "src" / "fswl"
 EXEMPT = {
     ("solver", "vanishing_viscosity_sweep"):
         "acceptance criterion 9 drives the eps ladder through it",
-    # A verify row would change the check set that
-    # bench/reference/verify_all.json pins, so it lands with a re-recorded
-    # benchmark reference.
-    ("entropy", "entropy_balance_residual"):
-        "paper-facing regularized entropy balance, waiting for its verify row",
-    ("entropy", "smooth_capped_entropy"):
-        "the C^1 entropy the balance pairing needs, waiting with it",
     ("diagnostics", "energy_balance_residual"):
         "acceptance criterion 6 drives the balance identities through them",
     ("diagnostics", "v_balance_residual"):
@@ -120,6 +118,20 @@ def test_every_public_name_has_a_caller_outside_tests():
     unused = _unused_public_names()
     assert unused - EXEMPT.keys() == set(), "public names used only by tests"
     assert EXEMPT.keys() - unused == set(), "exemptions no longer needed"
+
+
+def _unused_private_helpers() -> set[tuple[str, str]]:
+    """(module, name) of every private top-level function or class that no
+    other definition or module-level statement of the package reads."""
+    refs = _references()
+    helpers = {key[:2] for key in refs
+               if key[1] and key[1].startswith("_") and not key[1].startswith("__")}
+    return {own for own in helpers
+            if not any(own[1] in read[0] for key, read in refs.items() if key[:2] != own)}
+
+
+def test_every_private_helper_has_a_caller_in_the_package():
+    assert _unused_private_helpers() == set(), "private helpers no package code reads"
 
 
 def test_package_init_holds_its_docstring_alone():

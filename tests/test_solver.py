@@ -79,8 +79,8 @@ class TestNonlinearity:
         for g in (g_zero(), g_linear(0.7), g_tanh_blend(0.2, 1.0)):
             for reg in (0.0, 0.1):
                 g_eps = g.regularized(reg)
-                assert (g_eps.m, g_eps.M) == pytest.approx((g.m + reg, g.M + reg)), g_eps.label
-                assert not derivative_escapes(g_eps), g_eps.label
+                assert (g_eps.m, g_eps.M) == pytest.approx((g.m + reg, g.M + reg)), g_eps
+                assert not derivative_escapes(g_eps), g_eps
 
     def test_g_zero_required_at_origin(self):
         with pytest.raises(ValueError, match="g\\(0\\)"):

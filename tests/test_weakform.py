@@ -6,19 +6,15 @@ import pytest
 import oracles
 from fswl.entropy import (
     TestFunction,
-    entropy_balance_residual,
-    smooth_capped_entropy,
     weak_residual_u,
     weak_residual_v,
 )
 from fswl.fractional import frac_laplacian_spectral
 from fswl.grid import BLOCK_SAMPLES, Field, make_grid
-from fswl.propagators import EXPONENT_B
 from fswl.solver import (
     PerturbedRun,
     SystemParams,
     g_tanh_blend,
-    g_zero,
     solve_perturbed,
 )
 
@@ -147,78 +143,6 @@ class TestBlockPassMatchesLoops:
         want = oracles.weak_residual_v_loop(traj, params, run, tfr, perturbed=perturbed)
         assert abs(got - want) <= 1e-14
 
-    def test_entropy_balance(self, case):
-        traj, params, run, _, tfr = case
-        eta = smooth_capped_entropy(0.6)
-        got = entropy_balance_residual(traj, eta, tfr)
-        want = oracles.entropy_balance_residual_loop(traj, eta, params, run, tfr)
-        assert abs(got - want) <= 1e-14
-
-
-class TestEntropyBalance:
-    def test_linear_entropy_reduces_to_long_wave_equation(self, grid128, data):
-        # eta(v) = v: no remainder, no dissipation density; the pairing is
-        # exactly the long-wave weak form, so the residual sits at the
-        # integrator's order
-        u0, v0 = data
-        params = coupled_params()
-        run = PerturbedRun(eps=0.1, T=0.5, dt=2e-3)
-        traj = solve_perturbed(u0, v0, params, run)
-        eta_lin = smooth_capped_entropy(1.0)
-        eta_lin = type(eta_lin)(
-            eta=lambda v: np.asarray(v, dtype=float),
-            eta_prime=lambda v: np.ones_like(np.asarray(v, dtype=float)),
-            eta_pp=lambda v: np.zeros_like(np.asarray(v, dtype=float)),
-            pp_support=(-1.0, 1.0),
-            linear_coeff=1.0,
-            label="identity",
-        )
-        tf = TestFunction(grid=grid128, t_lo=0.1, t_hi=0.4, x_center=0.0, x_width=5.0,
-                          amplitude=1 + 0j, flavor="real")
-        res = entropy_balance_residual(traj, eta_lin, tf)
-        assert res < 5e-7
-
-    def test_dissipation_term_sign(self, grid128):
-        # pure decay of the long wave: the gradient-square density pairs
-        # nonnegatively against a nonnegative test function
-        params = SystemParams(alpha=0.0, beta=0.0, s=0.75, g=g_zero(), gamma=0.0)
-        run = PerturbedRun(eps=0.5, T=0.5, dt=2e-3, eps_g=0.0)
-        v0 = Field.from_function(grid128, lambda x: 0.6 * np.exp(-((x / 2) ** 2)), "real")
-        traj = solve_perturbed(Field.zero(grid128), v0, params, run)
-        eta = smooth_capped_entropy(0.8)
-        tf = TestFunction(grid=grid128, t_lo=0.1, t_hi=0.4, x_center=0.0, x_width=5.0,
-                          amplitude=1 + 0j, flavor="real")
-        P = tf.time_value(traj.times)
-        Q = tf.space_values().real
-        total = 0.0
-        eps_b = run.eps**EXPONENT_B
-        for i in range(len(traj)):
-            if P[i] == 0.0:
-                continue
-            v_spec = traj.spectra(i)[1]
-            dvdx = grid128.from_spectrum(grid128.deriv_symbol() * v_spec).real
-            v = grid128.from_spectrum(v_spec).real
-            total += P[i] * grid128.dx * np.sum(eps_b * dvdx**2 * eta.eta_pp(v) * Q)
-        assert total >= 0.0
-
-    def test_joint_refinement_decreases(self, data):
-        # the remainder superposition carries a spatial quadrature floor, so
-        # the residual is driven down by refining space and time together
-        params = coupled_params()
-        eta = smooth_capped_entropy(0.6)
-        residuals = []
-        for N, dt in ((64, 8e-3), (128, 4e-3), (256, 2e-3)):  # joint space-time ladder
-            grid = make_grid(16.0, N)
-            u0 = Field.from_function(
-                grid, lambda x: 0.4 * np.exp(-(x**2)) * np.exp(1j * 3 * np.pi / 16 * x))
-            v0 = Field.from_function(grid, lambda x: 0.4 * np.exp(-((x / 1.5) ** 2)), "real")
-            run = PerturbedRun(eps=0.1, T=0.4, dt=dt)
-            traj = solve_perturbed(u0, v0, params, run)
-            tf = TestFunction(grid=grid, t_lo=0.08, t_hi=0.32, x_center=0.0, x_width=5.0,
-                              amplitude=1 + 0j, flavor="real")
-            residuals.append(entropy_balance_residual(traj, eta, tf))
-        assert residuals[2] < residuals[1] < residuals[0]
-
 
 @pytest.fixture(scope="module")
 def short_run(grid128, data):
@@ -229,20 +153,17 @@ def short_run(grid128, data):
 _RESIDUALS = {
     "u": weak_residual_u,
     "v": weak_residual_v,
-    "entropy": lambda traj, tf: entropy_balance_residual(traj, smooth_capped_entropy(0.5), tf),
 }
 
 
 @pytest.mark.parametrize("residual, end, message", [
     ("u", "late", "test support leaks past the time horizon"),
     ("v", "late", "test support leaks past the time horizon"),
-    ("entropy", "late", r"test support must sit strictly inside \(0, T\)"),
-    # the u and v pairings carry an initial-data term, so their support may
-    # start at (or before) 0; the entropy balance has none
+    # both pairings carry an initial-data term, so their support may start
+    # at (or before) 0
     ("u", "early", None),
     ("v", "early", None),
-    ("entropy", "early", r"test support must sit strictly inside \(0, T\)"),
-], ids=["u-late", "v-late", "entropy-late", "u-early", "v-early", "entropy-early"])
+], ids=["u-late", "v-late", "u-early", "v-early"])
 def test_support_leak_rejected(grid128, short_run, residual, end, message):
     # the support touches the horizon T = 0.5 or the initial time exactly
     t_lo, t_hi = {"late": (0.2, 0.5), "early": (0.0, 0.3)}[end]
@@ -255,7 +176,7 @@ def test_support_leak_rejected(grid128, short_run, residual, end, message):
             _RESIDUALS[residual](short_run, tf)
 
 
-@pytest.mark.parametrize("residual", ["u", "v", "entropy"])
+@pytest.mark.parametrize("residual", ["u", "v"])
 @pytest.mark.parametrize("t_hi, live", [(0.2049, 0), (0.2149, 2), (0.2199, 3)])
 def test_support_with_fewer_than_three_samples_rejected(grid128, short_run, residual, t_hi, live):
     # the samples lie every dt = 5e-3, so (0.2001, t_hi) holds `live` of
